@@ -1,13 +1,11 @@
 /**
  * @file
- * Microbench: unpipelined vs pipelined FERRET extension on the
- * workspace engine.
+ * Microbench: FERRET extension on the workspace engine, thread sweep.
  *
- * Both paths run extendInto() (zero heap allocations once warm); the
- * pipelined path additionally overlaps iteration i's LPN gather-XOR
- * with iteration i+1's SPCOT transcript on the wire and uses the
- * precomputed LPN index tape. A thread sweep shows the fixed-pool
- * batch-SPCOT/LPN scaling.
+ * extendInto() performs zero heap allocations once warm, overlaps
+ * iteration i's LPN gather-XOR with iteration i+1's SPCOT transcript on
+ * the wire and replays the precomputed LPN index tape. The 1/2/4
+ * thread sweep shows the fixed-pool batch-SPCOT/LPN scaling.
  *
  * Run: ./bench_micro_workspace_reuse   (IRONMAN_BENCH_FAST=1 trims)
  */
@@ -36,7 +34,7 @@ struct Result
 
 /** One measured configuration: @p iters extensions after one warm-up. */
 Result
-measure(const FerretParams &p, bool pipelined, int threads, int iters)
+measure(const FerretParams &p, int threads, int iters)
 {
     Rng dealer(1234);
     Block delta = dealer.nextBlock();
@@ -47,7 +45,6 @@ measure(const FerretParams &p, bool pipelined, int threads, int iters)
         [&](net::Channel &ch) {
             FerretCotSender sender(ch, p, delta, std::move(bs.q));
             sender.setThreads(threads);
-            sender.setPipelined(pipelined);
             Rng rng(1);
             std::vector<Block> out(p.usableOts());
             // Warm-up extension (sizes workspaces, faults pages).
@@ -61,7 +58,6 @@ measure(const FerretParams &p, bool pipelined, int threads, int iters)
             FerretCotReceiver receiver(ch, p, std::move(br.choice),
                                        std::move(br.t));
             receiver.setThreads(threads);
-            receiver.setPipelined(pipelined);
             Rng rng(2);
             BitVec choice;
             std::vector<Block> t(p.usableOts());
@@ -77,12 +73,13 @@ measure(const FerretParams &p, bool pipelined, int threads, int iters)
 }
 
 void
-row(const char *label, const FerretParams &p, bool pipelined, int threads,
-    int iters)
+sweep(const FerretParams &p, int iters)
 {
-    Result r = measure(p, pipelined, threads, iters);
-    std::printf("  %-22s %2d thr   %9.0f us/ext   %8.2f M OT/s\n", label,
-                threads, r.usPerExtension, r.otsPerSec / 1e6);
+    for (int threads : {1, 2, 4}) {
+        Result r = measure(p, threads, iters);
+        std::printf("  %2d thr   %9.0f us/ext   %8.2f M OT/s\n", threads,
+                    r.usPerExtension, r.otsPerSec / 1e6);
+    }
 }
 
 } // namespace
@@ -91,7 +88,7 @@ int
 main()
 {
     bench::banner("micro_workspace_reuse",
-                  "unpipelined vs pipelined FERRET extension");
+                  "FERRET extension, thread sweep 1/2/4");
 
     const bool fast = bench::fastMode();
     const int iters = fast ? 2 : 8;
@@ -100,10 +97,7 @@ main()
     std::printf("%s set: n=%zu k=%zu t=%zu l=%zu, %zu usable OTs/ext\n",
                 tiny.name.c_str(), tiny.n, tiny.k, tiny.t,
                 tiny.treeLeaves(), tiny.usableOts());
-    row("unpipelined", tiny, false, 1, iters);
-    row("pipelined", tiny, true, 1, iters);
-    row("pipelined", tiny, true, 2, iters);
-    row("pipelined", tiny, true, 4, iters);
+    sweep(tiny, iters);
 
     if (!fast) {
         FerretParams big = paperParamSet(20);
@@ -111,15 +105,11 @@ main()
                     "OTs/ext\n",
                     big.name.c_str(), big.n, big.k, big.t,
                     big.treeLeaves(), big.usableOts());
-        const int big_iters = 2;
-        row("unpipelined", big, false, 1, big_iters);
-        row("pipelined", big, true, 1, big_iters);
-        row("pipelined", big, true, 2, big_iters);
-        row("pipelined", big, true, 4, big_iters);
+        sweep(big, /*iters=*/2);
     }
 
-    bench::note("both rows run extendInto() (zero allocations once "
-                "warm); pipelined additionally overlaps LPN with the "
-                "next SPCOT transcript and replays the LPN index tape");
+    bench::note("extendInto() is allocation-free once warm, overlaps "
+                "LPN with the next SPCOT transcript and replays the LPN "
+                "index tape");
     return 0;
 }

@@ -143,7 +143,7 @@ void
 FerretCotSender::prewarm()
 {
     const bool sf = scatterFree_ && OtWorkspace::scatterFreeFeed(p);
-    ws.prepare(p, threads, pipelined_ ? 2 : 1, sf);
+    ws.prepare(p, threads, 2, sf);
     ensureTape();
     baseQ.reserve(p.reservedCots());
     baseNext.reserve(p.reservedCots());
@@ -165,12 +165,12 @@ FerretCotSender::extendInto(Rng &rng, Block *out)
     // Scatter-free feed: every bucket is one whole tree, so SPCOT
     // writes straight into the LPN row slots and the leaf -> rows
     // pass disappears (the arena aliases rows onto the leaf slots).
-    // Like the pipeline toggle, the mode must not flip while a
-    // prefetched transcript occupies a slot (prepare() re-carves).
+    // The feed must not flip while a prefetched transcript occupies a
+    // slot (prepare() re-carves).
     const bool sf = scatterFree_ && OtWorkspace::scatterFreeFeed(p);
     IRONMAN_CHECK(!havePending || ws.scatterFree() == sf,
                   "setScatterFree with a transcript in flight");
-    ws.prepare(p, threads, pipelined_ ? 2 : 1, sf);
+    ws.prepare(p, threads, 2, sf);
     ensureTape();
     const SpcotConfig cfg = spcotConfigOf(p);
     const size_t bucket = p.bucketSize();
@@ -179,54 +179,7 @@ FerretCotSender::extendInto(Rng &rng, Block *out)
     const size_t reserved = p.k + spcot_cots;
     uint64_t prg_ops = 0;
 
-    if (!pipelined_) {
-        // A prefetched transcript in flight cannot be discarded: its
-        // derandomization bits already spent base-COT material, and
-        // re-running SPCOT over the same reserve would leak choice
-        // bits. Flip modes only on engines with no pending transcript.
-        IRONMAN_CHECK(!havePending,
-                      "setPipelined(false) with a transcript in flight");
-
-        // 1. Split the base reserve.
-        const Block *lpn_r = baseQ.data();         // k entries
-        const Block *spcot_q = baseQ.data() + p.k; // t*log2(l) entries
-
-        // 2. Interactive SPCOT into the workspace leaf matrix — in
-        // scatter-free mode that matrix IS the w vector.
-        Timer phase;
-        spcotSendInto(*ch, cfg, p.t, delta_, spcot_q, rng, tweak, ws.pool,
-                      ws.spcot, ws.leaf[0], &prg_ops);
-        const uint64_t spcot_us = uint64_t(phase.seconds() * 1e6);
-        stats_.add("spcot_us", spcot_us);
-        stats_.add("spcot_prg_ops", prg_ops);
-        phaseSpan(traced, "spcot_send", spcot_us, prg_ops);
-
-        // 3. Scatter tree leaves into the length-n w vector (no-op
-        // when scatter-free), then LPN.
-        phase.reset();
-        Block *z = sf ? ws.leaf[0] : ws.rows;
-        if (!sf)
-            for (size_t tr = 0; tr < p.t; ++tr) {
-                size_t row0 = tr * bucket;
-                size_t width = std::min(bucket, p.n - row0);
-                std::copy_n(ws.leaf[0] + tr * leaves, width, z + row0);
-            }
-        encodePooled(encoder, ws, lpn_r, z, 0, p.n);
-        const uint64_t lpn_us = uint64_t(phase.seconds() * 1e6);
-        stats_.add("lpn_us", lpn_us);
-        phaseSpan(traced, "lpn_encode", lpn_us, p.n);
-
-        // 4. Bootstrap: re-reserve, hand out the rest.
-        baseQ.assign(z, z + reserved);
-        std::copy(z + reserved, z + p.n, out);
-
-        stats_.add("extend_us", uint64_t(total.seconds() * 1e6));
-        stats_.add("extensions", 1);
-        stats_.add("output_cots", p.n - reserved);
-        return;
-    }
-
-    // Pipelined steady state. Slot slotCur holds this iteration's
+    // Steady state. Slot slotCur holds this iteration's
     // already-expanded leaves (prefetched by the previous call); the
     // cold first call exchanges its own transcript inline.
     Timer phase;
@@ -381,62 +334,7 @@ FerretCotReceiver::extendInto(Rng &rng, BitVec &choice_out, Block *t_out)
             encoder.encodeBits(in, inout, ws.lpn[0]);
     };
 
-    if (!pipelined_) {
-        // See the sender: a pending prefetched transcript must not be
-        // dropped (its derandomization bits spent base-COT material).
-        IRONMAN_CHECK(!havePending,
-                      "setPipelined(false) with a transcript in flight");
-
-        // 1. Split the base reserve: bits e / blocks s feed LPN, the
-        // rest feeds SPCOT.
-        ws.e.assignRange(baseChoice, 0, p.k);
-        const Block *lpn_s = baseT.data();
-
-        // 2. Sample one punctured position per bucket and run SPCOT.
-        draw_alphas();
-
-        Timer phase;
-        spcotRecvInto(*ch, cfg, p.t, ws.alphas.data(), baseChoice, p.k,
-                      baseT.data() + p.k, tweak, ws.pool, ws.spcot,
-                      ws.leaf[0], &prg_ops);
-        const uint64_t spcot_us = uint64_t(phase.seconds() * 1e6);
-        stats_.add("spcot_us", spcot_us);
-        stats_.add("spcot_prg_ops", prg_ops);
-        phaseSpan(traced, "spcot_recv", spcot_us, prg_ops);
-
-        // 3. Build (u, v) over the n rows (scatter-free: the leaf
-        // matrix already is v), then LPN-encode into (x, y).
-        phase.reset();
-        ws.x.resize(p.n);
-        ws.x.zeroAll();
-        Block *y = sf ? ws.leaf[0] : ws.rows;
-        for (size_t tr = 0; tr < p.t; ++tr) {
-            size_t row0 = tr * bucket;
-            size_t width = std::min(bucket, p.n - row0);
-            if (!sf)
-                std::copy_n(ws.leaf[0] + tr * leaves, width, y + row0);
-            ws.x.set(row0 + ws.alphas[tr], true);
-        }
-        encode_bits(ws.e, ws.x);
-        encodePooled(encoder, ws, lpn_s, y, 0, p.n);
-        const uint64_t lpn_us = uint64_t(phase.seconds() * 1e6);
-        stats_.add("lpn_us", lpn_us);
-        phaseSpan(traced, "lpn_encode", lpn_us, p.n);
-
-        // 4. Bootstrap.
-        baseChoice.assignRange(ws.x, 0, reserved);
-        baseT.assign(y, y + reserved);
-
-        choice_out.assignRange(ws.x, reserved, p.n - reserved);
-        std::copy(y + reserved, y + p.n, t_out);
-
-        stats_.add("extend_us", uint64_t(total.seconds() * 1e6));
-        stats_.add("extensions", 1);
-        stats_.add("output_cots", p.n - reserved);
-        return;
-    }
-
-    // Pipelined steady state. slots[slotCur] holds this iteration's
+    // Steady state. slots[slotCur] holds this iteration's
     // transcript (ciphertexts + masked sums), pulled off the wire by
     // the previous call; only the unmask — which needs this call's
     // now-complete base reserve — and the tree reconstruction remain.

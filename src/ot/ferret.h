@@ -15,11 +15,11 @@
  *   4. Bootstrap: the first reservedCots() outputs become the next
  *      base reserve; the remaining usableOts() are handed out.
  *
- * In the default PIPELINED mode the engine overlaps consecutive
- * extensions: while iteration i's LPN encode runs on the pool
- * workers, iteration i+1's SPCOT transcript is already crossing the
- * wire on the calling thread (see DESIGN.md §2, "The iteration
- * pipeline"). The dependency that makes this legal:
+ * The engine overlaps consecutive extensions (the iteration
+ * pipeline): while iteration i's LPN encode runs on the pool workers,
+ * iteration i+1's SPCOT transcript is already crossing the wire on the
+ * calling thread (see DESIGN.md §2, "The iteration pipeline"). The
+ * dependency that makes this legal:
  *
  *   - the sender's next transcript needs q' = z_i[k..reserved), so
  *     the reserve prefix of z is encoded eagerly before the output
@@ -29,13 +29,12 @@
  *     ciphertexts — which needs the block reserve y_i — is deferred
  *     to the next call (SpcotRecvSlot holds the pending transcript).
  *
- * Pipelined output is bit-identical to unpipelined output for equal
- * RNG seeds (tests/test_ferret_pipeline.cpp): every value is computed
- * from the same inputs, just earlier. Both parties MUST run the same
- * mode — the pipelined peer leaves one prefetched transcript in
- * flight per steady-state call, which an unpipelined peer would never
- * answer. Between calls the channel is fully drained, so engines can
- * be multiplexed (ppml::FerretCotEngine interleaves two directions).
+ * Every steady-state call leaves one prefetched transcript in flight,
+ * which the peer's next call consumes; the output for given RNG seeds
+ * is pinned by a recorded known-answer test
+ * (tests/test_ferret_pipeline.cpp). Between calls the channel is fully
+ * drained, so engines can be multiplexed (ppml::FerretCotEngine
+ * interleaves two directions).
  *
  * Each endpoint owns an OtWorkspace (arena + fixed thread pool + the
  * precomputed LPN index tape), so extendInto() performs zero heap
@@ -119,14 +118,6 @@ class FerretCotSender
     void setThreads(int n) { threads = n > 1 ? n : 1; }
 
     /**
-     * Toggle the iteration pipeline (default on). Must match the
-     * receiver's setting; flip only between extensions, never while a
-     * transcript is in flight.
-     */
-    void setPipelined(bool on) { pipelined_ = on; }
-    bool pipelined() const { return pipelined_; }
-
-    /**
      * Toggle the scatter-free LPN feed (default on; local-only, the
      * peer may differ). Effective only when bucketSize() ==
      * treeLeaves(): SPCOT then expands straight into the LPN row
@@ -146,11 +137,10 @@ class FerretCotSender
     FerretParams p;
     Block delta_;
     std::vector<Block> baseQ;
-    std::vector<Block> baseNext; ///< pipelined: next reserve staging
+    std::vector<Block> baseNext; ///< next reserve staging
     LpnEncoder encoder;
     uint64_t tweak = 1;
     int threads = 1;
-    bool pipelined_ = true;
     bool scatterFree_ = true;
     bool havePending = false; ///< leaf slot slotCur holds a transcript
     int slotCur = 0;
@@ -185,10 +175,6 @@ class FerretCotReceiver
     const FerretParams &params() const { return p; }
     void setThreads(int n) { threads = n > 1 ? n : 1; }
 
-    /** Toggle the iteration pipeline; see FerretCotSender. */
-    void setPipelined(bool on) { pipelined_ = on; }
-    bool pipelined() const { return pipelined_; }
-
     /** Toggle the scatter-free LPN feed; see FerretCotSender. */
     void setScatterFree(bool on) { scatterFree_ = on; }
 
@@ -200,13 +186,12 @@ class FerretCotReceiver
     net::Channel *ch = nullptr; ///< bound per session; never null in extendInto
     FerretParams p;
     BitVec baseChoice;
-    BitVec choiceNext;       ///< pipelined: next choice reserve staging
+    BitVec choiceNext;       ///< next choice reserve staging
     std::vector<Block> baseT;
-    std::vector<Block> baseTNext; ///< pipelined: next reserve staging
+    std::vector<Block> baseTNext; ///< next reserve staging
     LpnEncoder encoder;
     uint64_t tweak = 1;
     int threads = 1;
-    bool pipelined_ = true;
     bool scatterFree_ = true;
     bool havePending = false; ///< slots[slotCur] holds a transcript
     int slotCur = 0;

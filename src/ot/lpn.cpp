@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <mutex>
-#include <vector>
 
 #include "common/logging.h"
 
@@ -32,37 +29,14 @@ constexpr size_t kRowsPerChunk = 256;
 
 constexpr size_t kLane = LpnIndexTape::kLane;
 
-/**
- * Software prefetch of a whole lane group's taps: the k-vector
- * gathers are the one randomly addressed stream of the kernel (the
- * tape itself is sequential — hardware prefetchers cover it), so each
- * group's d*kLane input lines are requested one group ahead of use.
- * The next group's indices are a contiguous read of the transposed
- * tape, making the address computation nearly free.
- */
-inline void
-prefetchGroupTaps(const Block *in, const uint32_t *group_tape,
-                  unsigned d)
-{
-    for (unsigned i = 0; i < d; ++i) {
-        const uint32_t *gi = group_tape + i * kLane;
-        for (size_t x = 0; x < kLane; ++x)
-            __builtin_prefetch(in + gi[x], 0, 3);
-    }
-}
-
 void
 gatherXorScalar(const Block *in, Block *inout, const uint32_t *tape,
                 size_t row0, size_t count, unsigned d)
 {
-    const bool pf = detail::lpnPrefetchEnabled();
     for (size_t j = 0; j < count; ++j) {
         const size_t r = row0 + j;
         const uint32_t *g = tape + (r / kLane) * size_t(d) * kLane +
                             (r % kLane);
-        // One group ahead, issued once per group (at its first row).
-        if (pf && r % kLane == 0 && j + 2 * kLane <= count)
-            prefetchGroupTaps(in, g + size_t(d) * kLane, d);
         Block acc = inout[j];
         for (unsigned i = 0; i < d; ++i)
             acc ^= in[g[i * kLane]];
@@ -76,7 +50,6 @@ void
 gatherXorSse2(const Block *in, Block *inout, const uint32_t *tape,
               size_t row0, size_t count, unsigned d)
 {
-    const bool pf = detail::lpnPrefetchEnabled();
     size_t j = 0;
     // Scalar head until the row index is lane-aligned.
     while (j < count && ((row0 + j) % kLane) != 0) {
@@ -86,13 +59,10 @@ gatherXorSse2(const Block *in, Block *inout, const uint32_t *tape,
 
     // Full groups: kLane independent accumulators hide the latency of
     // the randomly addressed 16-byte gathers; each tap's kLane indices
-    // are one contiguous 32-byte read of the transposed tape. The next
-    // group's taps are prefetched while this group's XOR chains retire.
+    // are one contiguous 32-byte read of the transposed tape.
     for (; j + kLane <= count; j += kLane) {
         const size_t r = row0 + j;
         const uint32_t *g = tape + (r / kLane) * size_t(d) * kLane;
-        if (pf && j + 2 * kLane <= count)
-            prefetchGroupTaps(in, g + size_t(d) * kLane, d);
         __m128i acc[kLane];
         for (size_t x = 0; x < kLane; ++x)
             acc[x] = _mm_loadu_si128(
@@ -182,131 +152,15 @@ using BitGatherFn = void (*)(const uint64_t *, uint64_t *,
 
 std::atomic<LpnKernel> gatherKernelMode{LpnKernel::Auto};
 
-/** Prefetch pinning: -1 = auto (calibrated), 0 = off, 1 = on. */
-std::atomic<int> gatherPrefetchMode{-1};
-
-#ifdef IRONMAN_HAVE_SSE2
-
-/**
- * Measure the two AVX2 block kernels on a synthetic tape and keep the
- * faster: vpgatherqq beats the vinserti128 pair on some cores and
- * loses on others, so Auto decides per CPU, once per process (during
- * engine warm-up — the scratch buffers here are freed immediately).
- */
-GatherFn
-calibrateAvx2Kernel()
-{
-    constexpr size_t k = 2048, rows = 4096;
-    constexpr unsigned d = 10;
-    std::vector<Block> in(k), a(rows), b(rows);
-    std::vector<uint32_t> tape((rows / kLane) * d * kLane);
-    uint64_t s = 0x9e3779b97f4a7c15ULL;
-    for (Block &blk : in) {
-        s = s * 6364136223846793005ULL + 1442695040888963407ULL;
-        blk = Block(s, ~s);
-    }
-    for (uint32_t &t : tape) {
-        s = s * 6364136223846793005ULL + 1442695040888963407ULL;
-        t = uint32_t(s >> 33) % k;
-    }
-    auto time = [&](GatherFn fn, Block *rows_buf) {
-        uint64_t best = ~0ULL;
-        for (int rep = 0; rep < 3; ++rep) {
-            const auto t0 = std::chrono::steady_clock::now();
-            fn(in.data(), rows_buf, tape.data(), 0, rows, d);
-            const auto t1 = std::chrono::steady_clock::now();
-            best = std::min(
-                best, uint64_t(std::chrono::duration_cast<
-                                   std::chrono::nanoseconds>(t1 - t0)
-                                   .count()));
-        }
-        return best;
-    };
-    const uint64_t insert = time(&detail::lpnGatherXorAvx2, a.data());
-    const uint64_t gather =
-        time(&detail::lpnGatherXorAvx2Gather, b.data());
-    return gather < insert ? &detail::lpnGatherXorAvx2Gather
-                           : &detail::lpnGatherXorAvx2;
-}
-
-#endif // IRONMAN_HAVE_SSE2
-
-/** Auto-mode prefetch verdict: -1 = not yet measured, 0/1 = off/on. */
-std::atomic<int> prefetchAutoResult{-1};
-
-#ifdef IRONMAN_HAVE_SSE2
-
-/**
- * Measure the chosen kernel with tap prefetch on vs off and keep the
- * winner, once per process. The synthetic k-vector is 2 MB — sized
- * like the paper sets' LPN input (past L1/L2 on most parts), unlike
- * the deliberately small kernel-calibration tape: prefetch only earns
- * its uops when the taps actually miss, so it must be judged at a
- * realistic working-set size.
- */
-void
-ensurePrefetchCalibrated(GatherFn fn)
-{
-    if (prefetchAutoResult.load(std::memory_order_relaxed) >= 0)
-        return;
-    static std::once_flag flag;
-    std::call_once(flag, [fn] {
-        constexpr size_t k = size_t(1) << 17, rows = size_t(1) << 13;
-        constexpr unsigned d = 10;
-        std::vector<Block> in(k), buf(rows);
-        std::vector<uint32_t> tape((rows / kLane) * d * kLane);
-        uint64_t s = 0x243f6a8885a308d3ULL;
-        for (Block &blk : in) {
-            s = s * 6364136223846793005ULL + 1442695040888963407ULL;
-            blk = Block(s, ~s);
-        }
-        for (uint32_t &t : tape) {
-            s = s * 6364136223846793005ULL + 1442695040888963407ULL;
-            t = uint32_t(s >> 33) % k;
-        }
-        auto time_mode = [&](int mode) {
-            gatherPrefetchMode.store(mode, std::memory_order_relaxed);
-            uint64_t best = ~0ULL;
-            for (int rep = 0; rep < 3; ++rep) {
-                const auto t0 = std::chrono::steady_clock::now();
-                fn(in.data(), buf.data(), tape.data(), 0, rows, d);
-                const auto t1 = std::chrono::steady_clock::now();
-                best = std::min(
-                    best,
-                    uint64_t(std::chrono::duration_cast<
-                                 std::chrono::nanoseconds>(t1 - t0)
-                                 .count()));
-            }
-            return best;
-        };
-        // The timing loop pins the global mode; put back whatever was
-        // there before (a caller's explicit setPrefetch pin survives
-        // calibration — only the Auto verdict is updated).
-        const int prior =
-            gatherPrefetchMode.load(std::memory_order_relaxed);
-        const uint64_t off = time_mode(0);
-        const uint64_t on = time_mode(1);
-        gatherPrefetchMode.store(prior, std::memory_order_relaxed);
-        prefetchAutoResult.store(on < off ? 1 : 0,
-                                 std::memory_order_relaxed);
-    });
-}
-
-#endif // IRONMAN_HAVE_SSE2
-
+/** Auto: the widest kernel CPUID reports, fixed for the process. */
 GatherFn
 pickAutoKernel()
 {
 #ifdef IRONMAN_HAVE_SSE2
-    if (detail::lpnAvx2Supported()) {
-        static const GatherFn best = calibrateAvx2Kernel();
-        ensurePrefetchCalibrated(best);
-        return best;
-    }
-    ensurePrefetchCalibrated(&gatherXorSse2);
+    if (detail::lpnAvx2Supported())
+        return &detail::lpnGatherXorAvx2;
     return &gatherXorSse2;
 #else
-    // Scalar-only platform: prefetch stays off until pinned.
     return &gatherXorScalar;
 #endif
 }
@@ -320,14 +174,6 @@ activeGatherKernel()
 #ifdef IRONMAN_HAVE_SSE2
       case LpnKernel::Sse2:
         return &gatherXorSse2;
-      case LpnKernel::Avx2:
-        if (detail::lpnAvx2Supported())
-            return &detail::lpnGatherXorAvx2;
-        break;
-      case LpnKernel::Avx2Gather:
-        if (detail::lpnAvx2Supported())
-            return &detail::lpnGatherXorAvx2Gather;
-        break;
 #endif
       default:
         break;
@@ -362,28 +208,6 @@ LpnEncoder::setKernel(LpnKernel kernel)
 }
 
 void
-LpnEncoder::setPrefetch(bool on)
-{
-    gatherPrefetchMode.store(on ? 1 : 0, std::memory_order_relaxed);
-}
-
-void
-LpnEncoder::setPrefetchAuto()
-{
-    gatherPrefetchMode.store(-1, std::memory_order_relaxed);
-}
-
-bool
-detail::lpnPrefetchEnabled()
-{
-    const int mode = gatherPrefetchMode.load(std::memory_order_relaxed);
-    if (mode >= 0)
-        return mode != 0;
-    // Auto: the calibrated verdict; off while (or until) calibrating.
-    return prefetchAutoResult.load(std::memory_order_relaxed) == 1;
-}
-
-void
 LpnEncoder::forceScalarKernel(bool force)
 {
     setKernel(force ? LpnKernel::Scalar : LpnKernel::Auto);
@@ -400,8 +224,6 @@ LpnEncoder::activeKernelName()
         return "sse2";
     if (fn == &detail::lpnGatherXorAvx2)
         return "avx2-insert";
-    if (fn == &detail::lpnGatherXorAvx2Gather)
-        return "avx2-vpgatherqq";
 #endif
     return "?";
 }

@@ -106,21 +106,17 @@ struct LpnIndexTape
 };
 
 /**
- * Gather-XOR kernel selection. Auto dispatches to the widest kernel
- * the CPU supports; on AVX2 hosts it additionally calibrates the
- * vinserti128 kernel against the vpgatherqq kernel once (per-process)
- * and keeps whichever wins on this CPU — gather wins or loses by
- * microarchitecture, so the choice is measured, not assumed.
- * Explicit values pin a kernel (tests, per-kernel benches);
- * unsupported requests fall back to the widest available.
+ * Gather-XOR kernel selection. Auto dispatches on CPUID alone: the
+ * AVX2 vinserti128 kernel when the CPU has AVX2, else SSE2, else the
+ * scalar walk — no timing, so every process of a host picks the same
+ * kernel. Scalar and Sse2 pin the narrower kernels Auto passes over
+ * (tests, per-kernel benches); Sse2 falls back to Auto off x86.
  */
 enum class LpnKernel
 {
     Auto,
-    Scalar,     ///< scalar tape walk
-    Sse2,       ///< 8-accumulator SSE2 kernel
-    Avx2,       ///< AVX2 vinserti128 pair kernel
-    Avx2Gather, ///< AVX2 vpgatherqq kernel
+    Scalar, ///< scalar tape walk
+    Sse2,   ///< 8-accumulator SSE2 kernel
 };
 
 /** Streaming generator + encoder for the d-local code. */
@@ -209,22 +205,6 @@ class LpnEncoder
     /** Scalar-vs-SIMD test hook: Scalar when @p force, else Auto. */
     static void forceScalarKernel(bool force);
 
-    /**
-     * Pin the gather-XOR kernels' software prefetch of the next lane
-     * group's k-vector taps. Process-global, like setKernel; the A/B
-     * rows of bench_micro_hotpath_stages use it. The default (see
-     * setPrefetchAuto) MEASURES the choice once per process on a
-     * k-vector sized like the real sets: prefetch wins when the taps
-     * genuinely miss cache and is pure uop overhead when the k-vector
-     * is cache-resident — which way that goes depends on the CPU, so
-     * it is calibrated, not assumed (same policy as the
-     * insert-vs-vpgatherqq kernel choice).
-     */
-    static void setPrefetch(bool on);
-
-    /** Restore the measured per-CPU prefetch default. */
-    static void setPrefetchAuto();
-
     /** Name of the block kernel Auto currently resolves to (bench). */
     static const char *activeKernelName();
 
@@ -237,16 +217,13 @@ class LpnEncoder
 
 namespace detail {
 
-/** Current LpnEncoder::setPrefetch state (read by the kernels). */
-bool lpnPrefetchEnabled();
+/** Always false; kept because bench/ledger reads it for the host. */
+inline bool lpnPrefetchEnabled() { return false; }
 
 /** AVX2 gather-XOR entry points (lpn_avx2.cpp, built with -mavx2). */
 bool lpnAvx2Supported();
 void lpnGatherXorAvx2(const Block *in, Block *inout, const uint32_t *tape,
                       size_t row0, size_t count, unsigned d);
-void lpnGatherXorAvx2Gather(const Block *in, Block *inout,
-                            const uint32_t *tape, size_t row0,
-                            size_t count, unsigned d);
 void lpnBitGatherXorAvx2(const uint64_t *in_words, uint64_t *inout_words,
                          const uint32_t *tape, size_t rows, unsigned d);
 

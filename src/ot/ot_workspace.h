@@ -16,7 +16,7 @@
  * deterministic range partitions, so multi-threaded output is
  * bit-identical to single-threaded.
  *
- * For the pipelined engine the arena carves TWO leaf-matrix slots:
+ * For the sender the arena carves TWO leaf-matrix slots:
  * while iteration i's LPN encode reads the rows scattered from slot
  * (i mod 2), iteration i+1's SPCOT transcript expands into slot
  * (i+1 mod 2). The stage-handoff invariant (DESIGN.md invariant 10):
@@ -94,8 +94,8 @@ struct OtWorkspace
      * Scatter-free layout (bucketSize() == treeLeaves() and
      * @p scatter_free): the separate staging rows disappear —
      * @p leaf_slots row-slots of t*l blocks each (>= n), and the leaf
-     * matrix of slot s ALIASES row-slot s. The pipelined sender keeps
-     * two slots (iteration i's rows encode in place while iteration
+     * matrix of slot s ALIASES row-slot s. The sender keeps two
+     * slots (iteration i's rows encode in place while iteration
      * i+1's transcript expands into the other slot); the receiver
      * needs one.
      */

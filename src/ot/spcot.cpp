@@ -274,16 +274,6 @@ spcotSendTranscript(net::Channel &ch, const SpcotConfig &cfg,
 }
 
 void
-spcotSendInto(net::Channel &ch, const SpcotConfig &cfg, size_t num_trees,
-              const Block &delta, const Block *q, Rng &rng,
-              uint64_t &tweak, common::ThreadPool &pool,
-              SpcotWorkspace &ws, Block *w, uint64_t *prg_ops)
-{
-    spcotSendTranscript(ch, cfg, num_trees, delta, q, rng, tweak, &pool,
-                        ws, w, prg_ops);
-}
-
-void
 spcotRecvSendChoices(net::Channel &ch, const SpcotConfig &cfg,
                      size_t num_trees, const size_t *alphas,
                      const BitVec &b, size_t b_offset, uint64_t &tweak,
@@ -478,20 +468,6 @@ spcotRecvFinish(const SpcotConfig &cfg, size_t num_trees, const Block *t,
 
     if (prg_ops)
         *prg_ops = ws.prgOps() - ops_before;
-}
-
-void
-spcotRecvInto(net::Channel &ch, const SpcotConfig &cfg, size_t num_trees,
-              const size_t *alphas, const BitVec &b, size_t b_offset,
-              const Block *t, uint64_t &tweak, common::ThreadPool &pool,
-              SpcotWorkspace &ws, Block *v, uint64_t *prg_ops)
-{
-    ws.prepare(cfg, num_trees, pool.threads(), /*for_sender=*/false);
-    SpcotRecvSlot &slot = ws.slots[0];
-    spcotRecvSendChoices(ch, cfg, num_trees, alphas, b, b_offset, tweak,
-                         ws, slot);
-    spcotRecvRecvTranscript(ch, cfg, num_trees, ws, slot);
-    spcotRecvFinish(cfg, num_trees, t, pool, ws, slot, v, prg_ops);
 }
 
 } // namespace ironman::ot

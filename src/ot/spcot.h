@@ -40,9 +40,8 @@
  *     SpcotRecvSlot), then spcotRecvFinish() (unmask with the base COT
  *     STRINGS and reconstruct the punctured trees).
  * Two slots let the FERRET engine receive iteration i+1's transcript
- * while iteration i is still being consumed. spcotSendInto() /
- * spcotRecvInto() compose the stages back to back (the unpipelined
- * path); both are zero-heap-allocation once the workspace is warm.
+ * while iteration i is still being consumed. Every stage is
+ * zero-heap-allocation once the workspace is warm.
  */
 
 #ifndef IRONMAN_OT_SPCOT_H
@@ -219,17 +218,12 @@ void spcotSendTranscript(net::Channel &ch, const SpcotConfig &cfg,
                          common::ThreadPool *pool, SpcotWorkspace &ws,
                          Block *w, uint64_t *prg_ops);
 
-/** Sender stage composition under the historical name. */
-void spcotSendInto(net::Channel &ch, const SpcotConfig &cfg,
-                   size_t num_trees, const Block &delta, const Block *q,
-                   Rng &rng, uint64_t &tweak, common::ThreadPool &pool,
-                   SpcotWorkspace &ws, Block *w, uint64_t *prg_ops);
-
 /**
  * Receiver stage 1: derive the mixed-radix digits and chosen-OT
  * choices from @p alphas, send the derandomization bits (consuming
  * base-COT choice bits b[b_offset ...]), and advance the shared tweak
- * counter. Records everything stage 3 needs in @p slot.
+ * counter. Records everything stage 3 needs in @p slot. @p ws must be
+ * prepared for the receiver role.
  */
 void spcotRecvSendChoices(net::Channel &ch, const SpcotConfig &cfg,
                           size_t num_trees, const size_t *alphas,
@@ -252,13 +246,6 @@ void spcotRecvFinish(const SpcotConfig &cfg, size_t num_trees,
                      const Block *t, common::ThreadPool &pool,
                      SpcotWorkspace &ws, SpcotRecvSlot &slot, Block *v,
                      uint64_t *prg_ops);
-
-/** Receiver stage composition (slot 0) under the historical name. */
-void spcotRecvInto(net::Channel &ch, const SpcotConfig &cfg,
-                   size_t num_trees, const size_t *alphas, const BitVec &b,
-                   size_t b_offset, const Block *t, uint64_t &tweak,
-                   common::ThreadPool &pool, SpcotWorkspace &ws, Block *v,
-                   uint64_t *prg_ops);
 
 } // namespace ironman::ot
 

@@ -31,14 +31,12 @@ CotClient::CotClient(std::unique_ptr<net::SocketChannel> channel,
         sender = std::make_unique<ot::FerretCotSender>(
             *ch, p, delta_, std::move(half.q));
         sender->setThreads(opt_.threads);
-        sender->setPipelined(opt_.pipelined);
     } else {
         ot::CotReceiverBatch half;
         dealSessionBase(p, opt_.setupSeed, nullptr, &half, nullptr);
         receiver = std::make_unique<ot::FerretCotReceiver>(
             *ch, p, std::move(half.choice), std::move(half.t));
         receiver->setThreads(opt_.threads);
-        receiver->setPipelined(opt_.pipelined);
     }
 }
 

@@ -41,7 +41,6 @@ class CotClient
         Role role = Role::Receiver;
         uint64_t setupSeed = 1;
         int threads = 1;
-        bool pipelined = true; ///< must match the server's config
     };
 
     /**

@@ -49,7 +49,6 @@ class CotServer
     struct Config
     {
         int engineThreads = 1;   ///< worker-pool width per engine
-        bool pipelined = true;   ///< engine mode (clients must match)
         size_t maxSessions = 32; ///< concurrent-session bound
 
         // -- containment (see net::SessionServer) ----------------------
@@ -64,10 +63,9 @@ class CotServer
         // A rejected hello gets a clean wire-level Accept{status} (the
         // client can log it) instead of a dropped connection. Clients
         // are keyed by SocketChannel::peerAddress() — for TCP the
-        // remote IP, so all connections from one host share a bucket.
-        // CAVEAT: Unix-domain peers all key as "unix", so on a Unix
-        // listener these quotas are ONE GLOBAL bucket, not per client
-        // (distinguishing local peers needs SO_PEERCRED — ROADMAP).
+        // remote IP, so all connections from one host share a bucket;
+        // for Unix-domain peers "unix:uid:<uid>" from SO_PEERCRED, so
+        // all local processes of one user share a bucket.
 
         /**
          * Parameter shapes this daemon will build engines for; empty

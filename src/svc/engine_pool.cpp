@@ -113,7 +113,6 @@ EnginePool::makeSender(const ot::FerretParams &p)
 {
     auto e = std::make_unique<ot::FerretCotSender>(p);
     e->setThreads(cfg_.threads);
-    e->setPipelined(cfg_.pipelined);
     e->prewarm();
     return e;
 }
@@ -123,7 +122,6 @@ EnginePool::makeReceiver(const ot::FerretParams &p)
 {
     auto e = std::make_unique<ot::FerretCotReceiver>(p);
     e->setThreads(cfg_.threads);
-    e->setPipelined(cfg_.pipelined);
     e->prewarm();
     return e;
 }

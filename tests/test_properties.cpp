@@ -202,16 +202,20 @@ TEST(FailureInjectionTest, TamperedWireBreaksSpcotCorrelation)
             uint64_t tweak = 1;
             common::ThreadPool pool(1);
             SpcotWorkspace ws;
-            spcotSendInto(evil, cfg, trees, delta, cs.q.data(), rng,
-                          tweak, pool, ws, w.data(), nullptr);
+            spcotSendTranscript(evil, cfg, trees, delta, cs.q.data(), rng,
+                                tweak, &pool, ws, w.data(), nullptr);
         },
         [&](net::Channel &ch) {
             uint64_t tweak = 1;
             common::ThreadPool pool(1);
             SpcotWorkspace ws;
-            spcotRecvInto(ch, cfg, trees, alphas.data(), cr.choice, 0,
-                          cr.t.data(), tweak, pool, ws, v.data(),
-                          nullptr);
+            ws.prepare(cfg, trees, pool.threads(), /*for_sender=*/false);
+            SpcotRecvSlot &slot = ws.slots[0];
+            spcotRecvSendChoices(ch, cfg, trees, alphas.data(), cr.choice,
+                                 0, tweak, ws, slot);
+            spcotRecvRecvTranscript(ch, cfg, trees, ws, slot);
+            spcotRecvFinish(cfg, trees, cr.t.data(), pool, ws, slot,
+                            v.data(), nullptr);
         });
 
     size_t bad = 0;

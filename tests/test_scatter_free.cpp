@@ -3,10 +3,9 @@
  * Scatter-free LPN feed tests (invariant 11 of DESIGN.md): on a
  * parameter set with bucketSize() == treeLeaves(), engines write the
  * GGM leaves straight into the LPN row vector. The outputs must be
- * bit-identical to the copying feed for equal RNG seeds, in both
- * pipelined and unpipelined mode and under either feed on either
- * party (the feed is a local layout decision, not a protocol change),
- * and the aliased arena layout must hold.
+ * bit-identical to the copying feed for equal RNG seeds, under either
+ * feed on either party (the feed is a local layout decision, not a
+ * protocol change), and the aliased arena layout must hold.
  */
 
 #include <gtest/gtest.h>
@@ -30,8 +29,8 @@ struct RunOutput
 };
 
 RunOutput
-runPair(const FerretParams &p, bool pipelined, bool sender_sf,
-        bool receiver_sf, int iterations, uint64_t seed)
+runPair(const FerretParams &p, bool sender_sf, bool receiver_sf,
+        int iterations, uint64_t seed)
 {
     Rng dealer(seed);
     RunOutput out;
@@ -45,7 +44,6 @@ runPair(const FerretParams &p, bool pipelined, bool sender_sf,
     net::runTwoParty(
         [&](net::Channel &ch) {
             FerretCotSender sender(ch, p, out.delta, std::move(bs.q));
-            sender.setPipelined(pipelined);
             sender.setScatterFree(sender_sf);
             Rng rng(seed + 1);
             for (int it = 0; it < iterations; ++it)
@@ -54,7 +52,6 @@ runPair(const FerretParams &p, bool pipelined, bool sender_sf,
         [&](net::Channel &ch) {
             FerretCotReceiver receiver(ch, p, std::move(br.choice),
                                        std::move(br.t));
-            receiver.setPipelined(pipelined);
             receiver.setScatterFree(receiver_sf);
             Rng rng(seed + 2);
             BitVec c;
@@ -92,19 +89,11 @@ TEST(ScatterFreeTest, AlignedParamsSelectTheFeed)
         EXPECT_FALSE(OtWorkspace::scatterFreeFeed(paper)) << paper.name;
 }
 
-TEST(ScatterFreeTest, MatchesCopyingFeedUnpipelined)
+TEST(ScatterFreeTest, MatchesCopyingFeed)
 {
     const FerretParams p = tinyAlignedParams();
-    RunOutput sf = runPair(p, false, true, true, 2, 8100);
-    RunOutput copy = runPair(p, false, false, false, 2, 8100);
-    expectEqualAndValid(sf, copy);
-}
-
-TEST(ScatterFreeTest, MatchesCopyingFeedPipelined)
-{
-    const FerretParams p = tinyAlignedParams();
-    RunOutput sf = runPair(p, true, true, true, 3, 8200);
-    RunOutput copy = runPair(p, true, false, false, 3, 8200);
+    RunOutput sf = runPair(p, true, true, 3, 8200);
+    RunOutput copy = runPair(p, false, false, 3, 8200);
     expectEqualAndValid(sf, copy);
 }
 
@@ -113,8 +102,8 @@ TEST(ScatterFreeTest, FeedIsALocalDecision)
     // Mixed feeds across the two parties produce the same transcript
     // and outputs — the wire format cannot depend on the feed.
     const FerretParams p = tinyAlignedParams();
-    RunOutput mixed = runPair(p, true, true, false, 2, 8300);
-    RunOutput copy = runPair(p, true, false, false, 2, 8300);
+    RunOutput mixed = runPair(p, true, false, 2, 8300);
+    RunOutput copy = runPair(p, false, false, 2, 8300);
     expectEqualAndValid(mixed, copy);
 }
 

@@ -2,8 +2,9 @@
  * @file
  * SPCOT protocol tests: after one batched execution,
  * w[tree] = v[tree] except at alpha where w = v ^ Delta (invariant 2
- * of DESIGN.md), across arities, PRGs and tree sizes. Runs through
- * the workspace entry points (spcotSendInto / spcotRecvInto).
+ * of DESIGN.md), across arities, PRGs and tree sizes. Runs the
+ * workspace stages back to back (spcotSendTranscript on one side,
+ * the three spcotRecv* stages on the other).
  */
 
 #include <gtest/gtest.h>
@@ -39,8 +40,8 @@ runSend(net::Channel &ch, const SpcotConfig &cfg, size_t trees,
     SpcotWorkspace ws;
     FlatSend out;
     out.w.resize(trees * cfg.numLeaves);
-    spcotSendInto(ch, cfg, trees, delta, q, rng, tweak, pool, ws,
-                  out.w.data(), &out.prgOps);
+    spcotSendTranscript(ch, cfg, trees, delta, q, rng, tweak, &pool, ws,
+                        out.w.data(), &out.prgOps);
     return out;
 }
 
@@ -53,8 +54,13 @@ runRecv(net::Channel &ch, const SpcotConfig &cfg,
     SpcotWorkspace ws;
     FlatRecv out;
     out.v.resize(alphas.size() * cfg.numLeaves);
-    spcotRecvInto(ch, cfg, alphas.size(), alphas.data(), b, b_offset, t,
-                  tweak, pool, ws, out.v.data(), nullptr);
+    const size_t trees = alphas.size();
+    ws.prepare(cfg, trees, pool.threads(), /*for_sender=*/false);
+    SpcotRecvSlot &slot = ws.slots[0];
+    spcotRecvSendChoices(ch, cfg, trees, alphas.data(), b, b_offset, tweak,
+                         ws, slot);
+    spcotRecvRecvTranscript(ch, cfg, trees, ws, slot);
+    spcotRecvFinish(cfg, trees, t, pool, ws, slot, out.v.data(), nullptr);
     return out;
 }
 

@@ -332,7 +332,8 @@ TEST(CotServiceTest, EightConcurrentSessionsBitIdenticalToDirect)
     constexpr int kIters = 3;
 
     ServerRecorder rec; // before the server: sinks must outlive sessions
-    CotServer server(CotServer::Config{1, true, kSessions});
+    CotServer server(
+        CotServer::Config{.engineThreads = 1, .maxSessions = kSessions});
     rec.attach(server);
     const uint16_t port = server.listenTcp(0);
 
@@ -435,7 +436,8 @@ TEST(CotServiceTest, EnginesReusedAcrossSessionWaves)
     constexpr int kWaveSessions = 4;
     const FerretParams p = ot::tinyTestParams();
 
-    CotServer server(CotServer::Config{1, true, kWaveSessions});
+    CotServer server(CotServer::Config{.engineThreads = 1,
+                                       .maxSessions = kWaveSessions});
     const uint16_t port = server.listenTcp(0);
 
     // Every session of a wave stays open until all of them extended,
