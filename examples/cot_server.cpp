@@ -29,7 +29,6 @@
 
 #include "common/metrics.h"
 #include "common/trace.h"
-#include "net/flight_recorder.h"
 #include "net/metrics_endpoint.h"
 #include "svc/cot_server.h"
 
@@ -160,7 +159,7 @@ main(int argc, char **argv)
                 metrics::Registry::instance().writeJson(metrics_json);
         }
         if (g_flight_signal.exchange(false))
-            net::dumpAllFlightRecorders("SIGUSR1");
+            trace::dumpAllSessions("SIGUSR1");
         const uint64_t done = server.sessionsServed();
         if (done != last_report) {
             std::printf("cot_server: %llu sessions served, %llu "

@@ -8,6 +8,8 @@
 #include <mutex>
 #include <vector>
 
+#include "common/metrics.h"
+
 namespace ironman::trace {
 
 namespace detail {
@@ -19,9 +21,10 @@ namespace detail {
  *   [2] t_us    [3] dur_us
  *   [4] name*   [5] cat*      (string literals)
  *   [6] traceId [7] arg (byte count etc.)
- * Only the owning thread writes; the exporter validates each slot's
- * stamp and discards events overwritten mid-read (a wrapped writer
- * re-stamps with a larger index, so a stale read can't masquerade).
+ * kind is 0 for a span, 1 for an instant, 2 for a session note.
+ * Only the owning thread writes; readers validate each slot's stamp
+ * and discard events overwritten mid-read (a wrapped writer re-stamps
+ * with a larger index, so a stale read can't masquerade).
  */
 struct Ring
 {
@@ -31,6 +34,8 @@ struct Ring
     std::atomic<uint64_t> seq{0}; ///< events ever recorded
     std::atomic<uint64_t> words[kCapacity * kWords] = {};
     std::atomic<const char *> label{nullptr};
+    std::atomic<uint64_t> sid{0};   ///< open SessionScope's id, 0 = none
+    std::atomic<uint64_t> notes{0}; ///< notes since the scope opened
     uint32_t tid = 0;
 };
 
@@ -54,6 +59,7 @@ struct Registry
     std::deque<Ring> rings;       ///< stable addresses, live forever
     std::vector<Ring *> freeRings; ///< rings of exited threads
     std::string retained;          ///< last retained export
+    std::string dump;              ///< last session dump
 };
 
 Registry &
@@ -117,13 +123,15 @@ threadRing()
     return *tl_lease.ring;
 }
 
+namespace {
+
+constexpr uint8_t kNoteKind = 2;
+
+/** The one slot writer; the gates live in its callers. */
 void
-emitEvent(uint8_t kind, const char *name, const char *cat, uint64_t t_us,
-          uint64_t dur_us, uint32_t tag, uint64_t arg)
+writeSlot(Ring &ring, uint8_t kind, const char *name, const char *cat,
+          uint64_t t_us, uint64_t dur_us, uint32_t tag, uint64_t arg)
 {
-    if (!tl_context.sampled)
-        return;
-    Ring &ring = threadRing();
     const uint64_t idx = ring.seq.load(std::memory_order_relaxed);
     std::atomic<uint64_t> *w =
         ring.words + (idx % Ring::kCapacity) * Ring::kWords;
@@ -141,6 +149,16 @@ emitEvent(uint8_t kind, const char *name, const char *cat, uint64_t t_us,
     w[7].store(arg, std::memory_order_relaxed);
     w[0].store(idx + 1, std::memory_order_release);
     ring.seq.store(idx + 1, std::memory_order_release);
+}
+
+} // namespace
+
+void
+emitEvent(uint8_t kind, const char *name, const char *cat, uint64_t t_us,
+          uint64_t dur_us, uint32_t tag, uint64_t arg)
+{
+    if (tl_context.sampled)
+        writeSlot(threadRing(), kind, name, cat, t_us, dur_us, tag, arg);
 }
 
 } // namespace detail
@@ -241,6 +259,27 @@ struct ReadEvent
     uint32_t tid;
 };
 
+/** Read event @p idx of @p ring; false if it was overwritten (or is
+ * mid-write) — callers skip it, never emit it torn. */
+bool
+readSlot(const detail::Ring &ring, uint64_t idx, ReadEvent &e)
+{
+    using detail::Ring;
+    const std::atomic<uint64_t> *w =
+        ring.words + (idx % Ring::kCapacity) * Ring::kWords;
+    if (w[0].load(std::memory_order_acquire) != idx + 1)
+        return false;
+    e.kindTag = w[1].load(std::memory_order_relaxed);
+    e.t_us = w[2].load(std::memory_order_relaxed);
+    e.dur_us = w[3].load(std::memory_order_relaxed);
+    e.name = w[4].load(std::memory_order_relaxed);
+    e.cat = w[5].load(std::memory_order_relaxed);
+    e.traceId = w[6].load(std::memory_order_relaxed);
+    e.arg = w[7].load(std::memory_order_relaxed);
+    e.tid = ring.tid;
+    return w[0].load(std::memory_order_acquire) == idx + 1;
+}
+
 void
 appendEventJson(std::string &out, const ReadEvent &e, int pid,
                 bool &first)
@@ -304,23 +343,9 @@ exportChromeTrace()
             const uint64_t from =
                 seq > Ring::kCapacity ? seq - Ring::kCapacity : 0;
             for (uint64_t idx = from; idx < seq; ++idx) {
-                std::atomic<uint64_t> *w =
-                    ring.words +
-                    (idx % Ring::kCapacity) * Ring::kWords;
-                if (w[0].load(std::memory_order_acquire) != idx + 1)
-                    continue; // overwritten (or mid-write) — skip
                 ReadEvent e;
-                e.kindTag = w[1].load(std::memory_order_relaxed);
-                e.t_us = w[2].load(std::memory_order_relaxed);
-                e.dur_us = w[3].load(std::memory_order_relaxed);
-                e.name = w[4].load(std::memory_order_relaxed);
-                e.cat = w[5].load(std::memory_order_relaxed);
-                e.traceId = w[6].load(std::memory_order_relaxed);
-                e.arg = w[7].load(std::memory_order_relaxed);
-                if (w[0].load(std::memory_order_acquire) != idx + 1)
-                    continue; // re-stamped while we read: torn
-                e.tid = ring.tid;
-                appendEventJson(out, e, pid, first);
+                if (readSlot(ring, idx, e))
+                    appendEventJson(out, e, pid, first);
             }
         }
     }
@@ -383,6 +408,130 @@ lastRetainedExport()
     detail::Registry &r = detail::registry();
     std::lock_guard<std::mutex> lock(r.m);
     return r.retained;
+}
+
+// ---------------------------------------------------------------------------
+// Session tier
+// ---------------------------------------------------------------------------
+
+void
+note(const char *label, uint32_t tag, uint64_t bytes)
+{
+    detail::Ring &ring = detail::threadRing();
+    detail::writeSlot(ring, detail::kNoteKind, label, "session", nowUs(),
+                      0, tag, bytes);
+    ring.notes.store(ring.notes.load(std::memory_order_relaxed) + 1,
+                     std::memory_order_relaxed);
+}
+
+SessionScope::SessionScope(uint64_t sid)
+{
+    detail::Ring &ring = detail::threadRing();
+    ring.notes.store(0, std::memory_order_relaxed);
+    ring.sid.store(sid, std::memory_order_relaxed);
+}
+
+SessionScope::~SessionScope()
+{
+    detail::threadRing().sid.store(0, std::memory_order_relaxed);
+}
+
+namespace {
+
+/**
+ * "session SID<what> last K/N events:" plus the ring's newest notes of
+ * its current session (at most kSessionEvents), oldest first, with
+ * timestamps relative to the oldest. The note count bounds the
+ * backward scan, so an earlier session of a reused ring never shows.
+ */
+std::string
+renderSession(const detail::Ring &ring, const std::string &what)
+{
+    using detail::Ring;
+    const uint64_t notes = ring.notes.load(std::memory_order_relaxed);
+    const uint64_t seq = ring.seq.load(std::memory_order_acquire);
+    const uint64_t floor =
+        seq > Ring::kCapacity ? seq - Ring::kCapacity : 0;
+    ReadEvent found[kSessionEvents];
+    size_t n = 0;
+    for (uint64_t idx = seq; idx > floor && n < notes && n < kSessionEvents;
+         --idx)
+        if (readSlot(ring, idx - 1, found[n]) &&
+            uint8_t(found[n].kindTag >> 32) == detail::kNoteKind)
+            ++n;
+    char line[160];
+    std::snprintf(line, sizeof(line),
+                  "session %llu%s last %zu/%llu events:\n",
+                  (unsigned long long)ring.sid.load(
+                      std::memory_order_relaxed),
+                  what.c_str(), n, (unsigned long long)notes);
+    std::string out = line;
+    for (size_t i = n; i-- > 0;) {
+        const ReadEvent &e = found[i];
+        std::snprintf(line, sizeof(line),
+                      "  +%8lluus %-12s tag=%u bytes=%llu\n",
+                      (unsigned long long)(e.t_us - found[n - 1].t_us),
+                      reinterpret_cast<const char *>(uintptr_t(e.name)),
+                      uint32_t(e.kindTag), (unsigned long long)e.arg);
+        out += line;
+    }
+    return out;
+}
+
+void
+retainDump(const std::string &text)
+{
+    std::fputs(text.c_str(), stderr);
+    detail::Registry &r = detail::registry();
+    {
+        std::lock_guard<std::mutex> lock(r.m);
+        r.dump = text;
+    }
+    static metrics::Counter &dumps =
+        metrics::counter("net_flight_dumps_total");
+    dumps.inc();
+}
+
+} // namespace
+
+void
+dumpSession(const char *reason)
+{
+    retainDump("flight recorder: " +
+               renderSession(detail::threadRing(),
+                             std::string(" unwound (") + reason + ");"));
+}
+
+std::string
+dumpAllSessions(const char *reason)
+{
+    detail::Registry &r = detail::registry();
+    std::string sessions;
+    size_t live = 0;
+    {
+        std::lock_guard<std::mutex> lock(r.m);
+        for (const detail::Ring &ring : r.rings)
+            if (ring.sid.load(std::memory_order_relaxed) != 0) {
+                sessions += " " + renderSession(ring, ":");
+                ++live;
+            }
+    }
+    char head[160];
+    std::snprintf(head, sizeof(head),
+                  "flight recorder: on-demand dump (%s); %zu live "
+                  "session ring(s):\n",
+                  reason, live);
+    const std::string text = head + sessions;
+    retainDump(text);
+    return text;
+}
+
+std::string
+lastDump()
+{
+    detail::Registry &r = detail::registry();
+    std::lock_guard<std::mutex> lock(r.m);
+    return r.dump;
 }
 
 void

@@ -32,13 +32,24 @@
  * Enablement: IRONMAN_TRACE=1/on in the environment, or
  * setEnabled(true) from a --trace FILE flag (cold path, before
  * traffic). Labels MUST be string literals — the ring stores the
- * pointer, exactly like net::FlightRecorder.
+ * pointer.
+ *
+ * Session tier (the flight recorder): note() writes one event to the
+ * same ring whether or not tracing is on or the context is sampled,
+ * so a session thread always carries its last opcodes. A
+ * SessionScope names the ring's session; dumpSession() renders the
+ * calling session's last kSessionEvents notes as a postmortem when it
+ * unwinds through a fault, dumpAllSessions() renders every open
+ * session (SIGUSR1, /flight) while they keep running, and lastDump()
+ * returns the most recent dump. Notes export as `ph:"i"` instants in
+ * cat `session`.
  */
 
 #ifndef IRONMAN_COMMON_TRACE_H
 #define IRONMAN_COMMON_TRACE_H
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -192,6 +203,45 @@ void retainExport();
 
 /** The last retained export ("" if none yet). */
 std::string lastRetainedExport();
+
+// ---------------------------------------------------------------------------
+// Session tier: the always-on flight recorder
+// ---------------------------------------------------------------------------
+
+/** Session notes a dump renders per session (the newest ones). */
+constexpr size_t kSessionEvents = 64;
+
+/** Record one session-tier event on the calling thread's ring, even
+ * when tracing is off or unsampled. Allocation-free once the ring
+ * exists; @p label MUST be a literal. */
+void note(const char *label, uint32_t tag = 0, uint64_t bytes = 0);
+
+/** Names the calling thread's ring as session @p sid while in scope.
+ * Opening starts the session: earlier notes on a reused ring never
+ * appear in its dumps; a closed scope drops out of dumpAllSessions(). */
+class SessionScope
+{
+  public:
+    explicit SessionScope(uint64_t sid);
+    ~SessionScope();
+
+    SessionScope(const SessionScope &) = delete;
+    SessionScope &operator=(const SessionScope &) = delete;
+};
+
+/** Postmortem of the calling thread's session: a header naming it
+ * and @p reason plus its last kSessionEvents notes, written to
+ * stderr, retained as lastDump() and counted in
+ * net_flight_dumps_total. */
+void dumpSession(const char *reason);
+
+/** The same for every open session under one header (the SIGUSR1 /
+ * /flight snapshot); returns the text. Sessions keep recording while
+ * it reads; overwritten slots are skipped, never torn. */
+std::string dumpAllSessions(const char *reason);
+
+/** Text of the most recent dump ("" if none yet). */
+std::string lastDump();
 
 /** Drop all recorded events (tests; not thread-safe vs. recorders). */
 void resetForTest();

@@ -1,25 +1,8 @@
 #include "crypto/prg.h"
 
-#include <cstring>
-
 #include "common/logging.h"
 
 namespace ironman::crypto {
-
-namespace {
-
-int
-chachaRounds(PrgKind kind)
-{
-    switch (kind) {
-      case PrgKind::ChaCha8: return 8;
-      case PrgKind::ChaCha12: return 12;
-      case PrgKind::ChaCha20: return 20;
-      default: IRONMAN_PANIC("not a ChaCha kind");
-    }
-}
-
-} // namespace
 
 TreePrg::TreePrg(PrgKind kind, unsigned max_arity)
     : prgKind(kind), exp(makeTreeExpander(kind, max_arity))
@@ -44,57 +27,6 @@ TreePrg::expandLevel(const Block *parents, size_t count, Block *children,
                      unsigned arity)
 {
     exp->expand(parents, children, count, arity);
-}
-
-CtrStream::CtrStream(PrgKind kind, const Block &seed_in)
-    : prgKind(kind), seed(seed_in)
-{
-    if (kind == PrgKind::Aes)
-        aes = std::make_unique<Aes128>(seed);
-    else
-        chacha = std::make_unique<ChaCha>(chachaRounds(kind));
-}
-
-void
-CtrStream::refill()
-{
-    if (prgKind == PrgKind::Aes) {
-        // Four AES-CTR blocks per refill -> 16 words.
-        Block in[4], out[4];
-        for (int i = 0; i < 4; ++i)
-            in[i] = Block::fromUint64(counter++);
-        aes->encryptBatch(in, out, 4);
-        opCount += 4;
-        std::memcpy(buffer, out, sizeof(out));
-        bufferLen = 16;
-    } else {
-        std::array<Block, 4> out;
-        chacha->expandSeed(seed, counter++, out);
-        ++opCount;
-        std::memcpy(buffer, out.data(), 64);
-        bufferLen = 16;
-    }
-    bufferPos = 0;
-}
-
-uint32_t
-CtrStream::nextUint32()
-{
-    if (bufferPos >= bufferLen)
-        refill();
-    return buffer[bufferPos++];
-}
-
-uint32_t
-CtrStream::nextBelow(uint32_t bound)
-{
-    IRONMAN_CHECK(bound > 0);
-    const uint32_t limit = bound * (UINT32_MAX / bound);
-    uint32_t v;
-    do {
-        v = nextUint32();
-    } while (v >= limit);
-    return v % bound;
 }
 
 } // namespace ironman::crypto

@@ -15,6 +15,9 @@
  * historical per-parent API and the operation counter benches use to
  * reproduce the Fig. 7(a) numbers. New code should prefer
  * SeedExpander directly.
+ *
+ * The LPN index generator is not here: LpnEncoder::rowIndicesBatch
+ * (ot/lpn.h) draws row indices from a counter-mode SeedExpander.
  */
 
 #ifndef IRONMAN_CRYPTO_PRG_H
@@ -26,8 +29,6 @@
 #include <vector>
 
 #include "common/block.h"
-#include "crypto/aes.h"
-#include "crypto/chacha.h"
 #include "crypto/seed_expander.h"
 
 namespace ironman::crypto {
@@ -76,42 +77,6 @@ class TreePrg
   private:
     PrgKind prgKind;
     std::unique_ptr<SeedExpander> exp;
-};
-
-/**
- * Counter-mode pseudo-random stream over a primitive; used for the LPN
- * index generator ("LPN uses [AES] to generate indices of random
- * access", Sec. 1) and anywhere a party needs a long public
- * pseudo-random tape bound to a seed.
- */
-class CtrStream
-{
-  public:
-    CtrStream(PrgKind kind, const Block &seed);
-
-    /** Next 32 uniform bits. */
-    uint32_t nextUint32();
-
-    /** Uniform value in [0, bound), bound > 0 (rejection sampled). */
-    uint32_t nextBelow(uint32_t bound);
-
-    /** Primitive invocations so far. */
-    uint64_t ops() const { return opCount; }
-
-  private:
-    void refill();
-
-    PrgKind prgKind;
-    Block seed;
-    uint64_t counter = 0;
-    uint64_t opCount = 0;
-
-    std::unique_ptr<Aes128> aes;
-    std::unique_ptr<ChaCha> chacha;
-
-    uint32_t buffer[16];
-    unsigned bufferLen = 0; ///< valid words in buffer
-    unsigned bufferPos = 0;
 };
 
 } // namespace ironman::crypto

@@ -3,7 +3,6 @@
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/trace.h"
-#include "net/flight_recorder.h"
 #include "net/wire_error.h"
 #include "ppml/cot_engine.h"
 #include "ppml/mlp_runner.h"
@@ -118,8 +117,6 @@ InferServer::activeSessions() const
 void
 InferServer::serveSession(net::SocketChannel &ch, uint64_t sid)
 {
-    net::FlightRecorder fr;
-    fr.setSession(sid);
     try {
         if (cfg_.simulatedDelayUs > 0)
             ch.setSimulatedDelay(cfg_.simulatedDelayUs);
@@ -127,7 +124,7 @@ InferServer::serveSession(net::SocketChannel &ch, uint64_t sid)
             ch.setSimulatedBandwidth(cfg_.simulatedBandwidthBps);
         InferHello hello;
         InferStatus st = recvInferHello(ch, &hello);
-        fr.note("hello", uint32_t(st));
+        trace::note("hello", uint32_t(st));
         // Policy on top of the structural checks.
         if (st == InferStatus::Ok && hello.batch > cfg_.maxBatch)
             st = InferStatus::BadBatch;
@@ -176,9 +173,9 @@ InferServer::serveSession(net::SocketChannel &ch, uint64_t sid)
         }
         sendInferAccept(ch, accept);
         ch.flush();
-        fr.note("accept", uint32_t(st));
+        trace::note("accept", uint32_t(st));
         if (st == InferStatus::Ok) {
-            runSession(ch, sid, hello, fr);
+            runSession(ch, sid, hello);
             served.fetch_add(1, std::memory_order_relaxed);
         } else {
             rejected.fetch_add(1, std::memory_order_relaxed);
@@ -189,13 +186,13 @@ InferServer::serveSession(net::SocketChannel &ch, uint64_t sid)
         // the flight ring — the last opcodes before the unwind are the
         // forensic record a chaos run asserts on.
         server_.metrics().noteFailure(e.fault());
-        fr.dump(sid, net::wireFaultName(e.fault()));
+        trace::dumpSession(net::wireFaultName(e.fault()));
         IRONMAN_WARN("infer session %llu aborted (%s): %s",
                      (unsigned long long)sid,
                      net::wireFaultName(e.fault()), e.what());
     } catch (const std::exception &e) {
         server_.metrics().noteFailure(net::WireFault::Fatal);
-        fr.dump(sid, "exception");
+        trace::dumpSession("exception");
         IRONMAN_WARN("infer session %llu aborted: %s",
                      (unsigned long long)sid, e.what());
     }
@@ -203,8 +200,7 @@ InferServer::serveSession(net::SocketChannel &ch, uint64_t sid)
 
 void
 InferServer::runSession(net::SocketChannel &ch, uint64_t sid,
-                        const InferHello &hello,
-                        net::FlightRecorder &fr)
+                        const InferHello &hello)
 {
     const ppml::MlpModelSpec &spec = *ppml::findMlpModel(hello.modelId);
     const unsigned width = hello.width;
@@ -293,7 +289,7 @@ InferServer::runSession(net::SocketChannel &ch, uint64_t sid,
     x1cat.reserve(recvAhead * req_in);
     for (;;) {
         const InferOp op = recvInferOp(ch);
-        fr.note("op", uint32_t(op));
+        trace::note("op", uint32_t(op));
         if (op == InferOp::Infer) {
             if (tags.size() >= recvAhead)
                 throw net::WireError(
@@ -303,9 +299,7 @@ InferServer::runSession(net::SocketChannel &ch, uint64_t sid,
             x1cat.resize(x1cat.size() + req_in);
             recvShareVectorPacked(ch, x1cat.data() + x1cat.size() - req_in,
                                   req_in, width);
-            fr.note("infer", tags.back(), req_in * sizeof(uint64_t));
-            trace::instant("recv_infer", "infer", tags.back(),
-                           req_in * sizeof(uint64_t));
+            trace::note("infer", tags.back(), req_in * sizeof(uint64_t));
         } else if (op == InferOp::Commit) {
             size_t group = tags.size();
             if (stream) {
@@ -334,8 +328,8 @@ InferServer::runSession(net::SocketChannel &ch, uint64_t sid,
             }
             ch.flush();
             commit_span.setArg(group * req_out * sizeof(uint64_t));
-            fr.note("commit", uint32_t(group),
-                    group * req_out * sizeof(uint64_t));
+            trace::note("commit", uint32_t(group),
+                        group * req_out * sizeof(uint64_t));
             im.commitUs.recordSinceUs(t0_us);
             im.groupSize.record(group);
             account(group);

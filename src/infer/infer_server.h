@@ -42,7 +42,6 @@
 #include <vector>
 
 #include "infer/wire.h"
-#include "net/flight_recorder.h"
 #include "net/session_server.h"
 #include "net/socket_channel.h"
 #include "svc/cot_server.h"
@@ -141,7 +140,7 @@ class InferServer
   private:
     void serveSession(net::SocketChannel &ch, uint64_t sid);
     void runSession(net::SocketChannel &ch, uint64_t sid,
-                    const InferHello &hello, net::FlightRecorder &fr);
+                    const InferHello &hello);
 
     Config cfg_;
     svc::OperatorStock *stock_ = nullptr;

@@ -9,7 +9,6 @@
 
 #include "common/metrics.h"
 #include "common/trace.h"
-#include "net/flight_recorder.h"
 #include "net/socket_channel.h"
 
 namespace ironman::net {
@@ -103,7 +102,7 @@ MetricsEndpoint::acceptLoop()
             if (body.empty())
                 body = trace::exportChromeTrace();
         } else if (path == "/flight") {
-            body = lastFlightDump();
+            body = trace::lastDump();
             if (body.empty())
                 body = "no flight dump recorded yet\n";
         } else {

@@ -120,6 +120,7 @@ SessionServer::acceptLoop()
         sess.thread = std::thread(
             [this, sid, finished](std::unique_ptr<SocketChannel> sess_ch) {
                 const uint64_t t0_us = metrics::nowUs();
+                trace::SessionScope session_scope(sid);
                 trace::setThreadLabel("session");
                 trace::Span session_span("session_thread", "svc",
                                          uint32_t(sid));

@@ -13,7 +13,7 @@
  * Ported onto the workspace idiom of the FERRET engine: grow-once
  * column buffers and pre-expanded AES key schedules live in an
  * IknpWorkspace, the column PRG fans out over a ThreadPool
- * (encodeBlocksPool-style contiguous ranges, bit-identical to
+ * (contiguous ranges via ThreadPool::parallelFor, bit-identical to
  * serial), and the row outputs land in a caller span — zero heap
  * allocation once warm, so bench/iknp_vs_pcg measures the protocol
  * rather than the allocator.

@@ -298,16 +298,6 @@ LpnEncoder::encodeBlocks(const Block *in, Block *inout, uint64_t row0,
 }
 
 void
-LpnEncoder::encodeBlocksPool(const Block *in, Block *inout, size_t count,
-                             common::ThreadPool &pool,
-                             LpnEncodeScratch *scratch) const
-{
-    pool.parallelFor(count, [&](int worker, size_t lo, size_t hi) {
-        encodeBlocks(in, inout + lo, lo, hi - lo, scratch[worker]);
-    });
-}
-
-void
 LpnEncoder::buildTape(LpnIndexTape &tape, size_t rows,
                       common::ThreadPool &pool,
                       LpnEncodeScratch *scratch) const
@@ -356,16 +346,6 @@ LpnEncoder::encodeBlocksTape(const Block *in, Block *inout, uint64_t row0,
                   "tape built for different LPN params");
     IRONMAN_CHECK(row0 + count <= tape.rows, "tape too short");
     activeGatherKernel()(in, inout, tape.idx.data(), row0, count, p.d);
-}
-
-void
-LpnEncoder::encodeBlocksTapePool(const Block *in, Block *inout,
-                                 size_t count, const LpnIndexTape &tape,
-                                 common::ThreadPool &pool) const
-{
-    pool.parallelFor(count, [&](int, size_t lo, size_t hi) {
-        encodeBlocksTape(in, inout + lo, lo, hi - lo, tape);
-    });
 }
 
 void

@@ -152,14 +152,6 @@ class LpnEncoder
                       size_t count, LpnEncodeScratch &scratch) const;
 
     /**
-     * Same, on a persistent pool with per-worker scratch (at least
-     * pool.threads() entries). Bit-identical to the serial encode.
-     */
-    void encodeBlocksPool(const Block *in, Block *inout, size_t count,
-                          common::ThreadPool &pool,
-                          LpnEncodeScratch *scratch) const;
-
-    /**
      * Build the lane-transposed index tape for rows [0, rows),
      * fanning index generation out over @p pool (one scratch per
      * worker). Deterministic regardless of the worker count.
@@ -176,11 +168,6 @@ class LpnEncoder
      */
     void encodeBlocksTape(const Block *in, Block *inout, uint64_t row0,
                           size_t count, const LpnIndexTape &tape) const;
-
-    /** Pool-parallel tape encode over rows [0, count). */
-    void encodeBlocksTapePool(const Block *in, Block *inout, size_t count,
-                              const LpnIndexTape &tape,
-                              common::ThreadPool &pool) const;
 
     /** Bit-vector encode: inout[j] ^= XOR_{i<d} in[idx(j,i)]. */
     void encodeBits(const BitVec &in, BitVec &inout,

@@ -3,6 +3,7 @@
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/rng.h"
+#include "common/trace.h"
 #include "net/wire_error.h"
 
 namespace ironman::svc {
@@ -89,12 +90,10 @@ CotServer::bytesServedTo(const std::string &client_addr) const
 void
 CotServer::serveSession(net::SocketChannel &ch, uint64_t sid)
 {
-    net::FlightRecorder fr;
-    fr.setSession(sid);
     try {
         Hello hello;
         Status st = recvHello(ch, &hello);
-        fr.note("hello", uint32_t(st));
+        trace::note("hello", uint32_t(st));
         if (st == Status::Ok)
             st = admitSession(ch.peerAddress(), hello);
         // Before the Accept: the client can only quote this sid once
@@ -103,12 +102,12 @@ CotServer::serveSession(net::SocketChannel &ch, uint64_t sid)
             sessionStartSink(sid, ch.peerAddress());
         sendAccept(ch, Accept{st, sid});
         ch.flush();
-        fr.note("accept", uint32_t(st));
+        trace::note("accept", uint32_t(st));
         if (st == Status::Ok) {
             if (hello.role == Role::Receiver)
-                serveSenderSession(ch, sid, hello, fr);
+                serveSenderSession(ch, sid, hello);
             else
-                serveReceiverSession(ch, sid, hello, fr);
+                serveReceiverSession(ch, sid, hello);
             served.fetch_add(1, std::memory_order_relaxed);
         } else {
             rejected.fetch_add(1, std::memory_order_relaxed);
@@ -119,13 +118,13 @@ CotServer::serveSession(net::SocketChannel &ch, uint64_t sid)
         // Classify HERE — the skeleton's handler wrapper never sees
         // this exception, so exactly one layer counts each failure.
         server_.metrics().noteFailure(e.fault());
-        fr.dump(sid, net::wireFaultName(e.fault()));
+        trace::dumpSession(net::wireFaultName(e.fault()));
         IRONMAN_WARN("svc session %llu aborted (%s): %s",
                      (unsigned long long)sid,
                      net::wireFaultName(e.fault()), e.what());
     } catch (const std::exception &e) {
         server_.metrics().noteFailure(net::WireFault::Fatal);
-        fr.dump(sid, "exception");
+        trace::dumpSession("exception");
         IRONMAN_WARN("svc session %llu aborted: %s",
                      (unsigned long long)sid, e.what());
     }
@@ -139,8 +138,7 @@ CotServer::serveSession(net::SocketChannel &ch, uint64_t sid)
 
 void
 CotServer::serveSenderSession(net::SocketChannel &ch, uint64_t sid,
-                              const Hello &hello,
-                              net::FlightRecorder &fr)
+                              const Hello &hello)
 {
     const ot::FerretParams p = hello.params.toFerretParams();
     ot::CotSenderBatch half;
@@ -154,12 +152,12 @@ CotServer::serveSenderSession(net::SocketChannel &ch, uint64_t sid,
     std::vector<Block> out(p.usableOts());
     for (uint64_t iter = 0;; ++iter) {
         const Op op = recvOp(ch);
-        fr.note("op", uint32_t(op));
+        trace::note("op", uint32_t(op));
         if (op != Op::Extend)
             break;
         lease->extendInto(rng, out.data());
         ch.flush();
-        fr.note("extend", uint32_t(iter), out.size() * sizeof(Block));
+        trace::note("extend", uint32_t(iter), out.size() * sizeof(Block));
         extensions.fetch_add(1, std::memory_order_relaxed);
         cots.fetch_add(out.size(), std::memory_order_relaxed);
         if (senderSink)
@@ -170,8 +168,7 @@ CotServer::serveSenderSession(net::SocketChannel &ch, uint64_t sid,
 
 void
 CotServer::serveReceiverSession(net::SocketChannel &ch, uint64_t sid,
-                                const Hello &hello,
-                                net::FlightRecorder &fr)
+                                const Hello &hello)
 {
     const ot::FerretParams p = hello.params.toFerretParams();
     ot::CotReceiverBatch half;
@@ -185,12 +182,12 @@ CotServer::serveReceiverSession(net::SocketChannel &ch, uint64_t sid,
     std::vector<Block> out(p.usableOts());
     for (uint64_t iter = 0;; ++iter) {
         const Op op = recvOp(ch);
-        fr.note("op", uint32_t(op));
+        trace::note("op", uint32_t(op));
         if (op != Op::Extend)
             break;
         lease->extendInto(rng, choice, out.data());
         ch.flush();
-        fr.note("extend", uint32_t(iter), out.size() * sizeof(Block));
+        trace::note("extend", uint32_t(iter), out.size() * sizeof(Block));
         extensions.fetch_add(1, std::memory_order_relaxed);
         cots.fetch_add(out.size(), std::memory_order_relaxed);
         if (receiverSink)

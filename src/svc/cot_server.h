@@ -35,7 +35,6 @@
 #include <string>
 #include <vector>
 
-#include "net/flight_recorder.h"
 #include "net/session_server.h"
 #include "net/socket_channel.h"
 #include "svc/engine_pool.h"
@@ -187,11 +186,9 @@ class CotServer
     Status admitSession(const std::string &client, const Hello &hello);
     void serveSession(net::SocketChannel &ch, uint64_t sid);
     void serveSenderSession(net::SocketChannel &ch, uint64_t sid,
-                            const Hello &hello,
-                            net::FlightRecorder &fr);
+                            const Hello &hello);
     void serveReceiverSession(net::SocketChannel &ch, uint64_t sid,
-                              const Hello &hello,
-                              net::FlightRecorder &fr);
+                              const Hello &hello);
 
     Config cfg_;
     EnginePool pool_;

@@ -34,8 +34,8 @@
 
 #include "common/metrics.h"
 #include "common/rng.h"
+#include "common/trace.h"
 #include "net/fault.h"
-#include "net/flight_recorder.h"
 #include "net/socket_channel.h"
 #include "net/wire_error.h"
 #include "ot/ferret_params.h"
@@ -258,7 +258,7 @@ TEST(ChaosTelemetryTest, FaultKindsLandInMatchingCountersWithDumps)
             EXPECT_GT(metrics::Registry::instance().counterValue(
                           "net_flight_dumps_total"),
                       dumps_before);
-            const std::string dump = net::lastFlightDump();
+            const std::string dump = trace::lastDump();
             EXPECT_NE(dump.find("flight recorder"), std::string::npos)
                 << dump;
             if (dump.find("tag=") != std::string::npos) {

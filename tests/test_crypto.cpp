@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <set>
 
 #include "common/hexutil.h"
@@ -259,42 +258,6 @@ INSTANTIATE_TEST_SUITE_P(
         return prgKindName(std::get<0>(info.param)) + "_m" +
                std::to_string(std::get<1>(info.param));
     });
-
-// ---------------------------------------------------------------------------
-// CtrStream
-// ---------------------------------------------------------------------------
-
-TEST(CtrStreamTest, DeterministicAndSeedSensitive)
-{
-    CtrStream a(PrgKind::Aes, Block::fromUint64(1));
-    CtrStream b(PrgKind::Aes, Block::fromUint64(1));
-    CtrStream c(PrgKind::Aes, Block::fromUint64(2));
-    bool diff = false;
-    for (int i = 0; i < 256; ++i) {
-        uint32_t va = a.nextUint32();
-        EXPECT_EQ(va, b.nextUint32());
-        diff |= (va != c.nextUint32());
-    }
-    EXPECT_TRUE(diff);
-}
-
-TEST(CtrStreamTest, NextBelowBounds)
-{
-    CtrStream s(PrgKind::ChaCha8, Block::fromUint64(3));
-    for (int i = 0; i < 1000; ++i)
-        EXPECT_LT(s.nextBelow(1000), 1000u);
-}
-
-TEST(CtrStreamTest, ValuesRoughlyUniform)
-{
-    CtrStream s(PrgKind::Aes, Block::fromUint64(4));
-    std::map<uint32_t, int> hist;
-    const int draws = 40000;
-    for (int i = 0; i < draws; ++i)
-        hist[s.nextBelow(16)]++;
-    for (auto &[v, count] : hist)
-        EXPECT_NEAR(count, draws / 16, draws / 16 * 0.2);
-}
 
 // ---------------------------------------------------------------------------
 // CRHF

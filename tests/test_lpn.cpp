@@ -124,23 +124,28 @@ TEST(LpnTest, EncodeMatchesDenseReference)
     EXPECT_EQ(got, expect);
 }
 
-TEST(LpnTest, PoolParallelMatchesSerial)
+TEST(LpnTest, PartitionedEncodeMatchesSerial)
 {
+    // The engine splits the row range over pool workers; any split,
+    // each part with its own scratch, must be bit-identical to the
+    // serial encode.
     LpnParams p = smallParams();
     LpnEncoder enc(p);
     Rng rng(51);
     std::vector<Block> in = rng.nextBlocks(p.k);
     std::vector<Block> serial = rng.nextBlocks(p.n);
-    std::vector<Block> parallel = serial;
+    std::vector<Block> parts = serial;
 
     LpnEncodeScratch scratch;
     enc.encodeBlocks(in.data(), serial.data(), 0, p.n, scratch);
 
-    common::ThreadPool pool(4);
-    std::vector<LpnEncodeScratch> scratches(pool.threads());
-    enc.encodeBlocksPool(in.data(), parallel.data(), p.n, pool,
-                         scratches.data());
-    EXPECT_EQ(serial, parallel);
+    const size_t cuts[] = {0, 1, p.n / 3, p.n / 3 + 7, p.n};
+    for (size_t c = 0; c + 1 < std::size(cuts); ++c) {
+        LpnEncodeScratch own;
+        enc.encodeBlocks(in.data(), parts.data() + cuts[c], cuts[c],
+                         cuts[c + 1] - cuts[c], own);
+    }
+    EXPECT_EQ(serial, parts);
 }
 
 // ---------------------------------------------------------------------------
@@ -152,7 +157,7 @@ TEST(LpnTest, PoolParallelMatchesSerial)
  * SIMD gather-XOR) must be bit-identical to the streaming scalar
  * encoder under randomized seeds, including with the SIMD kernel
  * forced off (scalar tape walk), at unaligned row offsets, and
- * through the pool.
+ * split into contiguous parts.
  */
 TEST(LpnTapeTest, TapeEncodeMatchesStreamingUnderRandomSeeds)
 {
@@ -208,11 +213,13 @@ TEST(LpnTapeTest, TapeEncodeMatchesStreamingUnderRandomSeeds)
             ASSERT_EQ(sub[j], expect[row0 + j])
                 << "trial " << trial << " row " << row0 + j;
 
-        // Pool split.
-        std::vector<Block> pooled = base;
-        enc.encodeBlocksTapePool(in.data(), pooled.data(), p.n, tape,
-                                 pool);
-        EXPECT_EQ(pooled, expect) << "trial " << trial;
+        // Split over contiguous parts, as the engine's workers do.
+        std::vector<Block> parts = base;
+        const size_t cut = meta_rng.nextBelow(p.n);
+        enc.encodeBlocksTape(in.data(), parts.data(), 0, cut, tape);
+        enc.encodeBlocksTape(in.data(), parts.data() + cut, cut,
+                             p.n - cut, tape);
+        EXPECT_EQ(parts, expect) << "trial " << trial;
     }
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * The live telemetry layer (common/metrics.h, net/flight_recorder.h,
- * net/metrics_endpoint.h) and its guardrails:
+ * The live telemetry layer (common/metrics.h, net/metrics_endpoint.h)
+ * and its guardrails:
  *
  *  - log-linear histogram bucket geometry: exact unit buckets below
  *    2*kSubBuckets, <=1/kSubBuckets relative width above, a single
@@ -10,8 +10,7 @@
  *  - registry identity: one name, one handle, process-wide totals;
  *  - concurrent recording from many threads (the TSan job runs this
  *    binary — the registry's whole point is hot-path thread safety);
- *  - the text/JSON scrape surfaces;
- *  - flight recorder ring semantics and the WireError dump;
+ *  - the text/JSON/trace/flight scrape surfaces;
  *  - StatSet self-merge stays a no-op (the bench-side guardrail that
  *    rode along with the registry split, see common/stats.h).
  */
@@ -30,7 +29,7 @@
 
 #include "common/metrics.h"
 #include "common/stats.h"
-#include "net/flight_recorder.h"
+#include "common/trace.h"
 #include "net/metrics_endpoint.h"
 
 namespace ironman {
@@ -304,74 +303,6 @@ TEST(MetricsRegistryTest, ConcurrentRecordingIsExact)
 }
 
 // ---------------------------------------------------------------------------
-// Flight recorder
-// ---------------------------------------------------------------------------
-
-TEST(FlightRecorderTest, RingKeepsOnlyTheLastEvents)
-{
-    net::FlightRecorder fr;
-    for (uint32_t i = 0; i < net::FlightRecorder::kCapacity + 10; ++i)
-        fr.note("event", i, i * 2);
-    EXPECT_EQ(fr.total(), net::FlightRecorder::kCapacity + 10);
-
-    const std::string text = fr.render();
-    // The oldest surviving event is exactly 10 notes in.
-    EXPECT_EQ(text.find("tag=9 "), std::string::npos) << text;
-    EXPECT_NE(text.find("tag=10 "), std::string::npos) << text;
-    EXPECT_NE(
-        text.find("tag=" + std::to_string(
-                               net::FlightRecorder::kCapacity + 9)),
-        std::string::npos)
-        << text;
-}
-
-TEST(FlightRecorderTest, DumpStoresForensicRecord)
-{
-    net::FlightRecorder fr;
-    fr.note("hello", 0);
-    fr.note("extend", 3, 4096);
-    fr.dump(77, "deadline");
-
-    const std::string dump = net::lastFlightDump();
-    EXPECT_NE(dump.find("session 77"), std::string::npos) << dump;
-    EXPECT_NE(dump.find("deadline"), std::string::npos);
-    EXPECT_NE(dump.find("hello"), std::string::npos);
-    EXPECT_NE(dump.find("extend"), std::string::npos);
-    EXPECT_NE(dump.find("bytes=4096"), std::string::npos);
-    EXPECT_GE(metrics::Registry::instance().counterValue(
-                  "net_flight_dumps_total"),
-              1u);
-}
-
-TEST(FlightRecorderTest, DumpAllRendersEveryLiveRing)
-{
-    net::FlightRecorder a;
-    a.setSession(101);
-    a.note("alpha", 1);
-    net::FlightRecorder b;
-    b.setSession(202);
-    b.note("beta", 2, 64);
-
-    const std::string all = net::dumpAllFlightRecorders("SIGUSR1");
-    EXPECT_NE(all.find("SIGUSR1"), std::string::npos) << all;
-    EXPECT_NE(all.find("session 101"), std::string::npos);
-    EXPECT_NE(all.find("session 202"), std::string::npos);
-    EXPECT_NE(all.find("alpha"), std::string::npos);
-    EXPECT_NE(all.find("beta"), std::string::npos);
-    // Retained: the /flight endpoint serves the same text.
-    EXPECT_EQ(net::lastFlightDump(), all);
-
-    // The owner can keep recording while another thread dumps.
-    std::thread dumper([&] {
-        for (int i = 0; i < 8; ++i)
-            (void)net::dumpAllFlightRecorders("race");
-    });
-    for (uint32_t i = 0; i < 5000; ++i)
-        a.note("spin", i, i);
-    dumper.join();
-}
-
-// ---------------------------------------------------------------------------
 // Metrics endpoint (scrape over plain HTTP)
 // ---------------------------------------------------------------------------
 
@@ -430,9 +361,9 @@ TEST(MetricsEndpointTest, ServesRegistryAsText)
 TEST(MetricsEndpointTest, RoutesPathsWithCorrectTypes)
 {
     metrics::counter("test_routes_counter").inc(5);
-    net::FlightRecorder fr;
-    fr.note("probe", 1, 2);
-    net::dumpAllFlightRecorders("test");
+    trace::SessionScope scope(1);
+    trace::note("probe", 1, 2);
+    trace::dumpAllSessions("test");
 
     net::MetricsEndpoint ep;
     const uint16_t port = ep.listenTcp(0);

@@ -29,8 +29,8 @@
 
 #include "common/metrics.h"
 #include "common/rng.h"
+#include "common/trace.h"
 #include "net/channel.h"
-#include "net/flight_recorder.h"
 #include "ot/ferret_params.h"
 #include "svc/engine_pool.h"
 #include "svc/wire.h"
@@ -213,15 +213,16 @@ TEST(SvcPoolAllocTest, MetricsRecordingIsAllocationFree)
     // nothing — telemetry must be free to leave on by default on the
     // invariant-12 warm paths. Registration (the only allocating
     // step) is the warm-up here, exactly as the instrumented
-    // subsystems do it in their constructors.
+    // subsystems do it in their constructors; the session scope
+    // materialises the thread's trace ring the same way.
     metrics::Counter &c = metrics::counter("alloc_probe_counter");
     metrics::Gauge &g = metrics::gauge("alloc_probe_gauge");
     metrics::Histogram &h = metrics::histogram("alloc_probe_hist");
-    net::FlightRecorder fr;
+    trace::SessionScope scope(1);
     c.inc();
     g.add(1);
     h.record(1);
-    fr.note("warmup");
+    trace::note("warmup");
 
     const uint64_t start = g_allocCount.load();
     for (uint64_t i = 0; i < 10000; ++i) {
@@ -230,13 +231,16 @@ TEST(SvcPoolAllocTest, MetricsRecordingIsAllocationFree)
         g.sub(3);
         h.record(i * 37);
         h.recordSinceUs(metrics::nowUs());
-        fr.note("probe", uint32_t(i), i);
+        trace::note("probe", uint32_t(i), i);
     }
     EXPECT_EQ(g_allocCount.load() - start, 0u)
         << "metric recording on the warm path performed allocations";
     EXPECT_EQ(c.value(), 10001u);
     EXPECT_EQ(g.value(), 1);
-    EXPECT_EQ(fr.total(), 10001u);
+    trace::dumpSession("probe");
+    EXPECT_NE(trace::lastDump().find("last 64/10001 events"),
+              std::string::npos)
+        << trace::lastDump();
 }
 
 } // namespace

@@ -15,7 +15,11 @@
  *  - the Chrome-trace export is structurally sound: spans nest
  *    (inner [ts, ts+dur] inside outer), instants carry thread scope,
  *    and the client's submit->reconstruct request span encloses the
- *    server-side layer spans once merged on the handshake offset.
+ *    server-side layer spans once merged on the handshake offset;
+ *  - the session tier (the flight recorder) keeps each session's last
+ *    notes whether or not tracing is on, never shows an earlier
+ *    session of a reused ring, and dumps every open session while
+ *    its owner keeps recording.
  *
  * The export's JSON well-formedness is additionally validated by the
  * CI traced-loopback smoke with `python3 -m json.tool`.
@@ -24,9 +28,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/trace.h"
 #include "infer/infer_client.h"
 #include "infer/infer_server.h"
@@ -355,6 +362,159 @@ TEST(TraceExportTest, ServedSessionRetainsMergeableTimeline)
     const std::string retained = trace::lastRetainedExport();
     EXPECT_NE(retained.find("\"name\":\"session\""),
               std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Session tier (the flight recorder)
+// ---------------------------------------------------------------------------
+
+bool
+contains(const std::string &text, const std::string &needle)
+{
+    return text.find(needle) != std::string::npos;
+}
+
+TEST(TraceSessionTest, RingKeepsOnlyTheLastEvents)
+{
+    trace::SessionScope scope(5);
+    for (uint32_t i = 0; i < trace::kSessionEvents + 10; ++i)
+        trace::note("event", i, i * 2);
+    trace::dumpSession("test");
+
+    const std::string text = trace::lastDump();
+    EXPECT_TRUE(contains(text, "last 64/74 events")) << text;
+    // The oldest surviving event is exactly 10 notes in.
+    EXPECT_FALSE(contains(text, "tag=9 ")) << text;
+    EXPECT_TRUE(contains(text, "tag=10 ")) << text;
+    EXPECT_TRUE(contains(
+        text, "tag=" + std::to_string(trace::kSessionEvents + 9)))
+        << text;
+}
+
+TEST(TraceSessionTest, DumpStoresForensicRecord)
+{
+    const uint64_t before = metrics::Registry::instance().counterValue(
+        "net_flight_dumps_total");
+    trace::SessionScope scope(77);
+    trace::note("hello", 0);
+    trace::note("extend", 3, 4096);
+    trace::dumpSession("deadline");
+
+    const std::string dump = trace::lastDump();
+    EXPECT_TRUE(contains(dump, "session 77")) << dump;
+    EXPECT_TRUE(contains(dump, "deadline"));
+    EXPECT_TRUE(contains(dump, "hello"));
+    EXPECT_TRUE(contains(dump, "extend"));
+    EXPECT_TRUE(contains(dump, "bytes=4096"));
+    EXPECT_EQ(metrics::Registry::instance().counterValue(
+                  "net_flight_dumps_total"),
+              before + 1);
+}
+
+TEST(TraceSessionTest, DumpAllRendersEveryOpenSession)
+{
+    // Rings are per thread: session 202 lives on a second thread that
+    // keeps its scope open until the dumps are done.
+    std::promise<void> noted, release;
+    std::future<void> noted_f = noted.get_future();
+    std::future<void> release_f = release.get_future();
+    std::thread other([&] {
+        trace::SessionScope scope(202);
+        trace::note("beta", 2, 64);
+        noted.set_value();
+        release_f.wait();
+    });
+    noted_f.wait();
+    trace::SessionScope scope(101);
+    trace::note("alpha", 1);
+
+    const std::string all = trace::dumpAllSessions("SIGUSR1");
+    EXPECT_TRUE(contains(all, "on-demand dump (SIGUSR1)")) << all;
+    EXPECT_TRUE(contains(all, "session 101"));
+    EXPECT_TRUE(contains(all, "session 202"));
+    EXPECT_TRUE(contains(all, "alpha"));
+    EXPECT_TRUE(contains(all, "beta"));
+    // Retained: the /flight endpoint serves the same text.
+    EXPECT_EQ(trace::lastDump(), all);
+
+    // The owner can keep recording while another thread dumps.
+    std::thread dumper([] {
+        for (int i = 0; i < 8; ++i)
+            (void)trace::dumpAllSessions("race");
+    });
+    for (uint32_t i = 0; i < 5000; ++i)
+        trace::note("spin", i, i);
+    dumper.join();
+    release.set_value();
+    other.join();
+}
+
+TEST(TraceSessionTest, NotesLandWhenTracingIsOffOrUnsampled)
+{
+    trace::setEnabled(false);
+    trace::SessionScope scope(9);
+    trace::note("off_note", 1);
+    trace::setEnabled(true);
+    trace::setContext(0x99, /*sampled=*/false);
+    trace::note("unsampled_note", 2);
+    // The span tier keeps its sampled gate.
+    trace::instant("muted_instant", "test");
+    trace::setContext(0, true);
+    trace::setEnabled(false);
+
+    trace::dumpSession("check");
+    const std::string dump = trace::lastDump();
+    EXPECT_TRUE(contains(dump, "last 2/2 events")) << dump;
+    EXPECT_TRUE(contains(dump, "off_note")) << dump;
+    EXPECT_TRUE(contains(dump, "unsampled_note")) << dump;
+
+    // Notes export as thread-scoped instants in cat "session".
+    const std::string doc = trace::exportChromeTrace();
+    EXPECT_TRUE(contains(doc, "\"ph\":\"i\",\"name\":\"unsampled_note\","
+                              "\"cat\":\"session\""))
+        << doc;
+    EXPECT_FALSE(contains(doc, "muted_instant"));
+}
+
+TEST(TraceSessionTest, ReusedRingShowsOnlyItsOwnSession)
+{
+    std::thread first([] {
+        trace::SessionScope scope(1);
+        trace::note("stale", 1);
+    });
+    first.join();
+    std::string dump;
+    std::thread second([&] {
+        trace::SessionScope scope(2);
+        trace::note("fresh", 2);
+        trace::dumpSession("reuse");
+        dump = trace::lastDump();
+    });
+    second.join();
+
+    // The second thread really took over the first one's ring ...
+    const std::string doc = trace::exportChromeTrace();
+    const size_t stale = doc.find("\"name\":\"stale\"");
+    const size_t fresh = doc.find("\"name\":\"fresh\"");
+    ASSERT_NE(stale, std::string::npos) << doc;
+    ASSERT_NE(fresh, std::string::npos) << doc;
+    EXPECT_EQ(jsonNum(doc, "tid", stale), jsonNum(doc, "tid", fresh));
+    // ... yet its dump shows only its own session.
+    EXPECT_TRUE(contains(dump, "session 2 ")) << dump;
+    EXPECT_TRUE(contains(dump, "fresh")) << dump;
+    EXPECT_FALSE(contains(dump, "stale")) << dump;
+}
+
+TEST(TraceSessionTest, ClosedScopeLeavesDumpAll)
+{
+    {
+        trace::SessionScope scope(4242);
+        trace::note("open", 1);
+        EXPECT_TRUE(
+            contains(trace::dumpAllSessions("open"), "session 4242"));
+    }
+    EXPECT_FALSE(
+        contains(trace::dumpAllSessions("closed"), "session 4242"));
 }
 
 } // namespace
