@@ -1,13 +1,11 @@
 /**
  * @file
  * End-to-end private-inference serving bench: images/s, COT/image,
- * online bytes/image and online rounds/image for the ways the
- * repository can run the same GMW MLP inference —
+ * online bytes/image and online rounds/image for the two ways the
+ * repository runs the same GMW MLP inference —
  *
- *   in-process   MemoryDuplex + per-party FerretCotEngine (the
- *                baseline examples/private_mlp runs),
- *   served+engine    loopback TCP, per-session dual-direction engine
- *                    on the inference channel,
+ *   in-process       MemoryDuplex + per-party FerretCotEngine (the
+ *                    reference examples/private_mlp runs),
  *   served+reservoir loopback TCP, correlations from background
  *                    COT-service sessions (the paper architecture:
  *                    online phase overlaps with COT refill),
@@ -23,22 +21,21 @@
  *     sequential for depth-1 rows, grouped for pipelined rows (a
  *     depth-k batch-1 group shares and evaluates exactly like one
  *     batch-k request, so the same reference covers both),
- *   - every Section A model's reservoir row under its absolute online
+ *   - every Section A model's served row under its absolute online
  *     bytes/image ceiling (the width-packed wire's regression guard),
  *   - the depth-8 LAN row under an absolute rounds/image ceiling
  *     derived from ppml::reluRounds(32), so a comparator of linear
  *     depth fails it,
  *   - depth-8 batch-1 >= 0.8x the depth-1 batch-8 throughput on
- *     loopback, and STRICTLY faster on every simulated-latency row.
- *
- * Single-core caveat (EXPERIMENTS.md): on a 1-core container the
- * reservoir's refill thread, the COT server's session threads and
- * the online phase all share one CPU, so the overlap the reservoir
- * buys shows up as latency hiding only on real cores.
+ *     loopback, and STRICTLY faster on every simulated-latency row,
+ *   - a killed and restarted backend costs an autoReconnect client at
+ *     most one maybe-answered request, and the retried answer is
+ *     bit-identical.
  */
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -58,15 +55,12 @@ namespace {
 constexpr uint64_t kShareSeed = 0xbe7c5;
 constexpr uint64_t kSetupSeed = 424242;
 
-/** Regression ceiling for the mlp-16x8x4@32 reservoir row (the
+/** Regression ceiling for the mlp-16x8x4@32 served row (the
  *  width-packed codec with the Kogge-Stone ladder lands near
- *  1.7 kB/img — the ladder burns ~4x the
- *  AND gates of a linear carry chain to cut its rounds ~4x, and every
- *  gate is online payload). The reservoir row is the honest online
- *  measurement: its COT preprocessing rides the separate COT-service
- *  channel, whereas the engine-supply row's mid-session extensions
- *  share the inference channel and pollute the delta once image
- *  counts grow. */
+ *  1.7 kB/img — the ladder burns ~4x the AND gates of a linear carry
+ *  chain to cut its rounds ~4x, and every gate is online payload).
+ *  COT preprocessing rides the separate COT-service channels, so the
+ *  inference channel carries online bytes only. */
 constexpr double kPackedByteCeiling = 2200.0;
 
 struct Row
@@ -88,7 +82,6 @@ struct Row
 struct ServedCfg
 {
     std::string path;
-    bool reservoir = false;
     uint16_t depth = 1;
     uint64_t rttUs = 0; ///< client-side per-turnaround sleep
     uint64_t bandwidthBps = 0; ///< server-side link shaping (0 = off)
@@ -129,14 +122,41 @@ printHeader()
                 "outputs");
 }
 
+/** COT service + operator stock + inference daemon, wired and
+ *  listening; destruction stops the daemons before the stock goes. */
+struct Backend
+{
+    explicit Backend(const infer::InferServer::Config &cfg,
+                     uint16_t infer_port = 0, uint16_t cot_port = 0)
+        : server(cfg)
+    {
+        stock.attach(cot);
+        cotPort = cot.listenTcp(cot_port);
+        server.attachOperatorStock(stock);
+        port = server.listenTcp(infer_port);
+    }
+
+    std::unique_ptr<infer::InferClient>
+    dial(const infer::InferClient::Options &opt) const
+    {
+        return infer::InferClient::connectTcpReservoir(
+            "127.0.0.1", port, "127.0.0.1", cotPort, opt);
+    }
+
+    svc::OperatorStock stock;
+    svc::CotServer cot;
+    infer::InferServer server;
+    uint16_t cotPort = 0;
+    uint16_t port = 0;
+};
+
 /**
- * One served run: a fresh server (+ COT service when reservoir), one
- * client session, @p reqs submitted through the negotiated window,
- * outputs compared against @p expected (one vector per request for
- * depth 1; for depth k, group g's concatenated outputs against
- * expected[g]). Timings/bytes/rounds are ONLINE deltas measured after
- * session bring-up so engine-supply preprocessing doesn't pollute the
- * wire numbers.
+ * One served run: a fresh backend, one client session, @p reqs
+ * submitted through the negotiated window, outputs compared against
+ * @p expected (one vector per request for depth 1; for depth k, group
+ * g's concatenated outputs against expected[g]). Timings/bytes/rounds
+ * are ONLINE deltas measured after session bring-up, so the handshake
+ * does not pollute the wire numbers.
  */
 Row
 runServed(const ppml::MlpModelSpec &spec, unsigned width,
@@ -145,15 +165,9 @@ runServed(const ppml::MlpModelSpec &spec, unsigned width,
           const std::vector<std::vector<int64_t>> &expected,
           const ServedCfg &cfg)
 {
-    svc::OperatorStock stock;
-    svc::CotServer cot;
-    stock.attach(cot);
-    const uint16_t cot_port = cot.listenTcp(0);
     infer::InferServer::Config srv_cfg;
     srv_cfg.simulatedBandwidthBps = cfg.bandwidthBps;
-    infer::InferServer server(srv_cfg);
-    server.attachOperatorStock(stock);
-    const uint16_t port = server.listenTcp(0);
+    Backend backend(srv_cfg);
 
     infer::InferClient::Options opt;
     opt.modelId = spec.id;
@@ -172,12 +186,7 @@ runServed(const ppml::MlpModelSpec &spec, unsigned width,
     row.rttMs = double(cfg.rttUs) / 1000.0;
     row.bandwidthMbps = double(cfg.bandwidthBps) / 1e6;
 
-    auto client =
-        cfg.reservoir ? infer::InferClient::connectTcpReservoir(
-                            "127.0.0.1", port, "127.0.0.1", cot_port,
-                            opt)
-                      : infer::InferClient::connectTcp("127.0.0.1",
-                                                       port, opt);
+    auto client = backend.dial(opt);
     row.stream = client->streaming();
     const uint64_t base_bytes =
         client->onlineBytesSent() + client->onlineBytesReceived();
@@ -221,8 +230,6 @@ runServed(const ppml::MlpModelSpec &spec, unsigned width,
     row.preprocBytesPerImage =
         double(client->preprocBytesSent()) / double(images);
     client->close();
-    server.stop();
-    cot.stop();
     return row;
 }
 
@@ -240,8 +247,7 @@ main()
                   "served GMW MLP inference: served vs in-process, "
                   "pipelining, latency rows");
     bench::note("byte/round columns are online deltas measured after "
-                "session bring-up; single-core caveat in "
-                "EXPERIMENTS.md applies to the overlap paths");
+                "session bring-up");
 
     bench::JsonWriter json("BENCH_infer_e2e.json");
     json.kv("bench", "infer_e2e");
@@ -260,7 +266,7 @@ main()
     {
         const char *model;
         unsigned width;
-        double maxBytesPerImage; ///< reservoir-row online ceiling
+        double maxBytesPerImage; ///< served-row online ceiling
     };
     std::vector<PackPoint> pack_grid = {
         {"mlp-16x8x4", 32, kPackedByteCeiling}, {"mlp-4x3x2", 8, 125.0}};
@@ -291,22 +297,17 @@ main()
             double(local.onlineBytes) / double(images);
         emitRow(json, spec.name, images, local_row);
 
-        const Row engine_row =
+        const Row served =
             runServed(spec, g.width, batch, params, reqs,
-                      local.outputs, {"served+engine", false, 1, 0});
-        const Row reservoir_row =
-            runServed(spec, g.width, batch, params, reqs,
-                      local.outputs, {"served+reservoir", true, 1, 0});
-        for (const Row *row : {&engine_row, &reservoir_row}) {
-            emitRow(json, spec.name, images, *row);
-            all_identical &= row->bitIdentical;
-        }
+                      local.outputs, {"served+reservoir", 1, 0});
+        emitRow(json, spec.name, images, served);
+        all_identical &= served.bitIdentical;
 
-        if (reservoir_row.onlineBytesPerImage > g.maxBytesPerImage) {
+        if (served.onlineBytesPerImage > g.maxBytesPerImage) {
             std::printf("BENCH-SMOKE: FAIL — %s@%u %.0f B/img above "
                         "the %.0f ceiling\n",
                         spec.name.c_str(), g.width,
-                        reservoir_row.onlineBytesPerImage,
+                        served.onlineBytesPerImage,
                         g.maxBytesPerImage);
             sentinels_ok = false;
         }
@@ -347,15 +348,16 @@ main()
         std::printf("\n%s w%u pipelining, %zu images, loopback\n",
                     spec.name.c_str(), width, images);
         printHeader();
-        // Best of two runs per row: single-core loopback throughput
-        // at this scale is noisy (refill threads share the CPU) and
-        // the sentinel compares the two rows against each other.
+        // Best of two runs per row: a 32-64 image loopback run lasts
+        // tens of milliseconds, so one scheduler hiccup on a shared
+        // host moves it by tens of percent, and the sentinel compares
+        // the two rows against each other.
         auto best = [&](const std::vector<std::vector<int64_t>> &rq,
                         uint32_t b, uint16_t d, const char *path) {
             Row r1 = runServed(spec, width, b, params, rq,
-                               grouped.outputs, {path, true, d, 0});
+                               grouped.outputs, {path, d, 0});
             const Row r2 = runServed(spec, width, b, params, rq,
-                                     grouped.outputs, {path, true, d, 0});
+                                     grouped.outputs, {path, d, 0});
             r1.bitIdentical &= r2.bitIdentical;
             if (r2.imagesPerSec > r1.imagesPerSec) {
                 const bool id = r1.bitIdentical;
@@ -393,11 +395,10 @@ main()
             printHeader();
             const Row lwide = runServed(
                 spec, width, depth, params, reqs8, grouped.outputs,
-                {std::string("depth-1 batch-8 ") + link, true, 1, rtt_us});
+                {std::string("depth-1 batch-8 ") + link, 1, rtt_us});
             const Row ldeep = runServed(
                 spec, width, 1, params, reqs1, grouped.outputs,
-                {std::string("depth-8 batch-1 ") + link, true, depth,
-                 rtt_us});
+                {std::string("depth-8 batch-1 ") + link, depth, rtt_us});
             for (const Row *row : {&lwide, &ldeep}) {
                 emitRow(json, spec.name, images, *row);
                 all_identical &= row->bitIdentical;
@@ -415,7 +416,7 @@ main()
             }
             const Row lone = runServed(
                 spec, width, 1, params, reqs1, seq1.outputs,
-                {std::string("depth-1 batch-1 ") + link, true, 1, rtt_us});
+                {std::string("depth-1 batch-1 ") + link, 1, rtt_us});
             emitRow(json, spec.name, images, lone);
             all_identical &= lone.bitIdentical;
             if (ldeep.imagesPerSec <= lone.imagesPerSec) {
@@ -433,8 +434,8 @@ main()
             if (std::string(link) == "LAN") {
                 const Row sdeep = runServed(
                     spec, width, 1, params, reqs1, grouped.outputs,
-                    {std::string("depth-8 streaming ") + link, true,
-                     depth, rtt_us, 0, /*stream=*/true});
+                    {std::string("depth-8 streaming ") + link, depth,
+                     rtt_us, 0, /*stream=*/true});
                 emitRow(json, spec.name, images, sdeep);
                 all_identical &= sdeep.bitIdentical;
                 // The round-chain sentinel: one depth-8 group pays each
@@ -487,7 +488,7 @@ main()
         printHeader();
         const Row shaped = runServed(
             spec, width, wan_batch, params, reqs, local.outputs,
-            {"served+reservoir shaped", true, 1, rtt_us, bps});
+            {"served+reservoir shaped", 1, rtt_us, bps});
         emitRow(json, spec.name, wan_requests * size_t(wan_batch),
                 shaped);
         all_identical &= shaped.bitIdentical;
@@ -504,8 +505,8 @@ main()
             spec, width, {cat}, kShareSeed, kSetupSeed, params);
         const Row deep = runServed(
             spec, width, wan_batch, params, reqs, glocal.outputs,
-            {"served+reservoir shaped deep+stream", true, wdepth, rtt_us,
-             bps, /*stream=*/true});
+            {"served+reservoir shaped deep+stream", wdepth, rtt_us, bps,
+             /*stream=*/true});
         emitRow(json, spec.name, wan_requests * size_t(wan_batch),
                 deep);
         all_identical &= deep.bitIdentical;
@@ -522,9 +523,11 @@ main()
     }
 
     // ------------------------------------------------------------------
-    // Section E: recovery latency — kill the daemon under an
-    // autoReconnect client and time the redial + re-handshake +
-    // replay until the next bit-identical answer lands.
+    // Section E: recovery latency — kill the whole backend (inference
+    // daemon, COT service, operator stock) under an autoReconnect
+    // client, restart it on the same ports, and time the redial (COT
+    // sessions and reservoirs included) + re-handshake + replay until
+    // the next bit-identical answer lands.
     // ------------------------------------------------------------------
     {
         const ppml::MlpModelSpec &spec = *ppml::findMlpModel("mlp-4x3x2");
@@ -533,8 +536,10 @@ main()
         for (size_t r = 0; r < 4; ++r)
             reqs.push_back(ppml::sampleMlpInput(spec, 8100 + r, 1));
 
-        auto server = std::make_unique<infer::InferServer>();
-        const uint16_t port = server->listenTcp(0);
+        auto backend = std::make_unique<Backend>(
+            infer::InferServer::Config{});
+        const uint16_t port = backend->port;
+        const uint16_t cot_port = backend->cotPort;
 
         infer::InferClient::Options opt;
         opt.modelId = spec.id;
@@ -544,14 +549,13 @@ main()
         opt.params = params;
         opt.autoReconnect = true;
         opt.retry.baseBackoffMs = 5; // the daemon restarts instantly
-        auto client =
-            infer::InferClient::connectTcp("127.0.0.1", port, opt);
+        auto client = backend->dial(opt);
         client->infer(reqs[0]);
         client->infer(reqs[1]);
 
-        server->stop();
-        server = std::make_unique<infer::InferServer>();
-        server->listenTcp(port);
+        backend.reset();
+        backend = std::make_unique<Backend>(infer::InferServer::Config{},
+                                            port, cot_port);
 
         // The next request detects the dead session and reconnects.
         // Its Commit raced the kill, so the library reports it failed
@@ -571,9 +575,9 @@ main()
             client->reconnects() == 1;
         client->infer(reqs[3]);
         client->close();
-        server->stop();
+        backend.reset();
 
-        std::printf("\nrecovery: daemon killed+restarted under an "
+        std::printf("\nrecovery: backend killed+restarted under an "
                     "autoReconnect client -> next answer in %.1f ms "
                     "(%s)\n",
                     recovery_ms,

@@ -5,15 +5,15 @@
  * output, and check it against the plaintext reference.
  *
  *   ./infer_client --tcp 127.0.0.1:17617 --cot-tcp 127.0.0.1:17618
- *   ./infer_client --tcp 127.0.0.1:17617 --supply engine
- *   ./infer_client --model mlp-32x16x10 --width 24 --images 8
+ *   ./infer_client --tcp ... --cot-tcp ... --model mlp-32x16x10 \
+ *       --width 24 --images 8
  *   ./infer_client --tcp ... --cot-tcp ... --depth 8    # pipelined
  *   ./infer_client --tcp ... --cot-tcp ... --depth auto # RTT-tuned
  *   ./infer_client --tcp ... --cot-tcp ... --stream     # streaming
  *
- * Default supply is the reservoir: the client opens two sessions of
- * opposite roles on the server's COT service and stocks them in the
- * background while the online phase runs. Exit code 0 iff every
+ * The client opens two sessions of opposite roles on the server's COT
+ * service (--cot-tcp, printed by ./infer_server) and stocks them in
+ * the background while the online phase runs. Exit code 0 iff every
  * output matches the plaintext forward pass within the model's
  * truncation bound.
  */
@@ -59,7 +59,6 @@ main(int argc, char **argv)
     std::string trace_file;
     infer::InferClient::Options opt;
     opt.batch = 2;
-    opt.supply = infer::SupplyKind::Reservoir;
     opt.setupSeed = 0x5eedULL ^ uint64_t(::getpid()) << 16;
 
     for (int i = 1; i < argc; ++i) {
@@ -92,10 +91,6 @@ main(int argc, char **argv)
             images = unsigned(std::atoi(next()));
         } else if (arg == "--seed") {
             opt.setupSeed = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--supply") {
-            const std::string s = next();
-            opt.supply = s == "engine" ? infer::SupplyKind::Engine
-                                       : infer::SupplyKind::Reservoir;
         } else if (arg == "--depth") {
             const std::string d = next();
             if (d == "auto")
@@ -126,10 +121,9 @@ main(int argc, char **argv)
             std::fprintf(
                 stderr,
                 "usage: infer_client --tcp HOST:PORT "
-                "[--cot-tcp HOST:PORT] [--model NAME] [--width W] "
-                "[--batch B] [--images N] [--supply engine|reservoir] "
-                "[--depth D|auto] [--stream] [--seed S] [--chaos] "
-                "[--trace FILE]\n");
+                "--cot-tcp HOST:PORT [--model NAME] [--width W] "
+                "[--batch B] [--images N] [--depth D|auto] [--stream] "
+                "[--seed S] [--chaos] [--trace FILE]\n");
             return 2;
         }
     }
@@ -150,30 +144,25 @@ main(int argc, char **argv)
     }
     opt.modelId = spec->id;
 
-    if (opt.supply == infer::SupplyKind::Reservoir && cot_port == 0) {
-        std::fprintf(stderr, "infer_client: reservoir supply needs "
-                             "--cot-tcp (the server prints its COT "
-                             "port), or pass --supply engine\n");
+    if (cot_port == 0) {
+        std::fprintf(stderr, "infer_client: --cot-tcp is required (the "
+                             "server prints its COT port)\n");
         return 2;
     }
 
     std::unique_ptr<infer::InferClient> client;
     try {
-        client =
-            opt.supply == infer::SupplyKind::Reservoir
-                ? infer::InferClient::connectTcpReservoir(
-                      host, port, cot_host, cot_port, opt)
-                : infer::InferClient::connectTcp(host, port, opt);
+        client = infer::InferClient::connectTcpReservoir(
+            host, port, cot_host, cot_port, opt);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "infer_client: connect failed: %s\n",
                      e.what());
         return 1;
     }
     std::printf("infer_client: session %llu, %s, width %u, batch %u, "
-                "supply %s, depth %u%s%s (%llu COTs/image/direction)\n",
+                "depth %u%s%s (%llu COTs/image/direction)\n",
                 (unsigned long long)client->sessionId(),
                 spec->name.c_str(), opt.width, opt.batch,
-                supplyKindName(client->supply()),
                 client->negotiatedDepth(),
                 opt.depthAuto ? " (auto)" : "",
                 client->streaming() ? ", streaming commits" : "",

@@ -134,8 +134,8 @@ main(int argc, char **argv)
     }
 
     // Daemon posture: only the shapes this deployment actually serves
-    // — an unlisted (if structurally valid) hello gets a clean
-    // wire-level reject instead of a per-session multi-MB engine.
+    // — an unlisted (if structurally valid) COT hello gets a clean
+    // wire-level reject instead of a multi-MB engine.
     const std::vector<ot::FerretParams> allowed = {
         ot::tinyTestParams(), ot::tinyAlignedParams()};
 
@@ -148,10 +148,7 @@ main(int argc, char **argv)
     stock.attach(cot);
     const uint16_t bound_cot = cot.listenTcp(cot_port);
 
-    infer::InferServer::Config cfg;
-    cfg.engineThreads = engine_threads;
-    cfg.engineParamsAllowlist = allowed;
-    infer::InferServer server(cfg);
+    infer::InferServer server;
     server.attachOperatorStock(stock);
     const uint16_t bound = server.listenTcp(infer_port);
 

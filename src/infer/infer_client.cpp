@@ -54,25 +54,6 @@ cotRecvOptions(const InferClient::Options &opt)
 } // namespace
 
 InferClient::InferClient(std::unique_ptr<net::SocketChannel> channel,
-                         Options opt)
-    : ch(std::move(channel)), opt_(opt), spec_(specOrThrow(opt.modelId)),
-      shareRng(opt.shareSeed)
-{
-    IRONMAN_CHECK(opt_.supply == SupplyKind::Engine,
-                  "reservoir supply needs the two-session constructor");
-    if (opt_.simulatedDelayUs > 0)
-        ch->setSimulatedDelay(opt_.simulatedDelayUs);
-    handshake();
-    // In lockstep with the server's engine construction (it primes
-    // one extension per direction interactively).
-    engine = std::make_unique<ppml::FerretCotEngine>(
-        *ch, 0, opt_.params, opt_.setupSeed, opt_.threads);
-    sc = std::make_unique<ppml::SecureCompute>(*ch, 0, *engine,
-                                               opt_.width);
-    runner = std::make_unique<ppml::MlpRunner>(spec_, opt_.width);
-}
-
-InferClient::InferClient(std::unique_ptr<net::SocketChannel> channel,
                          std::unique_ptr<svc::CotClient> send_session,
                          std::unique_ptr<svc::CotClient> recv_session,
                          Options opt)
@@ -80,7 +61,6 @@ InferClient::InferClient(std::unique_ptr<net::SocketChannel> channel,
       sendSession(std::move(send_session)),
       recvSession(std::move(recv_session)), shareRng(opt.shareSeed)
 {
-    opt_.supply = SupplyKind::Reservoir;
     IRONMAN_CHECK(sendSession && recvSession, "need both COT sessions");
     IRONMAN_CHECK(sendSession->role() == svc::Role::Sender &&
                       recvSession->role() == svc::Role::Receiver,
@@ -130,11 +110,11 @@ InferClient::handshake()
             std::to_string(spec_.minWidth) + ", " +
             std::to_string(spec_.maxWidth) + "]");
     InferHello h;
-    h.supply = opt_.supply;
     h.modelId = opt_.modelId;
     h.width = uint8_t(opt_.width);
     h.batch = opt_.batch;
-    h.setupSeed = opt_.setupSeed;
+    h.sendSessionId = sendSession->sessionId();
+    h.recvSessionId = recvSession->sessionId();
     // Auto-depth asks for a deep window (the server clamps to its
     // bound) and tunes the ACTUAL group size locally from the RTT.
     h.depth = opt_.depthAuto
@@ -149,12 +129,6 @@ InferClient::handshake()
                                 : trace::newTraceId(opt_.setupSeed);
         h.traceId = traceId_;
         h.traceSampled = opt_.traceSampled ? 1 : 0;
-    }
-    if (opt_.supply == SupplyKind::Reservoir) {
-        h.sendSessionId = sendSession->sessionId();
-        h.recvSessionId = recvSession->sessionId();
-    } else {
-        h.params = svc::WireParams::of(opt_.params);
     }
     // The hello/accept turnaround doubles as the RTT probe the depth
     // auto-tuner uses — and, with the trace flag, as the clock-offset
@@ -197,33 +171,6 @@ InferClient::handshake()
             opt_.depthBudgetUs > 0 ? opt_.depthBudgetUs : 1;
         const uint64_t tuned = (group_rounds * rttUs_ + budget - 1) / budget;
         depth_ = uint16_t(std::clamp<uint64_t>(tuned, 1, depth_));
-    }
-}
-
-std::unique_ptr<InferClient>
-InferClient::connectTcp(const std::string &host, uint16_t port,
-                        Options opt)
-{
-    const unsigned attempts =
-        opt.autoReconnect && opt.retry.maxAttempts > 0
-            ? opt.retry.maxAttempts
-            : 1u;
-    for (unsigned attempt = 1;; ++attempt) {
-        try {
-            opt.retry.sleepBefore(attempt);
-            auto c = std::make_unique<InferClient>(
-                net::tcpConnect(host, port), opt);
-            c->host_ = host;
-            c->port_ = port;
-            c->endpointsKnown_ = true;
-            return c;
-        } catch (const net::WireError &e) {
-            if (!e.retryable() || attempt >= attempts)
-                throw;
-            if (opt.retryHook)
-                opt.retryHook(attempt, opt.retry.backoffMs(attempt + 1),
-                              e.what());
-        }
     }
 }
 
@@ -284,26 +231,19 @@ InferClient::redial()
     ch = net::tcpConnect(host_, port_);
     if (opt_.simulatedDelayUs > 0)
         ch->setSimulatedDelay(opt_.simulatedDelayUs);
-    if (opt_.supply == SupplyKind::Reservoir) {
-        // Same derived seeds as the original dial: the restarted
-        // daemon re-deals the same deterministic session base, so the
-        // fresh sessions are indistinguishable from first contact.
-        sendSession = svc::CotClient::connectTcp(
-            cotHost_, cotPort_, opt_.params, cotSendOptions(opt_));
-        recvSession = svc::CotClient::connectTcp(
-            cotHost_, cotPort_, opt_.params, cotRecvOptions(opt_));
-        buildReservoirs();
-    }
+    // Same derived seeds as the original dial: the restarted daemon
+    // re-deals the same deterministic session base, so the fresh
+    // sessions are indistinguishable from first contact.
+    sendSession = svc::CotClient::connectTcp(cotHost_, cotPort_,
+                                             opt_.params,
+                                             cotSendOptions(opt_));
+    recvSession = svc::CotClient::connectTcp(cotHost_, cotPort_,
+                                             opt_.params,
+                                             cotRecvOptions(opt_));
+    buildReservoirs();
     handshake();
-    if (opt_.supply == SupplyKind::Engine) {
-        engine = std::make_unique<ppml::FerretCotEngine>(
-            *ch, 0, opt_.params, opt_.setupSeed, opt_.threads);
-        sc = std::make_unique<ppml::SecureCompute>(*ch, 0, *engine,
-                                                   opt_.width);
-    } else {
-        sc = std::make_unique<ppml::SecureCompute>(
-            *ch, 0, *reservoirSupply, opt_.width);
-    }
+    sc = std::make_unique<ppml::SecureCompute>(*ch, 0, *reservoirSupply,
+                                               opt_.width);
     runner = std::make_unique<ppml::MlpRunner>(spec_, opt_.width);
 }
 
@@ -320,7 +260,6 @@ InferClient::reconnect(const std::string &cause)
         recvRes->stopRefill();
     sc.reset();
     runner.reset();
-    engine.reset();
     reservoirSupply.reset();
     sendRes.reset();
     recvRes.reset();

@@ -3,7 +3,7 @@
  * Client of the inference service: MPC party 0, the input owner.
  *
  * One InferClient is one inference session: it handshakes model /
- * bitwidth / batch / supply over infer/wire.h, then serves infer()
+ * bitwidth / batch / COT sessions over infer/wire.h, then serves infer()
  * calls — share the plaintext input tensor, hand the server its
  * share, drive the layered GMW evaluation in lockstep over the same
  * socket, receive the server's output share, reconstruct.
@@ -20,22 +20,18 @@
  * concatenated requests, while dense share-local truncation may
  * differ from k sequential calls within mlpTruncationErrorBound.
  *
- * Supply kinds (the handshake's SupplyKind):
- *
- *   - Engine: a dual-direction ppml::FerretCotEngine on the inference
- *     channel, constructed right after the Accept in lockstep with
- *     the server's (the in-process baseline, served).
- *   - Reservoir: the client opens TWO sessions of opposite roles on
- *     the inference server's attached COT service and stocks them
- *     through background svc::Reservoirs sized from the model's COT
- *     estimate (MlpModelSpec::cotsPerImage * batch, via
- *     Reservoir::Options::sizedFor) — the online phase draws from
- *     local stock and overlaps with refill, the paper's architecture.
+ * Correlation supply: the client opens TWO sessions of opposite roles
+ * on the inference server's attached COT service and stocks them
+ * through background svc::Reservoirs sized from the model's COT
+ * estimate (MlpModelSpec::cotsPerImage * batch, via
+ * Reservoir::Options::sizedFor) — the online phase draws from local
+ * stock and overlaps with refill, the paper's architecture.
  *
  * Outputs are bit-identical to ppml::runLocalMlpInference for equal
- * (model, width, share seed, request sequence) regardless of supply
- * kind — the GMW shares are deterministic given the input shares (see
- * mlp_runner.h) — which is what tests/test_infer.cpp pins down.
+ * (model, width, share seed, request sequence) — the GMW shares are
+ * deterministic given the input shares (see mlp_runner.h), so where
+ * the correlations come from cannot change an output bit — which is
+ * what tests/test_infer.cpp pins down.
  */
 
 #ifndef IRONMAN_INFER_INFER_CLIENT_H
@@ -51,7 +47,6 @@
 #include "infer/wire.h"
 #include "net/socket_channel.h"
 #include "ot/ferret_params.h"
-#include "ppml/cot_engine.h"
 #include "ppml/mlp_runner.h"
 #include "ppml/secure_compute.h"
 #include "svc/cot_client.h"
@@ -67,15 +62,15 @@ class InferClient
         uint32_t modelId = 1;
         unsigned width = 32;
         uint32_t batch = 1;
-        SupplyKind supply = SupplyKind::Engine;
-        /** Engine supply: dealer seed of the dual-direction engine. */
+        /**
+         * COT-session seed: the two sessions' setup seeds derive from
+         * it, so a redial re-deals the same session bases.
+         */
         uint64_t setupSeed = 1;
         /** Input-sharing tape; equal seeds give equal share streams. */
         uint64_t shareSeed = 0x5eedf00d;
-        /** Engine supply: the OT parameter set (both ends build it). */
+        /** OT parameter set of the two COT sessions. */
         ot::FerretParams params = ot::tinyTestParams();
-        /** Engine supply: engine worker width. */
-        int threads = 1;
         /**
          * Requested in-flight requests per session; the server clamps
          * to its own bound — read negotiatedDepth() after
@@ -126,13 +121,13 @@ class InferClient
          * Survive a lost server: when a retryable wire error lands
          * mid-session (daemon killed, connection reset, deadline), tear
          * the whole transport down — inference channel, COT sessions,
-         * reservoirs, engine — redial under `retry`'s backoff/budget,
+         * reservoirs — redial under `retry`'s backoff/budget,
          * re-handshake with the SAME seeds, and resubmit every
          * UNCOMMITTED request from its stored shares. Requests whose
          * Commit was already on the wire are NOT retried (the server
          * may have evaluated them; re-running could answer twice) —
          * they surface as Result{ok=false} with the triggering error.
-         * Requires a connectTcp* factory (it records the endpoints).
+         * Requires connectTcpReservoir (it records the endpoints).
          * Off by default: a bench run would rather
          * die loudly than silently remeasure a reconnect.
          */
@@ -165,28 +160,19 @@ class InferClient
     };
 
     /**
-     * Engine-supply session over an already-connected channel. Throws
-     * std::runtime_error when the server rejects the hello.
-     */
-    InferClient(std::unique_ptr<net::SocketChannel> ch, Options opt);
-
-    /**
-     * Reservoir-supply session: @p send_session / @p recv_session are
-     * connected Sender-/Receiver-role sessions on the COT service
-     * ATTACHED to this inference server. The client owns them (and
-     * their refill reservoirs) for the life of the session.
+     * Session over an already-connected channel: @p send_session /
+     * @p recv_session are connected Sender-/Receiver-role sessions on
+     * the COT service ATTACHED to this inference server. The client
+     * owns them (and their refill reservoirs) for the life of the
+     * session. Throws net::WireError when the server rejects the hello.
      */
     InferClient(std::unique_ptr<net::SocketChannel> ch,
                 std::unique_ptr<svc::CotClient> send_session,
                 std::unique_ptr<svc::CotClient> recv_session,
                 Options opt);
 
-    /** Connect + handshake, Engine supply. */
-    static std::unique_ptr<InferClient>
-    connectTcp(const std::string &host, uint16_t port, Options opt);
-
     /**
-     * Connect + handshake, Reservoir supply: dials the inference
+     * Connect + handshake: dials the inference
      * server at @p host:@p port and the COT service at @p cot_port
      * (two sessions, seeds derived from opt.setupSeed).
      */
@@ -232,7 +218,6 @@ class InferClient
     const ppml::MlpModelSpec &model() const { return spec_; }
     unsigned width() const { return opt_.width; }
     uint64_t sessionId() const { return sid; }
-    SupplyKind supply() const { return opt_.supply; }
 
     /** Server-clamped (and auto-tuned) in-flight bound. */
     uint16_t negotiatedDepth() const { return depth_; }
@@ -274,7 +259,7 @@ class InferClient
     /** Mirror direction — sent + received covers both parties. */
     uint64_t onlineBytesReceived() const { return ch->bytesReceived(); }
 
-    /** Preprocessing bytes pushed on the COT sessions (Reservoir). */
+    /** Preprocessing bytes pushed on the COT sessions. */
     uint64_t preprocBytesSent() const;
 
     /** Per-layer costs of the last request (party-0 view). */
@@ -302,7 +287,7 @@ class InferClient
     bool closed = false;
     bool dead_ = false; ///< recovery budget spent: session is gone
 
-    // Recorded by the connectTcp* factories; recovery needs somewhere
+    // Recorded by connectTcpReservoir; recovery needs somewhere
     // to redial (a session over a caller-supplied channel cannot).
     std::string host_;
     uint16_t port_ = 0;
@@ -318,10 +303,7 @@ class InferClient
     int64_t clockOffsetUs_ = 0; ///< server clock - client clock
     uint32_t nextTag = 1;
 
-    // Engine supply.
-    std::unique_ptr<ppml::FerretCotEngine> engine;
-
-    // Reservoir supply (declaration order = teardown order reversed:
+    // Correlation supply (declaration order = teardown order reversed:
     // reservoirs stop before their sessions close).
     std::unique_ptr<svc::CotClient> sendSession;
     std::unique_ptr<svc::CotClient> recvSession;

@@ -4,7 +4,6 @@
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "net/wire_error.h"
-#include "ppml/cot_engine.h"
 #include "ppml/mlp_runner.h"
 #include "ppml/secure_compute.h"
 
@@ -128,16 +127,9 @@ InferServer::serveSession(net::SocketChannel &ch, uint64_t sid)
         // Policy on top of the structural checks.
         if (st == InferStatus::Ok && hello.batch > cfg_.maxBatch)
             st = InferStatus::BadBatch;
-        if (st == InferStatus::Ok &&
-            hello.supply == SupplyKind::Reservoir && !stock_)
+        if (st == InferStatus::Ok && !stock_)
             st = InferStatus::BadSupply;
-        if (st == InferStatus::Ok &&
-            hello.supply == SupplyKind::Engine &&
-            !svc::paramsAllowed(hello.params.toFerretParams(),
-                                cfg_.engineParamsAllowlist))
-            st = InferStatus::ParamsNotAllowed;
-        if (st == InferStatus::Ok &&
-            hello.supply == SupplyKind::Reservoir && stock_) {
+        if (st == InferStatus::Ok) {
             // The named COT sessions must exist, be live, and belong
             // to the peer making this request — a foreign sid would
             // let one client consume (and on exit drop) another's
@@ -205,44 +197,27 @@ InferServer::runSession(net::SocketChannel &ch, uint64_t sid,
     const ppml::MlpModelSpec &spec = *ppml::findMlpModel(hello.modelId);
     const unsigned width = hello.width;
 
-    // The session's correlation supply, then the GMW engine over it.
-    // Engine supply primes interactively here — the client constructs
-    // its engine at the same protocol point (right after the Accept).
-    std::unique_ptr<ppml::FerretCotEngine> engine;
-    std::unique_ptr<svc::OperatorCotSupply> operatorSupply;
-    ppml::CotSupply *supply = nullptr;
-    if (hello.supply == SupplyKind::Engine) {
-        engine = std::make_unique<ppml::FerretCotEngine>(
-            ch, 1, hello.params.toFerretParams(), hello.setupSeed,
-            cfg_.engineThreads);
-        supply = engine.get();
-    } else {
-        // The stock sids are named from the CLIENT's perspective: the
-        // client's Receiver-role session is the one where THIS party
-        // holds (delta, q) — our send direction.
-        operatorSupply = std::make_unique<svc::OperatorCotSupply>(
-            *stock_, hello.recvSessionId, hello.sendSessionId);
-        supply = operatorSupply.get();
-    }
+    // The stock sids are named from the CLIENT's perspective: the
+    // client's Receiver-role session is the one where THIS party holds
+    // (delta, q) — our send direction.
+    svc::OperatorCotSupply supply(*stock_, hello.recvSessionId,
+                                  hello.sendSessionId);
 
     // Free the session's banked halves promptly on every exit path;
     // the COT service's session-end sink is the backstop for hellos
     // that never reach this point.
     struct StockGuard
     {
-        svc::OperatorStock *stock;
+        svc::OperatorStock &stock;
         uint64_t a, b;
         ~StockGuard()
         {
-            if (stock) {
-                stock->drop(a);
-                stock->drop(b);
-            }
+            stock.drop(a);
+            stock.drop(b);
         }
-    } guard{hello.supply == SupplyKind::Reservoir ? stock_ : nullptr,
-            hello.sendSessionId, hello.recvSessionId};
+    } guard{*stock_, hello.sendSessionId, hello.recvSessionId};
 
-    ppml::SecureCompute sc(ch, 1, *supply, width);
+    ppml::SecureCompute sc(ch, 1, supply, width);
     const bool stream = (hello.flags & kInferFlagStreamCommit) != 0;
     ppml::MlpRunner runner(spec, width);
 

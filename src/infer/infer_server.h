@@ -3,11 +3,12 @@
  * The private-inference daemon: MPC party 1 as a service.
  *
  * InferServer accepts inference sessions over real sockets (loopback/
- * remote TCP or Unix-domain), negotiates model/bitwidth/batch/supply
- * plus in-flight depth via the infer/wire.h handshake, and then plays
- * the second GMW party of ppml::MlpRunner over the session's
- * net::SocketChannel — the first subsystem where the ONLINE protocol,
- * not just correlation generation, crosses the wire. Sessions enqueue
+ * remote TCP or Unix-domain), negotiates model/bitwidth/batch, the
+ * two COT sessions and the in-flight depth via the infer/wire.h
+ * handshake, and then plays the second GMW party of ppml::MlpRunner
+ * over the session's net::SocketChannel — the first subsystem where
+ * the ONLINE protocol, not just correlation generation, crosses the
+ * wire. Sessions enqueue
  * up to the negotiated depth of tagged requests and evaluate them as
  * ONE joint forward on Commit, so the DReLU round latency is paid per
  * group instead of per request.
@@ -19,18 +20,13 @@
  * operator stock (waking sessions parked in stock waits), and joins
  * everything (TSan-clean).
  *
- * Correlation supply per session (the handshake's SupplyKind):
- *
- *   - Reservoir (the paper architecture): the client stocks two
- *     sessions on the ATTACHED CotServer through background
- *     reservoirs; this server consumes the operator halves of the
- *     same two sessions through svc::OperatorCotSupply. The online
- *     phase overlaps with COT refill on both sides, and warm
- *     EnginePool turnover keeps session churn allocation-free
- *     (DESIGN.md invariant 13).
- *   - Engine (A/B baseline): one dual-direction ppml::FerretCotEngine
- *     per session on the inference channel itself, extension latency
- *     inline with the online phase.
+ * Correlation supply (the paper architecture): the client stocks two
+ * sessions on the ATTACHED CotServer through background reservoirs;
+ * this server consumes the operator halves of the same two sessions
+ * through svc::OperatorCotSupply. The online phase overlaps with COT
+ * refill on both sides, and warm EnginePool turnover keeps session
+ * churn allocation-free (DESIGN.md invariant 13). Without an attached
+ * stock every hello is refused with InferStatus::BadSupply.
  */
 
 #ifndef IRONMAN_INFER_INFER_SERVER_H
@@ -39,7 +35,6 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "infer/wire.h"
 #include "net/session_server.h"
@@ -61,7 +56,6 @@ class InferServer
          * is clamped (negotiated down in the accept), never rejected.
          */
         uint16_t maxDepth = 32;
-        int engineThreads = 1; ///< Engine-supply worker width
 
         /**
          * Simulated one-way latency added on this end of every
@@ -81,16 +75,6 @@ class InferServer
         uint64_t sessionRecvTimeoutMs = 0; ///< blocked-read deadline
         uint64_t sessionSendTimeoutMs = 0; ///< blocked-write deadline
         uint64_t idleTimeoutMs = 0;        ///< no-traffic reap window
-
-        /**
-         * OT parameter shapes Engine-supply sessions may request;
-         * empty = any structurally valid shape (dev/loopback).
-         * Deployments MUST set this: a structurally valid hello can
-         * still name a multi-GB engine (wireParamsValid allows n up
-         * to 2^26), and the engine is built per session. Membership
-         * compares the EngineKey fields, like CotServer's allowlist.
-         */
-        std::vector<ot::FerretParams> engineParamsAllowlist;
     };
 
     InferServer() : InferServer(Config{}) {}
@@ -101,8 +85,7 @@ class InferServer
     InferServer &operator=(const InferServer &) = delete;
 
     /**
-     * Enable SupplyKind::Reservoir sessions: @p stock must be
-     * attached (stock.attach(cot)) to the CotServer the inference
+     * Enable serving: @p stock must be attached (stock.attach(cot)) to the CotServer the inference
      * clients open their COT sessions on — that attachment, done
      * before either server listens, is the whole wiring; this server
      * only consumes the stock. It must outlive this server or stop()

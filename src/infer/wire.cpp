@@ -18,13 +18,9 @@ using net::putU64;
 namespace {
 
 // Hello body (after the 6-byte magic+version prefix):
-// supply(1) width(1) modelId(4) batch(4) setupSeed(8) sendSid(8)
-// recvSid(8)
-// params: prg(1) pad(3) n(8) k(8) t(8) lpnSeed(8) arity(4) weight(4)
-// depth(2) flags(2)
+// width(1) modelId(4) batch(4) sendSid(8) recvSid(8) depth(2) flags(2)
 constexpr size_t kInferHelloPrefixBytes = 4 + 2;
-constexpr size_t kInferHelloBodyBytes =
-    1 + 1 + 4 + 4 + 3 * 8 + (1 + 3 + 4 * 8 + 2 * 4) + 2 + 2;
+constexpr size_t kInferHelloBodyBytes = 1 + 4 + 4 + 2 * 8 + 2 + 2;
 // kInferFlagTrace trailer: traceId(8) sampled(1), present exactly when
 // the hello's flag word carries the bit — so a flagless hello carries
 // no trace bytes, whatever the struct's trace fields hold.
@@ -41,32 +37,15 @@ size_t
 putHelloBody(uint8_t *p, const InferHello &h)
 {
     const uint8_t *base = p;
-    *p++ = uint8_t(h.supply);
     *p++ = h.width;
     putU32(p, h.modelId);
     p += 4;
     putU32(p, h.batch);
     p += 4;
-    putU64(p, h.setupSeed);
-    p += 8;
     putU64(p, h.sendSessionId);
     p += 8;
     putU64(p, h.recvSessionId);
     p += 8;
-    *p = h.params.prg;
-    p += 4; // 3 pad bytes
-    putU64(p, h.params.n);
-    p += 8;
-    putU64(p, h.params.k);
-    p += 8;
-    putU64(p, h.params.t);
-    p += 8;
-    putU64(p, h.params.lpnSeed);
-    p += 8;
-    putU32(p, h.params.arity);
-    p += 4;
-    putU32(p, h.params.lpnWeight);
-    p += 4;
     putU16(p, h.depth);
     p += 2;
     putU16(p, h.flags);
@@ -82,32 +61,15 @@ putHelloBody(uint8_t *p, const InferHello &h)
 void
 getHelloBody(const uint8_t *p, InferHello *out)
 {
-    out->supply = SupplyKind(*p++);
     out->width = *p++;
     out->modelId = getU32(p);
     p += 4;
     out->batch = getU32(p);
     p += 4;
-    out->setupSeed = getU64(p);
-    p += 8;
     out->sendSessionId = getU64(p);
     p += 8;
     out->recvSessionId = getU64(p);
     p += 8;
-    out->params.prg = *p;
-    p += 4;
-    out->params.n = getU64(p);
-    p += 8;
-    out->params.k = getU64(p);
-    p += 8;
-    out->params.t = getU64(p);
-    p += 8;
-    out->params.lpnSeed = getU64(p);
-    p += 8;
-    out->params.arity = getU32(p);
-    p += 4;
-    out->params.lpnWeight = getU32(p);
-    p += 4;
     out->depth = getU16(p);
     p += 2;
     // Unknown flag bits are dropped (forward compatibility), not
@@ -116,12 +78,6 @@ getHelloBody(const uint8_t *p, InferHello *out)
 }
 
 } // namespace
-
-const char *
-supplyKindName(SupplyKind k)
-{
-    return k == SupplyKind::Engine ? "engine" : "reservoir";
-}
 
 const char *
 inferStatusName(InferStatus s)
@@ -133,9 +89,7 @@ inferStatusName(InferStatus s)
       case InferStatus::BadModel: return "unknown model";
       case InferStatus::BadWidth: return "bad bitwidth";
       case InferStatus::BadBatch: return "bad batch size";
-      case InferStatus::BadSupply: return "bad supply kind";
-      case InferStatus::BadParams: return "bad params";
-      case InferStatus::ParamsNotAllowed: return "params not allowed";
+      case InferStatus::BadSupply: return "bad cot supply";
       case InferStatus::ForeignSession:
           return "cot session not owned by this client";
       case InferStatus::BadDepth: return "bad in-flight depth";
@@ -170,8 +124,6 @@ recvInferHello(net::Channel &ch, InferHello *out)
 
     uint8_t body[kInferHelloBodyBytes];
     ch.recvBytes(body, sizeof(body));
-    if (uint8_t(body[0]) > uint8_t(SupplyKind::Reservoir))
-        return InferStatus::BadSupply;
     getHelloBody(body, out);
     if (out->flags & kInferFlagTrace) {
         // The trace trailer travels iff the flag bit is set, so both
@@ -195,12 +147,8 @@ recvInferHello(net::Channel &ch, InferHello *out)
         return InferStatus::BadBatch;
     if (out->depth == 0)
         return InferStatus::BadDepth;
-    if (out->supply == SupplyKind::Engine &&
-        !svc::wireParamsValid(out->params))
-        return InferStatus::BadParams;
-    if (out->supply == SupplyKind::Reservoir &&
-        (out->sendSessionId == 0 || out->recvSessionId == 0 ||
-         out->sendSessionId == out->recvSessionId))
+    if (out->sendSessionId == 0 || out->recvSessionId == 0 ||
+        out->sendSessionId == out->recvSessionId)
         return InferStatus::BadSupply;
     return InferStatus::Ok;
 }

@@ -3,22 +3,17 @@
  * Wire protocol of the inference service (src/infer): the handshake
  * that negotiates WHAT to compute (a ppml::MlpModelSpec by wire id,
  * the fixed-point bitwidth, the images-per-request batch size, and
- * where the COT correlations come from) and HOW requests are
- * scheduled (how many may ride in flight, streaming commits, trace
- * context), plus the request/response opcodes that carry
- * secret-shared tensors.
+ * the two COT-service sessions the correlations come from) and HOW
+ * requests are scheduled (how many may ride in flight, streaming
+ * commits, trace context), plus the request/response opcodes that
+ * carry secret-shared tensors.
  *
- * Version 3 session, client's (= MPC party 0's) view:
+ * Version 4 session, client's (= MPC party 0's) view:
  *
- *   connect ──► InferHello { magic, version, supply, model, width,
- *                            batch, setupSeed, cot session ids,
- *                            engine params, depth, flags }
+ *   connect ──► InferHello { magic, version, width, model, batch,
+ *                            cot session ids, depth, flags }
  *           ◄── InferAccept { status, negotiated depth, negotiated
  *                             flags, sessionId }
- *   [supply == Engine: both ends construct one dual-direction
- *    ppml::FerretCotEngine over THIS channel — the handshake's
- *    setupSeed seeds the dealer substitution, exactly like the COT
- *    service]
  *   loop:   ──► InferOp::Infer, u32 tag, batch*inputDim input shares
  *               (the server's share x1) — ENQUEUED on both sides, up
  *               to the negotiated depth in flight
@@ -30,6 +25,11 @@
  *           ◄── per pending request, in submission order: u32 tag,
  *               batch*outputDim output shares (the server's y1)
  *   final:  ──► InferOp::Close
+ *
+ * Correlations never cross this channel: the client stocks two
+ * sessions of opposite roles on the COT service attached to the
+ * inference server, and the hello names them. The server draws the
+ * operator halves of the same two sessions from its svc::OperatorStock.
  *
  * The online protocol has ONE dialect: every chosen-OT payload
  * travels at semantic width (1-bit AND messages, width-bit MUX arms,
@@ -47,8 +47,6 @@
  * The server clamps the requested depth to its own bound and echoes
  * the result in the accept; unknown flag bits are dropped, not
  * rejected.
- *
- * Supply negotiation: see SupplyKind.
  */
 
 #ifndef IRONMAN_INFER_WIRE_H
@@ -58,12 +56,11 @@
 #include <vector>
 
 #include "net/channel.h"
-#include "svc/wire.h"
 
 namespace ironman::infer {
 
 constexpr uint32_t kInferMagic = 0x49524946; ///< "IRIF"
-constexpr uint16_t kInferWireVersion = 3;
+constexpr uint16_t kInferWireVersion = 4;
 
 // Hello/accept flag bits. 0x1 and 0x2 were the v2 packing and
 // comparison-circuit flags; they stay unassigned.
@@ -80,21 +77,6 @@ constexpr uint16_t kInferFlagStreamCommit = 0x4;
  * carries no trace bytes at all.
  */
 constexpr uint16_t kInferFlagTrace = 0x8;
-
-/** Where a session's COT correlations come from. */
-enum class SupplyKind : uint8_t
-{
-    /** Dual-direction FerretCotEngine on the inference channel. */
-    Engine = 0,
-    /**
-     * Client: svc::ReservoirCotSupply over two COT-service sessions;
-     * server: svc::OperatorCotSupply over the same sessions' operator
-     * halves.
-     */
-    Reservoir = 1,
-};
-
-const char *supplyKindName(SupplyKind k);
 
 /** Per-request opcodes (client to server). */
 enum class InferOp : uint8_t
@@ -113,11 +95,11 @@ enum class InferStatus : uint8_t
     BadModel = 3,   ///< model id not in ppml::inferenceZoo()
     BadWidth = 4,   ///< width outside the model's overflow-free range
     BadBatch = 5,   ///< zero or above the server's maxBatch
-    BadSupply = 6,  ///< unknown kind, or Reservoir with no COT service
-    BadParams = 7,  ///< Engine supply with invalid FerretParams
-    /** Valid engine params, but not on the server's allowlist. */
-    ParamsNotAllowed = 8,
-    /** Reservoir sids unknown, ended, or owned by another client. */
+    /** Bad COT session ids, or no COT service attached. */
+    BadSupply = 6,
+    // 7 and 8 were the engine-supply parameter rejects; they stay
+    // unassigned.
+    /** COT sids unknown, ended, or owned by another client. */
     ForeignSession = 9,
     BadDepth = 10, ///< zero in-flight depth
 };
@@ -128,18 +110,13 @@ const char *inferStatusName(InferStatus s);
 struct InferHello
 {
     uint16_t version = kInferWireVersion;
-    SupplyKind supply = SupplyKind::Engine;
     uint32_t modelId = 0;
     uint8_t width = 32;
     uint32_t batch = 1;
-    /** Engine supply: dealer seed of the dual-direction engine. */
-    uint64_t setupSeed = 0;
-    /** Reservoir supply: the client's Sender-role COT session id. */
+    /** The client's Sender-role COT session id. */
     uint64_t sendSessionId = 0;
-    /** Reservoir supply: the client's Receiver-role COT session id. */
+    /** The client's Receiver-role COT session id. */
     uint64_t recvSessionId = 0;
-    /** Engine supply: the OT parameter set (ignored for Reservoir). */
-    svc::WireParams params;
     /** Requested in-flight requests per session (server clamps). */
     uint16_t depth = 1;
     /** Requested session properties (kInferFlag*). */
@@ -168,7 +145,7 @@ void sendInferHello(net::Channel &ch, const InferHello &h);
 
 /**
  * Parse the peer's hello. Returns Ok and fills @p out, or the
- * structural rejection (magic/version/model/width/batch/params/depth);
+ * structural rejection (magic/version/model/width/batch/depth/sids);
  * policy rejections (maxBatch, depth clamp, missing COT service) are
  * the server's to add. A BadMagic/BadVersion return has read only the
  * 6-byte magic+version prefix.

@@ -13,8 +13,8 @@
  *    requests while new connects are refused;
  *  - client recovery: the factory-mode svc::Reservoir survives a COT
  *    daemon kill/restart (discard stock, redial under backoff,
- *    restock), and infer::InferClient with autoReconnect survives an
- *    inference-backend kill/restart — uncommitted requests replay
+ *    restock), and infer::InferClient with autoReconnect survives a
+ *    whole-backend kill/restart — uncommitted requests replay
  *    from stored shares, committed-but-unanswered ones surface as
  *    typed Result failures, and every COMPLETED image is bit-identical
  *    to an uninterrupted run (DESIGN.md invariant 15; pinned on the
@@ -45,15 +45,17 @@
 #include "ppml/model_zoo.h"
 #include "svc/cot_client.h"
 #include "svc/cot_server.h"
-#include "svc/operator_stock.h"
 #include "svc/reservoir.h"
 #include "svc/retry.h"
+
+#include "served_stack.h"
 
 namespace ironman {
 namespace {
 
 using infer::InferClient;
 using infer::InferServer;
+using infer::ServedStack;
 using net::FaultPlan;
 using net::WireError;
 using svc::CotClient;
@@ -290,11 +292,32 @@ TEST(ChaosFaultGridTest, InferServerSurvivesEveryFaultKind)
     InferServer::Config cfg;
     cfg.sessionRecvTimeoutMs = 300;
     cfg.sessionSendTimeoutMs = 300;
-    InferServer server(cfg);
-    const uint16_t port = server.listenTcp(0);
+    ServedStack stack(cfg);
 
     const std::vector<int64_t> input =
         ppml::sampleMlpInput(spec, 777, 1);
+    InferClient::Options opt;
+    opt.modelId = spec.id;
+    opt.width = 16;
+    // Faults must land in the streaming wire too: counted commits over
+    // a depth-2 window.
+    opt.depth = 2;
+    opt.streamCommit = true;
+    auto runSession = [&](InferClient &client) {
+        for (int r = 0; r < 3; ++r)
+            client.infer(input);
+        client.close();
+    };
+
+    // Correlations ride the COT sessions, so the inference channel
+    // carries only the handshake and the online protocol: measure the
+    // client's send stream of one clean session and arm every fault
+    // inside it.
+    opt.setupSeed = 0xc1ea;
+    auto clean = stack.dial(opt);
+    runSession(*clean);
+    const uint64_t transcript = clean->onlineBytesSent();
+    clean.reset();
 
     for (const FaultPlan::Kind kind : kAllKinds) {
         for (uint64_t seed = 1; seed <= 3; ++seed) {
@@ -302,42 +325,32 @@ TEST(ChaosFaultGridTest, InferServerSurvivesEveryFaultKind)
                          FaultPlan::atByte(kind, 0).kindName() +
                          " seed=" + std::to_string(seed));
             try {
-                auto ch = net::tcpConnect("127.0.0.1", port);
+                auto [send_cot, recv_cot] =
+                    stack.cotSessions(0xdead + 2 * seed);
+                auto ch = net::tcpConnect("127.0.0.1", stack.port);
                 ch->setFaultPlan(FaultPlan::seeded(
-                    kind, seed * 1381, /*max_byte=*/20000,
-                    /*delay_us=*/5000));
-                InferClient::Options opt;
-                opt.modelId = spec.id;
-                opt.width = 16;
-                opt.setupSeed = 0xdead + seed;
-                // Faults must land in the PR 8 wire too: counted
-                // streaming commits over a depth-2 window.
-                opt.depth = 2;
-                opt.streamCommit = true;
-                InferClient client(std::move(ch), opt);
-                for (int r = 0; r < 3; ++r)
-                    client.infer(input);
-                client.close();
+                    kind, seed * 1381, transcript, /*delay_us=*/5000));
+                InferClient client(std::move(ch), std::move(send_cot),
+                                   std::move(recv_cot), opt);
+                runSession(client);
             } catch (const WireError &) {
                 // Typed.
             }
         }
     }
 
-    waitUntil([&] { return server.activeSessions() == 0; });
-    EXPECT_EQ(server.activeSessions(), 0u);
+    waitUntil([&] { return stack.server.activeSessions() == 0; });
+    EXPECT_EQ(stack.server.activeSessions(), 0u);
 
     // Still serving, still correct.
-    InferClient::Options opt;
-    opt.modelId = spec.id;
-    opt.width = 16;
     opt.setupSeed = 0xfeed;
-    auto client = InferClient::connectTcp("127.0.0.1", port, opt);
+    opt.depth = 1;
+    opt.streamCommit = false;
+    auto client = stack.dial(opt);
     const std::vector<int64_t> got = client->infer(input);
     EXPECT_EQ(got, ppml::mlpPlainForward(spec, input))
         << "fracBits-0 model is exact";
     client->close();
-    server.stop();
 }
 
 // ---------------------------------------------------------------------------
@@ -424,15 +437,15 @@ TEST(ChaosDrainTest, CotServerDrainFinishesInFlightRejectsNew)
 TEST(ChaosDrainTest, InferServerDrainAnswersEveryPendingRequest)
 {
     const ppml::MlpModelSpec &spec = *ppml::findMlpModel("mlp-4x3x2");
-    InferServer server;
-    const uint16_t port = server.listenTcp(0);
+    ServedStack stack;
+    InferServer &server = stack.server;
 
     InferClient::Options opt;
     opt.modelId = spec.id;
     opt.width = 16;
     opt.depth = 4; // submissions stay pending until drain()
     opt.setupSeed = 0xd4a2;
-    auto client = InferClient::connectTcp("127.0.0.1", port, opt);
+    auto client = stack.dial(opt);
 
     std::vector<std::vector<int64_t>> reqs;
     for (int r = 0; r < 3; ++r) {
@@ -462,7 +475,7 @@ TEST(ChaosDrainTest, InferServerDrainAnswersEveryPendingRequest)
     EXPECT_TRUE(drained_clean.load())
         << "zero failed requests and a voluntary session end";
 
-    EXPECT_THROW(net::tcpConnect("127.0.0.1", port), WireError);
+    EXPECT_THROW(net::tcpConnect("127.0.0.1", stack.port), WireError);
 }
 
 // ---------------------------------------------------------------------------
@@ -543,65 +556,6 @@ TEST(ChaosRecoveryTest, ReservoirFailsTypedWhenBudgetExhausted)
 // Client recovery: InferClient vs backend kill/restart (invariant 15)
 // ---------------------------------------------------------------------------
 
-TEST(ChaosRecoveryTest, InferClientEngineSupplySurvivesKillRestart)
-{
-    const ppml::MlpModelSpec &spec = *ppml::findMlpModel("mlp-4x3x2");
-    constexpr unsigned kWidth = 16;
-    constexpr uint32_t kBatch = 2;
-    constexpr int kRequests = 6;
-    constexpr int kKillAfter = 3; // requests completed before the kill
-
-    std::vector<std::vector<int64_t>> reqs;
-    for (int r = 0; r < kRequests; ++r)
-        reqs.push_back(ppml::sampleMlpInput(spec, 8800 + r, kBatch));
-    // The uninterrupted reference run (one session, one share tape).
-    const ppml::LocalMlpResult local = ppml::runLocalMlpInference(
-        spec, kWidth, reqs, /*share_seed=*/0x15a5, /*setup_seed=*/0x99,
-        ot::tinyTestParams());
-
-    auto server = std::make_unique<InferServer>();
-    const uint16_t port = server->listenTcp(0);
-
-    InferClient::Options opt;
-    opt.modelId = spec.id;
-    opt.width = kWidth;
-    opt.batch = kBatch;
-    opt.shareSeed = 0x15a5;
-    opt.setupSeed = 0x99;
-    opt.autoReconnect = true;
-    opt.retry = fastRetry(10);
-    auto client = InferClient::connectTcp("127.0.0.1", port, opt);
-
-    size_t completed = 0, failed = 0;
-    for (int r = 0; r < kRequests; ++r) {
-        if (r == kKillAfter) {
-            // Kill the whole backend and restart it on the same port.
-            server->stop();
-            server = std::make_unique<InferServer>();
-            ASSERT_EQ(server->listenTcp(port), port);
-        }
-        client->submit(reqs[r]);
-        const InferClient::Result res = client->collect();
-        if (res.ok) {
-            // Invariant 15: every COMPLETED image is bit-identical to
-            // the uninterrupted run. (Exact model: outputs do not
-            // depend on the session position of the request.)
-            EXPECT_EQ(res.outputs, local.outputs[r]) << "request " << r;
-            ++completed;
-        } else {
-            // Committed-but-unanswered: a typed failure, never a
-            // silent wrong answer or a double evaluation.
-            EXPECT_FALSE(res.error.empty());
-            ++failed;
-        }
-    }
-    EXPECT_GE(client->reconnects(), 1u);
-    EXPECT_LE(failed, 1u) << "only the request racing the kill may fail";
-    EXPECT_GE(completed, size_t(kRequests - 1));
-    client->close();
-    server->stop();
-}
-
 TEST(ChaosRecoveryTest, InferClientReservoirSupplySurvivesKillRestart)
 {
     const ppml::MlpModelSpec &spec = *ppml::findMlpModel("mlp-4x3x2");
@@ -616,13 +570,9 @@ TEST(ChaosRecoveryTest, InferClientReservoirSupplySurvivesKillRestart)
         spec, kWidth, reqs, 0x77a1, 0x51, ot::tinyTestParams());
 
     // Backend A: COT daemon + stock + inference daemon.
-    auto stock = std::make_unique<svc::OperatorStock>();
-    auto cot = std::make_unique<CotServer>();
-    stock->attach(*cot);
-    const uint16_t cot_port = cot->listenTcp(0);
-    auto server = std::make_unique<InferServer>();
-    server->attachOperatorStock(*stock);
-    const uint16_t port = server->listenTcp(0);
+    auto stack = std::make_unique<ServedStack>();
+    const uint16_t port = stack->port;
+    const uint16_t cot_port = stack->cotPort;
 
     InferClient::Options opt;
     opt.modelId = spec.id;
@@ -637,9 +587,7 @@ TEST(ChaosRecoveryTest, InferClientReservoirSupplySurvivesKillRestart)
     // stays valid, and recovery must renegotiate the flag.
     opt.depth = 2;
     opt.streamCommit = true;
-    auto client = InferClient::connectTcpReservoir(
-        "127.0.0.1", port, "127.0.0.1", cot_port, opt);
-    EXPECT_EQ(client->supply(), infer::SupplyKind::Reservoir);
+    auto client = stack->dial(opt);
 
     size_t completed = 0, failed = 0;
     for (int r = 0; r < kRequests; ++r) {
@@ -648,15 +596,11 @@ TEST(ChaosRecoveryTest, InferClientReservoirSupplySurvivesKillRestart)
             // stock — and restart all of it on the same ports. The
             // client's reconnect rebuilds its COT sessions and
             // reservoirs from scratch against the fresh stock.
-            server->stop();
-            cot->stop();
-            stock = std::make_unique<svc::OperatorStock>();
-            cot = std::make_unique<CotServer>();
-            stock->attach(*cot);
-            ASSERT_EQ(cot->listenTcp(cot_port), cot_port);
-            server = std::make_unique<InferServer>();
-            server->attachOperatorStock(*stock);
-            ASSERT_EQ(server->listenTcp(port), port);
+            stack.reset();
+            stack = std::make_unique<ServedStack>(InferServer::Config{},
+                                                  port, cot_port);
+            ASSERT_EQ(stack->port, port);
+            ASSERT_EQ(stack->cotPort, cot_port);
         }
         client->submit(reqs[r]);
         const InferClient::Result res = client->collect();
@@ -672,28 +616,24 @@ TEST(ChaosRecoveryTest, InferClientReservoirSupplySurvivesKillRestart)
     EXPECT_LE(failed, 1u);
     EXPECT_GE(completed, size_t(kRequests - 1));
     client->close();
-    server->stop();
-    cot->stop();
 }
 
 TEST(ChaosRecoveryTest, InferClientFailsTypedWithoutBackend)
 {
     const ppml::MlpModelSpec &spec = *ppml::findMlpModel("mlp-4x3x2");
-    auto server = std::make_unique<InferServer>();
-    const uint16_t port = server->listenTcp(0);
+    auto stack = std::make_unique<ServedStack>();
 
     InferClient::Options opt;
     opt.modelId = spec.id;
     opt.width = 16;
     opt.autoReconnect = true;
     opt.retry = fastRetry(3);
-    auto client = InferClient::connectTcp("127.0.0.1", port, opt);
+    auto client = stack->dial(opt);
     const std::vector<int64_t> input =
         ppml::sampleMlpInput(spec, 321, 1);
     client->infer(input); // healthy first
 
-    server->stop();
-    server.reset(); // no restart: the budget must expire
+    stack.reset(); // no restart: the budget must expire
 
     try {
         client->infer(input);

@@ -3,17 +3,18 @@
  * Inference-service tests (src/infer + the operator-stock half of
  * src/svc):
  *
- *  - infer wire handshake round trips and rejects structurally bad
- *    hellos (magic, model, width, batch, params, session ids);
- *  - THE acceptance criterion: served inference over loopback TCP
- *    reconstructs outputs BIT-IDENTICAL to the in-process
- *    MlpRunner/FerretCotEngine path (ppml::runLocalMlpInference) for
- *    2 model-zoo networks x 2 bitwidths each, with BOTH supply kinds
- *    (per-session FerretCotEngine and reservoir-fed via the attached
- *    COT service) — and within the truncation bound of the plaintext
- *    reference;
- *  - concurrent sessions of mixed supply kinds all reconstruct
- *    correctly;
+ *  - infer wire handshake round trips at its exact v4 size and
+ *    rejects structurally bad hellos (magic, version, model, width,
+ *    batch, depth, session ids);
+ *  - THE acceptance criterion: served inference over loopback TCP,
+ *    reservoir-fed via the attached COT service, reconstructs outputs
+ *    BIT-IDENTICAL to the in-process MlpRunner/FerretCotEngine path
+ *    (ppml::runLocalMlpInference) for 2 model-zoo networks x 2
+ *    bitwidths each — and within the truncation bound of the
+ *    plaintext reference;
+ *  - concurrent sessions all reconstruct correctly;
+ *  - a server without an operator stock refuses every hello typed and
+ *    keeps accepting;
  *  - invariant 13 (DESIGN.md): serving a second wave of reservoir-fed
  *    sessions constructs no new OT engines — the COT service's warm
  *    pool covers session churn.
@@ -25,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -35,6 +37,7 @@
 #include "net/channel.h"
 #include "ppml/mlp_runner.h"
 #include "ppml/model_zoo.h"
+#include "served_stack.h"
 #include "svc/cot_server.h"
 #include "svc/operator_stock.h"
 
@@ -51,11 +54,9 @@ TEST(InferWireTest, HelloAcceptRoundTrip)
 {
     net::MemoryDuplex duplex;
     InferHello h;
-    h.supply = SupplyKind::Reservoir;
     h.modelId = ppml::inferenceZoo().front().id;
     h.width = 32;
     h.batch = 7;
-    h.setupSeed = 0x1234;
     h.sendSessionId = 11;
     h.recvSessionId = 12;
     h.depth = 6;
@@ -67,7 +68,6 @@ TEST(InferWireTest, HelloAcceptRoundTrip)
     InferHello got;
     ASSERT_EQ(recvInferHello(duplex.b(), &got), InferStatus::Ok);
     EXPECT_EQ(got.version, kInferWireVersion);
-    EXPECT_EQ(got.supply, h.supply);
     EXPECT_EQ(got.modelId, h.modelId);
     EXPECT_EQ(got.width, h.width);
     EXPECT_EQ(got.batch, h.batch);
@@ -87,6 +87,19 @@ TEST(InferWireTest, HelloAcceptRoundTrip)
     EXPECT_EQ(a.depth, 6);
     EXPECT_EQ(a.flags, kInferFlagStreamCommit);
     EXPECT_EQ(a.sessionId, 99u);
+
+    // Exact v4 sizes: the 6-byte magic+version prefix, the 29-byte body
+    // (width, model, batch, both COT sids, depth, flags), and the
+    // 9-byte trace trailer only when the flag is set.
+    auto helloBytes = [&](uint16_t flags) {
+        net::MemoryDuplex d;
+        InferHello x = h;
+        x.flags = flags;
+        sendInferHello(d.a(), x);
+        return d.a().bytesSent();
+    };
+    EXPECT_EQ(helloBytes(0), 35u);
+    EXPECT_EQ(helloBytes(kInferFlagTrace), 35u + 9u);
 }
 
 TEST(InferWireTest, RejectsStructurallyBadHellos)
@@ -97,8 +110,8 @@ TEST(InferWireTest, RejectsStructurallyBadHellos)
         h.modelId = ppml::inferenceZoo().front().id;
         h.width = 32;
         h.batch = 1;
-        h.supply = SupplyKind::Engine;
-        h.params = svc::WireParams::of(ot::tinyTestParams());
+        h.sendSessionId = 1;
+        h.recvSessionId = 2;
         mutate(h);
         sendInferHello(duplex.a(), h);
         InferHello got;
@@ -110,25 +123,17 @@ TEST(InferWireTest, RejectsStructurallyBadHellos)
     reject([](InferHello &h) { h.width = 63; }, InferStatus::BadWidth);
     reject([](InferHello &h) { h.batch = 0; }, InferStatus::BadBatch);
     reject([](InferHello &h) { h.depth = 0; }, InferStatus::BadDepth);
-    // The retired v1/v2 dialects and any future one: typed at the
+    // The retired v1/v2/v3 dialects and any future one: typed at the
     // handshake, never a desynchronised transcript.
-    for (const uint16_t v : {1, 2, 7})
+    for (const uint16_t v : {1, 2, 3, 7})
         reject([v](InferHello &h) { h.version = v; },
                InferStatus::BadVersion);
-    reject([](InferHello &h) { h.params.k = h.params.n; },
-           InferStatus::BadParams);
-    reject(
-        [](InferHello &h) {
-            h.supply = SupplyKind::Reservoir;
-            h.sendSessionId = 0;
-        },
-        InferStatus::BadSupply);
-    reject(
-        [](InferHello &h) {
-            h.supply = SupplyKind::Reservoir;
-            h.sendSessionId = h.recvSessionId = 5;
-        },
-        InferStatus::BadSupply);
+    reject([](InferHello &h) { h.sendSessionId = 0; },
+           InferStatus::BadSupply);
+    reject([](InferHello &h) { h.recvSessionId = 0; },
+           InferStatus::BadSupply);
+    reject([](InferHello &h) { h.sendSessionId = h.recvSessionId = 5; },
+           InferStatus::BadSupply);
     {
         // Bad magic: enough junk bytes for one whole hello.
         net::MemoryDuplex duplex;
@@ -185,8 +190,8 @@ expectServedMatchesLocal(InferClient &client, const MlpModelSpec &spec,
     for (int r = 0; r < kRequests; ++r) {
         const std::vector<int64_t> served = client.infer(reqs[r]);
         // Bit-identity with the in-process path: the GMW shares are
-        // deterministic given the input shares, so supply kind and
-        // transport must not change a single output bit.
+        // deterministic given the input shares, so the correlation
+        // supply and transport must not change a single output bit.
         ASSERT_EQ(served, local.outputs[r])
             << spec.name << " w" << width << " request " << r;
         // And sanity against plaintext, within the truncation bound.
@@ -199,45 +204,9 @@ expectServedMatchesLocal(InferClient &client, const MlpModelSpec &spec,
     }
 }
 
-TEST(InferServiceTest, EngineSupplyBitIdenticalToLocal)
-{
-    InferServer server;
-    const uint16_t port = server.listenTcp(0);
-
-    for (const GridPoint &g : kGrid) {
-        const MlpModelSpec &spec = *ppml::findMlpModel(g.model);
-        InferClient::Options opt;
-        opt.modelId = spec.id;
-        opt.width = g.width;
-        opt.batch = kBatch;
-        opt.supply = SupplyKind::Engine;
-        opt.setupSeed = kSetupSeed;
-        opt.shareSeed = kShareSeed;
-        auto client = InferClient::connectTcp("127.0.0.1", port, opt);
-        expectServedMatchesLocal(*client, spec, g.width);
-        EXPECT_EQ(client->requestsRun(), uint64_t(kRequests));
-        EXPECT_GT(client->cotsConsumed(), 0u);
-        client->close();
-    }
-    server.stop();
-    EXPECT_EQ(server.sessionsServed(),
-              sizeof(kGrid) / sizeof(kGrid[0]));
-    EXPECT_EQ(server.imagesServed(),
-              uint64_t(kRequests) * kBatch *
-                  (sizeof(kGrid) / sizeof(kGrid[0])));
-}
-
 TEST(InferServiceTest, ReservoirSupplyBitIdenticalToLocal)
 {
-    svc::OperatorStock stock; // outlives both servers
-    svc::CotServer cot;
-    stock.attach(cot);
-    const uint16_t cot_port = cot.listenTcp(0);
-
-    InferServer server;
-    server.attachOperatorStock(stock);
-    const uint16_t port = server.listenTcp(0);
-
+    ServedStack stack;
     for (const GridPoint &g : kGrid) {
         const MlpModelSpec &spec = *ppml::findMlpModel(g.model);
         InferClient::Options opt;
@@ -246,30 +215,24 @@ TEST(InferServiceTest, ReservoirSupplyBitIdenticalToLocal)
         opt.batch = kBatch;
         opt.setupSeed = kSetupSeed + g.width; // distinct COT sessions
         opt.shareSeed = kShareSeed;
-        auto client = InferClient::connectTcpReservoir(
-            "127.0.0.1", port, "127.0.0.1", cot_port, opt);
-        EXPECT_EQ(client->supply(), SupplyKind::Reservoir);
+        auto client = stack.dial(opt);
         expectServedMatchesLocal(*client, spec, g.width);
+        EXPECT_EQ(client->requestsRun(), uint64_t(kRequests));
+        EXPECT_GT(client->cotsConsumed(), 0u);
         EXPECT_GT(client->preprocBytesSent(), 0u);
         client->close();
     }
-    server.stop();
-    cot.stop();
-    EXPECT_EQ(server.sessionsServed(),
+    stack.stop();
+    EXPECT_EQ(stack.server.sessionsServed(),
               sizeof(kGrid) / sizeof(kGrid[0]));
+    EXPECT_EQ(stack.server.imagesServed(),
+              uint64_t(kRequests) * kBatch *
+                  (sizeof(kGrid) / sizeof(kGrid[0])));
 }
 
-TEST(InferServiceTest, ConcurrentMixedSupplySessions)
+TEST(InferServiceTest, ConcurrentReservoirSessions)
 {
-    svc::OperatorStock stock;
-    svc::CotServer cot;
-    stock.attach(cot);
-    const uint16_t cot_port = cot.listenTcp(0);
-
-    InferServer server;
-    server.attachOperatorStock(stock);
-    const uint16_t port = server.listenTcp(0);
-
+    ServedStack stack;
     const MlpModelSpec &spec = *ppml::findMlpModel("mlp-16x8x4");
     constexpr int kClients = 4;
     std::vector<std::thread> clients;
@@ -282,12 +245,7 @@ TEST(InferServiceTest, ConcurrentMixedSupplySessions)
             opt.batch = 2;
             opt.setupSeed = 4000 + i;
             opt.shareSeed = 5000 + i;
-            auto client =
-                i % 2 == 0
-                    ? InferClient::connectTcp("127.0.0.1", port, opt)
-                    : InferClient::connectTcpReservoir(
-                          "127.0.0.1", port, "127.0.0.1", cot_port,
-                          opt);
+            auto client = stack.dial(opt);
             const std::vector<int64_t> input =
                 ppml::sampleMlpInput(spec, 6000 + i, 2);
             const std::vector<int64_t> served = client->infer(input);
@@ -304,42 +262,42 @@ TEST(InferServiceTest, ConcurrentMixedSupplySessions)
         th.join();
     for (int i = 0; i < kClients; ++i)
         EXPECT_TRUE(ok[i]) << "client " << i;
-    server.stop();
-    cot.stop();
-    EXPECT_EQ(server.sessionsServed(), uint64_t(kClients));
+    stack.stop();
+    EXPECT_EQ(stack.server.sessionsServed(), uint64_t(kClients));
 }
 
 // ---------------------------------------------------------------------------
 // Server policy + operator-stock robustness
 // ---------------------------------------------------------------------------
 
-TEST(InferServiceTest, EngineParamsAllowlistRejectsUnlisted)
+TEST(InferServiceTest, ServerWithoutStockRejectsEveryHello)
 {
-    InferServer::Config cfg;
-    cfg.engineParamsAllowlist = {ot::tinyAlignedParams()};
-    InferServer server(cfg);
+    // No attachOperatorStock: there is no correlation supply to serve
+    // from, so even a well-formed hello gets the typed BadSupply — and
+    // the server keeps accepting, answering the next hello the same.
+    InferServer server;
     const uint16_t port = server.listenTcp(0);
-
-    InferClient::Options opt;
-    opt.modelId = ppml::inferenceZoo().front().id;
-    opt.params = ot::tinyTestParams(); // valid but unlisted
-    try {
-        auto client = InferClient::connectTcp("127.0.0.1", port, opt);
-        FAIL() << "unlisted engine params must be rejected";
-    } catch (const std::runtime_error &e) {
-        EXPECT_NE(std::string(e.what()).find("params not allowed"),
-                  std::string::npos)
-            << e.what();
+    for (uint64_t attempt = 1; attempt <= 2; ++attempt) {
+        auto ch = net::tcpConnect("127.0.0.1", port);
+        InferHello h;
+        h.modelId = ppml::inferenceZoo().front().id;
+        h.width = 32;
+        h.batch = 1;
+        h.sendSessionId = 10 * attempt + 1;
+        h.recvSessionId = 10 * attempt + 2;
+        sendInferHello(*ch, h);
+        ch->flush();
+        EXPECT_EQ(recvInferAccept(*ch).status, InferStatus::BadSupply)
+            << "hello " << attempt;
+        // The session thread counts the reject after its accept left.
+        for (int spin = 0;
+             spin < 5000 && server.sessionsRejected() < attempt; ++spin)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        EXPECT_EQ(server.sessionsRejected(), attempt);
     }
-
-    opt.params = ot::tinyAlignedParams();
-    auto client = InferClient::connectTcp("127.0.0.1", port, opt);
-    (void)client->infer(ppml::sampleMlpInput(
-        *ppml::findMlpModel(opt.modelId), 1, 1));
-    client->close();
     server.stop();
-    EXPECT_EQ(server.sessionsServed(), 1u);
-    EXPECT_EQ(server.sessionsRejected(), 1u);
+    EXPECT_EQ(server.sessionsServed(), 0u);
+    EXPECT_EQ(server.sessionsRejected(), 2u);
 }
 
 TEST(OperatorStockTest, TakeTimesOutOnDeadProducer)
@@ -363,19 +321,12 @@ TEST(OperatorStockTest, TakeTimesOutOnDeadProducer)
 
 TEST(InferServiceTest, ForeignOrBogusCotSessionsRejectedAtHandshake)
 {
-    svc::OperatorStock stock;
-    svc::CotServer cot;
-    stock.attach(cot);
-    const uint16_t cot_port = cot.listenTcp(0);
-    InferServer server;
-    server.attachOperatorStock(stock);
-    const uint16_t port = server.listenTcp(0);
+    ServedStack stack;
 
-    // Reservoir hello naming sessions that do not exist: a clean
-    // wire-level reject, not a stock-wait timeout.
-    auto ch = net::tcpConnect("127.0.0.1", port);
+    // A hello naming sessions that do not exist: a clean wire-level
+    // reject, not a stock-wait timeout.
+    auto ch = net::tcpConnect("127.0.0.1", stack.port);
     InferHello h;
-    h.supply = SupplyKind::Reservoir;
     h.modelId = ppml::inferenceZoo().front().id;
     h.width = 32;
     h.batch = 1;
@@ -387,12 +338,10 @@ TEST(InferServiceTest, ForeignOrBogusCotSessionsRejectedAtHandshake)
               InferStatus::ForeignSession);
     ch.reset();
 
-    // Live sids of the right owner still admit (the whole reservoir
+    // Live sids of the right owner still admit (the whole served
     // grid exercises this; here just confirm the counter).
-    (void)cot_port;
-    server.stop();
-    cot.stop();
-    EXPECT_EQ(server.sessionsRejected(), 1u);
+    stack.stop();
+    EXPECT_EQ(stack.server.sessionsRejected(), 1u);
 }
 
 TEST(OperatorStockTest, SessionEndFreesUnclaimedResidue)
@@ -447,15 +396,9 @@ TEST(OperatorStockTest, ShutdownWakesBlockedTaker)
 
 TEST(InferServiceTest, ReservoirSessionChurnReusesWarmEngines)
 {
-    svc::OperatorStock stock;
-    svc::CotServer cot;
-    stock.attach(cot);
-    const uint16_t cot_port = cot.listenTcp(0);
-
-    InferServer server;
-    server.attachOperatorStock(stock);
-    const uint16_t port = server.listenTcp(0);
-
+    ServedStack stack;
+    svc::CotServer &cot = stack.cot;
+    InferServer &server = stack.server;
     const MlpModelSpec &spec = *ppml::findMlpModel("mlp-12x6x3");
     // A session's engine returns to the pool when its (asynchronous)
     // server-side epilogue runs; the next wave may only start once the
@@ -479,8 +422,7 @@ TEST(InferServiceTest, ReservoirSessionChurnReusesWarmEngines)
         opt.width = 16;
         opt.batch = 1;
         opt.setupSeed = seed;
-        auto client = InferClient::connectTcpReservoir(
-            "127.0.0.1", port, "127.0.0.1", cot_port, opt);
+        auto client = stack.dial(opt);
         (void)client->infer(ppml::sampleMlpInput(spec, seed, 1));
         client->close();
     };
@@ -501,9 +443,6 @@ TEST(InferServiceTest, ReservoirSessionChurnReusesWarmEngines)
         << "invariant 13: later inference sessions must reuse warm "
            "engines, not construct";
     EXPECT_EQ(server.sessionsServed(), 3u);
-
-    server.stop();
-    cot.stop();
 }
 
 } // namespace

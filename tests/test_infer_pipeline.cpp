@@ -4,15 +4,15 @@
  * request-level pipelining.
  *
  *  - Served sessions on the packed wire reconstruct outputs equal to
- *    the in-process reference (DESIGN.md invariant 14) across models,
- *    widths 8-32 and both supply kinds.
+ *    the in-process reference (DESIGN.md invariant 14) across models
+ *    and widths 8-32, under one byte per chosen OT.
  *  - A depth-k pipelined session equals the GROUPED local reference —
  *    runLocalMlpInference over the concatenated requests — bit for
  *    bit. (Grouping changes the mask-tape tweak sequence, so the
  *    per-request sequential reference only agrees within the dense
  *    truncation bound; on the fracBits-0 zoo entry both are exact.)
- *  - A hello in a retired dialect (v1, v2) is refused with a typed
- *    BadVersion, and the server serves the next session.
+ *  - A hello in a retired dialect (v1, v2, v3) is refused with a
+ *    typed BadVersion, and the server serves the next session.
  *  - Malformed or protocol-violating byte streams reject cleanly and
  *    never poison the server for the next well-formed session.
  */
@@ -29,8 +29,7 @@
 #include "net/socket_channel.h"
 #include "ppml/mlp_runner.h"
 #include "ppml/model_zoo.h"
-#include "svc/cot_server.h"
-#include "svc/operator_stock.h"
+#include "served_stack.h"
 
 namespace ironman::infer {
 namespace {
@@ -78,13 +77,7 @@ constexpr PackGridPoint kPackGrid[] = {
 
 TEST(InferPackingTest, PackedGridBitIdenticalToLocal)
 {
-    svc::OperatorStock stock;
-    svc::CotServer cot;
-    stock.attach(cot);
-    const uint16_t cot_port = cot.listenTcp(0);
-    InferServer server;
-    server.attachOperatorStock(stock);
-    const uint16_t port = server.listenTcp(0);
+    ServedStack stack;
     constexpr uint32_t kBatch = 2;
     constexpr int kCount = 2;
 
@@ -95,47 +88,35 @@ TEST(InferPackingTest, PackedGridBitIdenticalToLocal)
             spec, g.width, reqs, kShareSeed, kSetupSeed,
             ot::tinyTestParams());
 
-        for (const SupplyKind supply :
-             {SupplyKind::Engine, SupplyKind::Reservoir}) {
-            InferClient::Options opt;
-            opt.modelId = spec.id;
-            opt.width = g.width;
-            opt.batch = kBatch;
-            opt.setupSeed = kSetupSeed;
-            opt.shareSeed = kShareSeed;
-            auto client =
-                supply == SupplyKind::Reservoir
-                    ? InferClient::connectTcpReservoir(
-                          "127.0.0.1", port, "127.0.0.1", cot_port, opt)
-                    : InferClient::connectTcp("127.0.0.1", port, opt);
-            const uint64_t base_bytes =
-                client->onlineBytesSent() + client->onlineBytesReceived();
-            for (int r = 0; r < kCount; ++r)
-                ASSERT_EQ(client->infer(reqs[r]), local.outputs[r])
-                    << spec.name << " w" << g.width << " "
-                    << supplyKindName(supply) << " request " << r;
-            // Packed bytes, not just packed-equal outputs: an image runs
-            // cotsPerImage chosen OTs in each direction. An AND-gate OT
-            // (the bulk) ships three bits and a MUX OT 2*width+1, so the
-            // packed wire stays under one byte per OT including the
-            // share tensors; the Block-wide codec ships 32. Only the
-            // reservoir row: engine supply extends on this channel.
-            if (supply == SupplyKind::Reservoir) {
-                const double bytes_per_image =
-                    double(client->onlineBytesSent() +
-                           client->onlineBytesReceived() - base_bytes) /
-                    double(kCount * kBatch);
-                EXPECT_LE(bytes_per_image,
-                          2.0 * double(spec.cotsPerImage(g.width)))
-                    << spec.name << " w" << g.width;
-            }
-            client->close();
-        }
+        InferClient::Options opt;
+        opt.modelId = spec.id;
+        opt.width = g.width;
+        opt.batch = kBatch;
+        opt.setupSeed = kSetupSeed;
+        opt.shareSeed = kShareSeed;
+        auto client = stack.dial(opt);
+        const uint64_t base_bytes =
+            client->onlineBytesSent() + client->onlineBytesReceived();
+        for (int r = 0; r < kCount; ++r)
+            ASSERT_EQ(client->infer(reqs[r]), local.outputs[r])
+                << spec.name << " w" << g.width << " request " << r;
+        // Packed bytes, not just packed-equal outputs: an image runs
+        // cotsPerImage chosen OTs in each direction. An AND-gate OT (the
+        // bulk) ships three bits and a MUX OT 2*width+1, so the packed
+        // wire stays under one byte per OT including the share tensors;
+        // the Block-wide codec ships 32. Correlations ride the COT
+        // sessions, so the inference channel carries online bytes only.
+        const double bytes_per_image =
+            double(client->onlineBytesSent() +
+                   client->onlineBytesReceived() - base_bytes) /
+            double(kCount * kBatch);
+        EXPECT_LE(bytes_per_image, 2.0 * double(spec.cotsPerImage(g.width)))
+            << spec.name << " w" << g.width;
+        client->close();
     }
-    server.stop();
-    cot.stop();
-    EXPECT_EQ(server.sessionsServed(),
-              2 * sizeof(kPackGrid) / sizeof(kPackGrid[0]));
+    stack.stop();
+    EXPECT_EQ(stack.server.sessionsServed(),
+              sizeof(kPackGrid) / sizeof(kPackGrid[0]));
 }
 
 // ---------------------------------------------------------------------------
@@ -144,8 +125,7 @@ TEST(InferPackingTest, PackedGridBitIdenticalToLocal)
 
 TEST(InferPipelineTest, DepthEightMatchesGroupedLocalReference)
 {
-    InferServer server;
-    const uint16_t port = server.listenTcp(0);
+    ServedStack stack;
     constexpr int kDepth = 8;
     constexpr uint32_t kBatch = 1;
 
@@ -180,7 +160,7 @@ TEST(InferPipelineTest, DepthEightMatchesGroupedLocalReference)
         opt.setupSeed = kSetupSeed;
         opt.shareSeed = kShareSeed;
         opt.depth = kDepth;
-        auto client = InferClient::connectTcp("127.0.0.1", port, opt);
+        auto client = stack.dial(opt);
         ASSERT_EQ(client->negotiatedDepth(), kDepth);
 
         std::vector<uint32_t> tags;
@@ -213,14 +193,13 @@ TEST(InferPipelineTest, DepthEightMatchesGroupedLocalReference)
         EXPECT_EQ(client->requestsRun(), uint64_t(kDepth));
         client->close();
     }
-    server.stop();
-    EXPECT_EQ(server.imagesServed(), uint64_t(2 * kDepth * kBatch));
+    stack.stop();
+    EXPECT_EQ(stack.server.imagesServed(), uint64_t(2 * kDepth * kBatch));
 }
 
 TEST(InferPipelineTest, PartialGroupCommitsOnCollectAndClose)
 {
-    InferServer server;
-    const uint16_t port = server.listenTcp(0);
+    ServedStack stack;
     const MlpModelSpec &spec = *ppml::findMlpModel("mlp-4x3x2");
     const auto reqs = makeRequests(spec, 1, 3);
     const ppml::LocalMlpResult grouped = ppml::runLocalMlpInference(
@@ -234,7 +213,7 @@ TEST(InferPipelineTest, PartialGroupCommitsOnCollectAndClose)
     opt.setupSeed = kSetupSeed;
     opt.shareSeed = kShareSeed;
     opt.depth = 8; // deeper than we fill: collect() must flush
-    auto client = InferClient::connectTcp("127.0.0.1", port, opt);
+    auto client = stack.dial(opt);
     for (const auto &r : reqs)
         client->submit(r);
     ASSERT_EQ(client->inFlight(), 3u);
@@ -247,16 +226,15 @@ TEST(InferPipelineTest, PartialGroupCommitsOnCollectAndClose)
                                    grouped.outputs[0].begin() + out));
     // close() drains the rest implicitly; no hang, no protocol error.
     client->close();
-    server.stop();
-    EXPECT_EQ(server.requestsServed(), 3u);
+    stack.stop();
+    EXPECT_EQ(stack.server.requestsServed(), 3u);
 }
 
 TEST(InferPipelineTest, ServerClampsRequestedDepth)
 {
     InferServer::Config cfg;
     cfg.maxDepth = 2;
-    InferServer server(cfg);
-    const uint16_t port = server.listenTcp(0);
+    ServedStack stack(cfg);
 
     const MlpModelSpec &spec = *ppml::findMlpModel("mlp-4x3x2");
     InferClient::Options opt;
@@ -266,7 +244,7 @@ TEST(InferPipelineTest, ServerClampsRequestedDepth)
     opt.setupSeed = kSetupSeed;
     opt.shareSeed = kShareSeed;
     opt.depth = 8;
-    auto client = InferClient::connectTcp("127.0.0.1", port, opt);
+    auto client = stack.dial(opt);
     EXPECT_EQ(client->negotiatedDepth(), 2);
 
     // Five submissions through a depth-2 window: auto-commit keeps the
@@ -276,8 +254,8 @@ TEST(InferPipelineTest, ServerClampsRequestedDepth)
         client->submit(r);
     EXPECT_EQ(client->drain().size(), 5u);
     client->close();
-    server.stop();
-    EXPECT_EQ(server.requestsServed(), 5u);
+    stack.stop();
+    EXPECT_EQ(stack.server.requestsServed(), 5u);
 }
 
 // ---------------------------------------------------------------------------
@@ -286,20 +264,21 @@ TEST(InferPipelineTest, ServerClampsRequestedDepth)
 
 TEST(InferPipelineTest, RetiredDialectHellosGetBadVersion)
 {
-    InferServer server;
-    const uint16_t port = server.listenTcp(0);
+    ServedStack stack;
     const MlpModelSpec &spec = *ppml::findMlpModel("mlp-4x3x2");
 
-    // A stale peer would run the Block-wide wire (v1) or negotiate
-    // packing/comparison per session (v2): refused before any online
-    // byte, with the typed status, not a desynchronised transcript.
-    for (const uint16_t version : {1, 2}) {
-        auto ch = net::tcpConnect("127.0.0.1", port);
+    // A stale peer would run the Block-wide wire (v1), negotiate
+    // packing/comparison per session (v2) or ask for an engine on this
+    // channel (v3): refused before any online byte, with the typed
+    // status, not a desynchronised transcript.
+    for (const uint16_t version : {1, 2, 3}) {
+        auto ch = net::tcpConnect("127.0.0.1", stack.port);
         InferHello h;
         h.version = version;
         h.modelId = spec.id;
         h.width = 8;
-        h.params = svc::WireParams::of(ot::tinyTestParams());
+        h.sendSessionId = 1;
+        h.recvSessionId = 2;
         sendInferHello(*ch, h);
         ch->flush();
         EXPECT_EQ(recvInferAccept(*ch).status, InferStatus::BadVersion)
@@ -315,12 +294,12 @@ TEST(InferPipelineTest, RetiredDialectHellosGetBadVersion)
     opt.width = 8;
     opt.setupSeed = kSetupSeed;
     opt.shareSeed = kShareSeed;
-    auto client = InferClient::connectTcp("127.0.0.1", port, opt);
+    auto client = stack.dial(opt);
     EXPECT_EQ(client->infer(reqs[0]), local.outputs[0]);
     client->close();
-    server.stop();
-    EXPECT_EQ(server.sessionsRejected(), 2u);
-    EXPECT_EQ(server.sessionsServed(), 1u);
+    stack.stop();
+    EXPECT_EQ(stack.server.sessionsRejected(), 3u);
+    EXPECT_EQ(stack.server.sessionsServed(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -331,18 +310,17 @@ TEST(InferPipelineTest, MalformedStreamsRejectCleanlyAndServerSurvives)
 {
     InferServer::Config cfg;
     cfg.maxDepth = 2;
-    InferServer server(cfg);
-    const uint16_t port = server.listenTcp(0);
+    ServedStack stack(cfg);
+    const uint16_t port = stack.port;
     const MlpModelSpec &spec = *ppml::findMlpModel("mlp-4x3x2");
 
     auto goodHello = [&] {
         InferHello h;
-        h.supply = SupplyKind::Engine;
         h.modelId = spec.id;
         h.width = 8;
         h.batch = 1;
-        h.setupSeed = kSetupSeed;
-        h.params = svc::WireParams::of(ot::tinyTestParams());
+        h.sendSessionId = 1;
+        h.recvSessionId = 2;
         h.depth = 2;
         return h;
     };
@@ -383,12 +361,18 @@ TEST(InferPipelineTest, MalformedStreamsRejectCleanlyAndServerSurvives)
     });
 
     // Post-accept violations: the session dies, the server lives. The
-    // Engine handshake primes interactively, so a client that will
-    // violate the protocol must still play the engine setup first —
-    // cheaper to probe with garbage right after the accept instead.
+    // accepted session goes straight to the op loop (correlations ride
+    // the COT sessions), so each probe hits the opcode parser. Each
+    // probe names two fresh live COT sessions of this peer: a session
+    // end drops its sids from the stock.
+    uint64_t cot_seed = kSetupSeed;
     auto probeAfterAccept = [&](const char *what, auto send) {
+        auto [send_cot, recv_cot] = stack.cotSessions(cot_seed += 2);
         auto ch = net::tcpConnect("127.0.0.1", port);
-        sendInferHello(*ch, goodHello());
+        InferHello h = goodHello();
+        h.sendSessionId = send_cot->sessionId();
+        h.recvSessionId = recv_cot->sessionId();
+        sendInferHello(*ch, h);
         const InferAccept a = recvInferAccept(*ch);
         ASSERT_EQ(a.status, InferStatus::Ok) << what;
         send(*ch);
@@ -398,7 +382,7 @@ TEST(InferPipelineTest, MalformedStreamsRejectCleanlyAndServerSurvives)
             // The server may already have torn the session down.
         }
     };
-    // 5. Garbage opcode instead of the engine handshake.
+    // 5. Garbage opcode instead of a request.
     probeAfterAccept("garbage opcode", [](net::SocketChannel &ch) {
         uint8_t op = 0xEE;
         ch.sendBytes(&op, 1);
@@ -432,7 +416,7 @@ TEST(InferPipelineTest, MalformedStreamsRejectCleanlyAndServerSurvives)
     opt.setupSeed = kSetupSeed;
     opt.shareSeed = kShareSeed;
     opt.depth = 2;
-    auto client = InferClient::connectTcp("127.0.0.1", port, opt);
+    auto client = stack.dial(opt);
     const auto reqs = makeRequests(spec, 1, 2);
     const ppml::LocalMlpResult grouped = ppml::runLocalMlpInference(
         spec, 8, {concatRequests(reqs)}, kShareSeed, kSetupSeed,
@@ -448,11 +432,11 @@ TEST(InferPipelineTest, MalformedStreamsRejectCleanlyAndServerSurvives)
                       grouped.outputs[0].begin() + r * out,
                       grouped.outputs[0].begin() + (r + 1) * out));
     client->close();
-    server.stop();
+    stack.stop();
     // Steps 2-4 reject at the handshake; the truncated hello and the
     // post-accept violations abort without counting either way.
-    EXPECT_GE(server.sessionsRejected(), 3u);
-    EXPECT_GE(server.sessionsServed(), 1u);
+    EXPECT_GE(stack.server.sessionsRejected(), 3u);
+    EXPECT_GE(stack.server.sessionsServed(), 1u);
 }
 
 } // namespace

@@ -12,7 +12,7 @@
  *    acceptance bound).
  *  - Streaming commits evaluate the same depth-sized groups as the
  *    non-streaming client, so served outputs equal the grouped local
- *    reference bit for bit — engine and reservoir supplies alike.
+ *    reference bit for bit.
  *  - Malformed streaming commits (count 0, count > pending, frame
  *    floods past the 2x-depth window) kill the session, not the
  *    server.
@@ -27,6 +27,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
@@ -40,8 +41,7 @@
 #include "ppml/mlp_runner.h"
 #include "ppml/model_zoo.h"
 #include "ppml/secure_compute.h"
-#include "svc/cot_server.h"
-#include "svc/operator_stock.h"
+#include "served_stack.h"
 
 namespace ironman::infer {
 namespace {
@@ -210,13 +210,7 @@ TEST(RoundChainTest, MeasuredRoundsMatchCostModel)
 
 TEST(RoundChainTest, StreamingServedMatchesGroupedReference)
 {
-    svc::OperatorStock stock;
-    svc::CotServer cot;
-    stock.attach(cot);
-    const uint16_t cot_port = cot.listenTcp(0);
-    InferServer server;
-    server.attachOperatorStock(stock);
-    const uint16_t port = server.listenTcp(0);
+    ServedStack stack;
 
     const MlpModelSpec &spec = *ppml::findMlpModel("mlp-16x8x4");
     constexpr unsigned kWidth = 32;
@@ -236,50 +230,6 @@ TEST(RoundChainTest, StreamingServedMatchesGroupedReference)
         ot::tinyTestParams());
     const size_t req_out = spec.outputDim();
 
-    for (const SupplyKind supply :
-         {SupplyKind::Engine, SupplyKind::Reservoir}) {
-        InferClient::Options opt;
-        opt.modelId = spec.id;
-        opt.width = kWidth;
-        opt.batch = 1;
-        opt.setupSeed = kSetupSeed;
-        opt.shareSeed = kShareSeed;
-        opt.depth = kDepth;
-        opt.streamCommit = true;
-        auto client =
-            supply == SupplyKind::Reservoir
-                ? InferClient::connectTcpReservoir(
-                      "127.0.0.1", port, "127.0.0.1", cot_port, opt)
-                : InferClient::connectTcp("127.0.0.1", port, opt);
-        ASSERT_TRUE(client->streaming());
-        ASSERT_EQ(client->negotiatedDepth(), kDepth);
-
-        std::vector<uint32_t> tags;
-        for (int r = 0; r < kCount; ++r)
-            tags.push_back(client->submit(reqs[r]));
-        // Streaming streams AHEAD of the window: after 6 submissions
-        // two groups committed ({0,1} at the 4th, {2,3} at the 6th)
-        // and {4,5} is still pending — more than a non-streaming
-        // client could ever hold after submit() returns.
-        EXPECT_EQ(client->inFlight(), size_t(kDepth));
-
-        const auto results = client->drain();
-        ASSERT_EQ(results.size(), size_t(kCount));
-        for (int r = 0; r < kCount; ++r) {
-            EXPECT_EQ(results[r].tag, tags[r]);
-            const auto &group_out = grouped.outputs[r / kDepth];
-            const size_t off = size_t(r % kDepth) * req_out;
-            EXPECT_EQ(results[r].outputs,
-                      std::vector<int64_t>(group_out.begin() + off,
-                                           group_out.begin() + off +
-                                               req_out))
-                << supplyKindName(supply) << " request " << r;
-        }
-        client->close();
-    }
-
-    // And streaming is purely a scheduling property: a non-streaming
-    // depth-2 session over the same seeds reconstructs the same bits.
     InferClient::Options opt;
     opt.modelId = spec.id;
     opt.width = kWidth;
@@ -287,7 +237,37 @@ TEST(RoundChainTest, StreamingServedMatchesGroupedReference)
     opt.setupSeed = kSetupSeed;
     opt.shareSeed = kShareSeed;
     opt.depth = kDepth;
-    auto plainClient = InferClient::connectTcp("127.0.0.1", port, opt);
+    opt.streamCommit = true;
+    auto client = stack.dial(opt);
+    ASSERT_TRUE(client->streaming());
+    ASSERT_EQ(client->negotiatedDepth(), kDepth);
+
+    std::vector<uint32_t> tags;
+    for (int r = 0; r < kCount; ++r)
+        tags.push_back(client->submit(reqs[r]));
+    // Streaming streams AHEAD of the window: after 6 submissions two
+    // groups committed ({0,1} at the 4th, {2,3} at the 6th) and {4,5}
+    // is still pending — more than a non-streaming client could ever
+    // hold after submit() returns.
+    EXPECT_EQ(client->inFlight(), size_t(kDepth));
+
+    const auto results = client->drain();
+    ASSERT_EQ(results.size(), size_t(kCount));
+    for (int r = 0; r < kCount; ++r) {
+        EXPECT_EQ(results[r].tag, tags[r]);
+        const auto &group_out = grouped.outputs[r / kDepth];
+        const size_t off = size_t(r % kDepth) * req_out;
+        EXPECT_EQ(results[r].outputs,
+                  std::vector<int64_t>(group_out.begin() + off,
+                                       group_out.begin() + off + req_out))
+            << "streaming request " << r;
+    }
+    client->close();
+
+    // And streaming is purely a scheduling property: a non-streaming
+    // depth-2 session over the same seeds reconstructs the same bits.
+    opt.streamCommit = false;
+    auto plainClient = stack.dial(opt);
     ASSERT_FALSE(plainClient->streaming());
     for (int r = 0; r < kCount; ++r)
         plainClient->submit(reqs[r]);
@@ -303,8 +283,6 @@ TEST(RoundChainTest, StreamingServedMatchesGroupedReference)
             << "non-streaming request " << r;
     }
     plainClient->close();
-    server.stop();
-    cot.stop();
 }
 
 // ---------------------------------------------------------------------------
@@ -315,38 +293,35 @@ TEST(RoundChainTest, MalformedStreamingCommitsKillSessionNotServer)
 {
     InferServer::Config cfg;
     cfg.maxDepth = 2;
-    InferServer server(cfg);
-    const uint16_t port = server.listenTcp(0);
+    ServedStack stack(cfg);
     const MlpModelSpec &spec = *ppml::findMlpModel("mlp-4x3x2");
 
-    // A hand-rolled streaming session that really reaches the op
-    // loop: play the hello AND the interactive engine priming, then
-    // misbehave. (The raw post-accept probes in test_infer_pipeline
-    // die inside engine setup instead, which never exercises the
-    // counted-commit validation.)
+    // A hand-rolled streaming session that reaches the op loop: a
+    // hello naming two live COT sessions of this peer, then misbehave.
+    // Fresh COT sessions per raw session: a session end drops its
+    // sids from the stock.
     struct RawSession
     {
+        std::unique_ptr<svc::CotClient> sendCot, recvCot;
         std::unique_ptr<net::SocketChannel> ch;
-        std::unique_ptr<ppml::FerretCotEngine> engine;
     };
+    uint64_t cot_seed = kSetupSeed;
     auto openStreaming = [&]() {
         RawSession s;
-        s.ch = net::tcpConnect("127.0.0.1", port);
+        std::tie(s.sendCot, s.recvCot) = stack.cotSessions(cot_seed += 2);
+        s.ch = net::tcpConnect("127.0.0.1", stack.port);
         InferHello h;
-        h.supply = SupplyKind::Engine;
         h.modelId = spec.id;
         h.width = 8;
         h.batch = 1;
-        h.setupSeed = kSetupSeed;
-        h.params = svc::WireParams::of(ot::tinyTestParams());
+        h.sendSessionId = s.sendCot->sessionId();
+        h.recvSessionId = s.recvCot->sessionId();
         h.depth = 2;
         h.flags = kInferFlagStreamCommit;
         sendInferHello(*s.ch, h);
         const InferAccept a = recvInferAccept(*s.ch);
         EXPECT_EQ(a.status, InferStatus::Ok);
         EXPECT_NE(a.flags & kInferFlagStreamCommit, 0);
-        s.engine = std::make_unique<ppml::FerretCotEngine>(
-            *s.ch, 0, ot::tinyTestParams(), kSetupSeed);
         return s;
     };
     const std::vector<uint64_t> x(spec.inputDim(), 1);
@@ -404,7 +379,7 @@ TEST(RoundChainTest, MalformedStreamingCommitsKillSessionNotServer)
     opt.shareSeed = kShareSeed;
     opt.depth = 2;
     opt.streamCommit = true;
-    auto client = InferClient::connectTcp("127.0.0.1", port, opt);
+    auto client = stack.dial(opt);
     ASSERT_TRUE(client->streaming());
     const auto reqs = makeRequests(spec, 1, 2);
     const ppml::LocalMlpResult grouped = ppml::runLocalMlpInference(
@@ -421,8 +396,8 @@ TEST(RoundChainTest, MalformedStreamingCommitsKillSessionNotServer)
                       grouped.outputs[0].begin() + r * out,
                       grouped.outputs[0].begin() + (r + 1) * out));
     client->close();
-    server.stop();
-    EXPECT_GE(server.sessionsServed(), 1u);
+    stack.stop();
+    EXPECT_GE(stack.server.sessionsServed(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -431,8 +406,7 @@ TEST(RoundChainTest, MalformedStreamingCommitsKillSessionNotServer)
 
 TEST(RoundChainTest, AutoDepthScalesWithMeasuredRtt)
 {
-    InferServer server; // maxDepth 32: the negotiated ceiling
-    const uint16_t port = server.listenTcp(0);
+    ServedStack stack; // maxDepth 32: the negotiated ceiling
     const MlpModelSpec &spec = *ppml::findMlpModel("mlp-16x8x4");
 
     InferClient::Options opt;
@@ -445,7 +419,7 @@ TEST(RoundChainTest, AutoDepthScalesWithMeasuredRtt)
     opt.depthBudgetUs = 2000; // wide margins for a noisy CI box
 
     // Fast link: loopback RTT against a 2 ms budget tunes shallow.
-    auto lan = InferClient::connectTcp("127.0.0.1", port, opt);
+    auto lan = stack.dial(opt);
     const uint16_t lan_depth = lan->negotiatedDepth();
     EXPECT_GE(lan_depth, 1u);
     // 7 rounds/group at w32: hitting 32 would need a ~9 ms
@@ -457,13 +431,12 @@ TEST(RoundChainTest, AutoDepthScalesWithMeasuredRtt)
     // Simulated WAN: >= 40 ms of injected RTT pins the ceiling.
     opt.simulatedDelayUs = 20000;
     opt.shareSeed = kShareSeed + 1;
-    auto wan = InferClient::connectTcp("127.0.0.1", port, opt);
+    auto wan = stack.dial(opt);
     EXPECT_GE(wan->measuredRttUs(), 20000u);
     const uint16_t wan_depth = wan->negotiatedDepth();
     EXPECT_EQ(wan_depth, 32u);
     EXPECT_GT(wan_depth, lan_depth);
     wan->close();
-    server.stop();
 }
 
 } // namespace

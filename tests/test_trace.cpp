@@ -42,6 +42,7 @@
 #include "ot/ferret_params.h"
 #include "ppml/mlp_runner.h"
 #include "ppml/model_zoo.h"
+#include "served_stack.h"
 
 namespace ironman::infer {
 namespace {
@@ -62,8 +63,8 @@ TEST(TraceWireTest, HelloCarriesTraceContext)
     h.modelId = ppml::inferenceZoo().front().id;
     h.width = 32;
     h.batch = 1;
-    h.supply = SupplyKind::Engine;
-    h.params = svc::WireParams::of(ot::tinyTestParams());
+    h.sendSessionId = 1;
+    h.recvSessionId = 2;
     h.flags = kInferFlagTrace;
     h.traceId = 0xabcdef0123456789ULL;
     h.traceSampled = 0;
@@ -98,8 +99,8 @@ TEST(TraceWireTest, FlaglessHelloHasNoTrailer)
         h.modelId = ppml::inferenceZoo().front().id;
         h.width = 32;
         h.batch = 1;
-        h.supply = SupplyKind::Engine;
-        h.params = svc::WireParams::of(ot::tinyTestParams());
+        h.sendSessionId = 1;
+        h.recvSessionId = 2;
         h.flags = flags;
         h.traceId = trace_id;
         sendInferHello(duplex.a(), h);
@@ -133,20 +134,18 @@ TEST(TraceWireTest, FlaglessAcceptHasNoClockTrailer)
 
 TEST(TraceServiceTest, NegotiationMatrixOverLoopback)
 {
-    InferServer server;
-    const uint16_t port = server.listenTcp(0);
+    ServedStack stack;
     const MlpModelSpec &spec = *ppml::findMlpModel("mlp-16x8x4");
 
     InferClient::Options opt;
     opt.modelId = spec.id;
     opt.width = 32;
     opt.batch = 1;
-    opt.supply = SupplyKind::Engine;
     opt.setupSeed = kSetupSeed;
 
     {
         // No trace flag: nothing negotiated.
-        auto c = InferClient::connectTcp("127.0.0.1", port, opt);
+        auto c = stack.dial(opt);
         EXPECT_FALSE(c->traceNegotiated());
         EXPECT_EQ(c->traceId(), 0u);
         c->close();
@@ -156,7 +155,7 @@ TEST(TraceServiceTest, NegotiationMatrixOverLoopback)
         // measured. Loopback + one shared steady clock => the offset
         // is bounded by the RTT, not by wall-clock skew.
         opt.traceWire = true;
-        auto c = InferClient::connectTcp("127.0.0.1", port, opt);
+        auto c = stack.dial(opt);
         EXPECT_TRUE(c->traceNegotiated());
         EXPECT_NE(c->traceId(), 0u);
         EXPECT_LE(std::llabs((long long)c->peerClockOffsetUs()),
@@ -166,13 +165,13 @@ TEST(TraceServiceTest, NegotiationMatrixOverLoopback)
     {
         // Explicit id propagates verbatim.
         opt.traceId = 0x5ca1ab1e;
-        auto c = InferClient::connectTcp("127.0.0.1", port, opt);
+        auto c = stack.dial(opt);
         EXPECT_TRUE(c->traceNegotiated());
         EXPECT_EQ(c->traceId(), 0x5ca1ab1eULL);
         c->close();
     }
-    server.stop();
-    EXPECT_EQ(server.sessionsServed(), 3u);
+    stack.stop();
+    EXPECT_EQ(stack.server.sessionsServed(), 3u);
 }
 
 TEST(TraceServiceTest, FuzzedTraceIdsNeverChangeOutputShares)
@@ -184,8 +183,7 @@ TEST(TraceServiceTest, FuzzedTraceIdsNeverChangeOutputShares)
     const ppml::LocalMlpResult local = ppml::runLocalMlpInference(
         spec, 32, reqs, kShareSeed, kSetupSeed, ot::tinyTestParams());
 
-    InferServer server;
-    const uint16_t port = server.listenTcp(0);
+    ServedStack stack;
 
     const uint64_t fuzz_ids[] = {0, ~uint64_t(0), 0x8000000000000000ULL,
                                  0xdb91f6e49c3a5512ULL};
@@ -194,13 +192,12 @@ TEST(TraceServiceTest, FuzzedTraceIdsNeverChangeOutputShares)
         opt.modelId = spec.id;
         opt.width = 32;
         opt.batch = 2;
-        opt.supply = SupplyKind::Engine;
         opt.setupSeed = kSetupSeed;
         opt.shareSeed = kShareSeed;
         opt.traceWire = true;
         opt.traceId = id;
         opt.traceSampled = (id & 1) != 0;
-        auto c = InferClient::connectTcp("127.0.0.1", port, opt);
+        auto c = stack.dial(opt);
         ASSERT_TRUE(c->traceNegotiated());
         for (size_t r = 0; r < reqs.size(); ++r) {
             // THE guardrail: outputs bit-identical to the untraced
@@ -210,9 +207,9 @@ TEST(TraceServiceTest, FuzzedTraceIdsNeverChangeOutputShares)
         }
         c->close();
     }
-    server.stop();
+    stack.stop();
     // The server survived every fuzzed id.
-    EXPECT_EQ(server.sessionsServed(),
+    EXPECT_EQ(stack.server.sessionsServed(),
               sizeof(fuzz_ids) / sizeof(fuzz_ids[0]));
 }
 
@@ -224,21 +221,18 @@ TEST(TraceServiceTest, RecordingOnOffKeepsWireBytesIdentical)
     auto runOnce = [&](bool record) {
         trace::resetForTest();
         trace::setEnabled(record);
-        InferServer server;
-        const uint16_t port = server.listenTcp(0);
+        ServedStack stack;
         InferClient::Options opt;
         opt.modelId = spec.id;
         opt.width = 32;
         opt.batch = 1;
-        opt.supply = SupplyKind::Engine;
         opt.setupSeed = kSetupSeed;
         opt.shareSeed = kShareSeed;
         opt.traceWire = true;
-        auto c = InferClient::connectTcp("127.0.0.1", port, opt);
+        auto c = stack.dial(opt);
         (void)c->infer(req);
         const uint64_t online = c->onlineBytesSent();
         c->close();
-        server.stop();
         return online;
     };
     const uint64_t bytes_recording = runOnce(true);
@@ -326,19 +320,17 @@ TEST(TraceExportTest, ServedSessionRetainsMergeableTimeline)
     trace::setParty(0);
 
     const MlpModelSpec &spec = *ppml::findMlpModel("mlp-16x8x4");
-    InferServer server;
-    const uint16_t port = server.listenTcp(0);
+    ServedStack stack;
     InferClient::Options opt;
     opt.modelId = spec.id;
     opt.width = 32;
     opt.batch = 1;
-    opt.supply = SupplyKind::Engine;
     opt.setupSeed = kSetupSeed;
     opt.traceWire = true;
-    auto c = InferClient::connectTcp("127.0.0.1", port, opt);
+    auto c = stack.dial(opt);
     (void)c->infer(ppml::sampleMlpInput(spec, 7, 1));
     c->close();
-    server.stop();
+    stack.stop();
 
     const std::string doc = trace::exportChromeTrace();
     trace::setEnabled(false);
