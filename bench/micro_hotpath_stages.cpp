@@ -5,8 +5,9 @@
  *   SPCOT expand — t GGM tree expansions (PRG-bound),
  *   CRHF         — every MMO hash of one extension (chosen-OT pads,
  *                  unmask pads, mini-leaf pads), batched vs scalar,
- *   LPN          — the n-row gather-XOR, streaming (per-extension AES
- *                  index generation) vs precomputed tape + SIMD,
+ *   LPN          — the n-row gather-XOR, fused streaming (indices
+ *                  regenerated per 64-row block into the tape kernels)
+ *                  vs precomputed tape + SIMD,
  *   wire         — measured transcript bytes, converted to LAN/WAN
  *                  seconds with the analytic NetworkModel.
  *
@@ -290,7 +291,7 @@ main()
         };
         double taped_scalar = taped_with(LpnKernel::Scalar);
         double taped_sse2 = taped_with(LpnKernel::Sse2);
-        printRow({"LPN streaming (PR1 path)", streaming,
+        printRow({"LPN fused streaming", streaming,
                   streaming / double(lp.n), "row"});
         std::printf("  LPN tape, auto kernel = %s (CPUID)\n",
                     LpnEncoder::activeKernelName());
@@ -310,7 +311,7 @@ main()
         BitVec bits_in = bit_rng.nextBits(lp.k);
         BitVec bits_rows = bit_rng.nextBits(lp.n);
         double bits_streaming = measureCycles(3, [&] {
-            enc.encodeBits(bits_in, bits_rows, scratch);
+            enc.encodeBits(bits_in, bits_rows);
         });
         double bits_taped = measureCycles(3, [&] {
             enc.encodeBitsTape(bits_in, bits_rows, tape);
@@ -320,7 +321,7 @@ main()
             enc.encodeBitsTape(bits_in, bits_rows, tape);
         });
         LpnEncoder::setKernel(LpnKernel::Auto);
-        printRow({"bit-LPN streaming", bits_streaming,
+        printRow({"bit-LPN fused streaming", bits_streaming,
                   bits_streaming / double(lp.n), "row"});
         printRow({"bit-LPN tape + SIMD", bits_taped,
                   bits_taped / double(lp.n), "row"});

@@ -16,8 +16,8 @@
  * reproduce the Fig. 7(a) numbers. New code should prefer
  * SeedExpander directly.
  *
- * The LPN index generator is not here: LpnEncoder::rowIndicesBatch
- * (ot/lpn.h) draws row indices from a counter-mode SeedExpander.
+ * The LPN index generator is not here: LpnEncoder (ot/lpn.h) draws
+ * row indices from AES in counter mode inside its fused kernels.
  */
 
 #ifndef IRONMAN_CRYPTO_PRG_H

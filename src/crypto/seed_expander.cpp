@@ -121,37 +121,6 @@ class ChaChaTreeExpander final : public SeedExpander
     ChaCha core;
 };
 
-/** Keyed AES counter expander (the LPN index tape). */
-class AesCtrExpander final : public SeedExpander
-{
-  public:
-    AesCtrExpander(const Block &key, unsigned max_fanout)
-        : SeedExpander(max_fanout), aes(key)
-    {
-    }
-
-    void
-    expand(const Block *seeds, Block *out, size_t n,
-           unsigned fanout) override
-    {
-        IRONMAN_CHECK(fanout >= 1 && fanout <= maxFan);
-        if (ctrs.size() < n * fanout)
-            ctrs.resize(n * fanout);
-        for (size_t i = 0; i < n; ++i)
-            for (unsigned c = 0; c < fanout; ++c)
-                ctrs[i * fanout + c] =
-                    Block(seeds[i].hi, seeds[i].lo + c);
-        aes.encryptBatch(ctrs.data(), out, n * fanout);
-        opCount += uint64_t(fanout) * n;
-    }
-
-    uint64_t opsPerSeed(unsigned fanout) const override { return fanout; }
-
-  private:
-    Aes128 aes;
-    std::vector<Block> ctrs;
-};
-
 } // namespace
 
 std::unique_ptr<SeedExpander>
@@ -161,13 +130,6 @@ makeTreeExpander(PrgKind kind, unsigned max_fanout)
     if (kind == PrgKind::Aes)
         return std::make_unique<AesTreeExpander>(max_fanout);
     return std::make_unique<ChaChaTreeExpander>(kind, max_fanout);
-}
-
-std::unique_ptr<SeedExpander>
-makeCtrExpander(const Block &key, unsigned max_fanout)
-{
-    IRONMAN_CHECK(max_fanout >= 1);
-    return std::make_unique<AesCtrExpander>(key, max_fanout);
 }
 
 } // namespace ironman::crypto

@@ -2,16 +2,14 @@
  * @file
  * Unified batched seed-expansion interface.
  *
- * Every pseudo-random expansion in the OTE stack — GGM tree levels
- * (AES-NI, portable AES, or ChaCha), the LPN index generator, and the
- * NMP Unified Unit's functional model — is one of two shapes:
+ * Every GGM-style pseudo-random expansion in the OTE stack — tree
+ * levels (AES-NI, portable AES, or ChaCha) and the NMP Unified Unit's
+ * functional model — has one shape: child c of seed s is PRG_c(s) for
+ * fixed public per-slot constructions (Sec. 2.3.1 / Fig. 6 of the
+ * paper). The LPN index generator is not one of them: it is AES in
+ * counter mode, fused into the encoder (ot/lpn.h).
  *
- *   - tree expansion: child c of seed s is PRG_c(s) for fixed public
- *     per-slot constructions (Sec. 2.3.1 / Fig. 6 of the paper);
- *   - counter expansion: output c of seed s is PRF_key(s + c), the
- *     AES-CTR index tape of the LPN encoder (Sec. 1).
- *
- * SeedExpander abstracts both behind one batched entry point
+ * SeedExpander abstracts that shape behind one batched entry point
  * expand(seeds, out, n, fanout) so protocol code is written once and
  * the primitive choice (and its operation count, for the Fig. 7(a)
  * reproductions) is a construction-time decision. The batch size n is
@@ -91,15 +89,6 @@ class SeedExpander
  */
 std::unique_ptr<SeedExpander> makeTreeExpander(PrgKind kind,
                                                unsigned max_fanout);
-
-/**
- * Keyed AES counter expander: child c of seed s is AES_key(s + c)
- * (addition on the low lane). This is the LPN index tape: with seeds
- * s_i = fromUint64(i * fanout) it emits the classic AES-CTR stream
- * AES_key(0), AES_key(1), ...
- */
-std::unique_ptr<SeedExpander> makeCtrExpander(const Block &key,
-                                              unsigned max_fanout);
 
 } // namespace ironman::crypto
 

@@ -20,8 +20,7 @@ buildSortedLayout(const ot::LpnEncoder &enc, uint64_t row0, size_t rows,
 
     // Raw indices for the whole row range.
     std::vector<uint32_t> raw(rows * p.d);
-    ot::LpnEncodeScratch scratch;
-    enc.rowIndicesBatch(row0, rows, raw.data(), scratch);
+    enc.rowIndicesBatch(row0, rows, raw.data());
 
     // --- Column Swapping: first-touch renumbering --------------------
     std::vector<uint32_t> oldToNew;

@@ -63,7 +63,7 @@ spcotConfigOf(const FerretParams &p)
 
 /**
  * Encode rows [row0, row0+count) through the tape when one is built,
- * falling back to the streaming scratch path (2^23+ sets, above the
+ * else through the fused streaming encoder (2^23+ sets, above the
  * tape memory cap). Output is identical either way.
  */
 void
@@ -83,6 +83,25 @@ encodePooled(const LpnEncoder &enc, OtWorkspace &ws, const Block *in,
 {
     ws.pool.parallelFor(count, [&](int worker, size_t lo, size_t hi) {
         encodeRange(enc, ws, in, inout + lo, row0 + lo, hi - lo, worker);
+    });
+}
+
+/**
+ * Pool-parallel bit encode of all rows, split on 64-row words so
+ * every worker owns whole words of @p inout.
+ */
+void
+encodeBitsPooled(const LpnEncoder &enc, OtWorkspace &ws, const BitVec &in,
+                 BitVec &inout)
+{
+    const size_t n = enc.params().n;
+    ws.pool.parallelFor((n + 63) / 64, [&](int, size_t wlo, size_t whi) {
+        const size_t row0 = wlo * 64;
+        const size_t count = std::min(whi * 64, n) - row0;
+        if (ws.tape.ready())
+            enc.encodeBitsTape(in, inout, row0, count, ws.tape);
+        else
+            enc.encodeBits(in, inout, row0, count);
     });
 }
 
@@ -327,13 +346,6 @@ FerretCotReceiver::extendInto(Rng &rng, BitVec &choice_out, Block *t_out)
         }
     };
 
-    auto encode_bits = [&](const BitVec &in, BitVec &inout) {
-        if (ws.tape.ready())
-            encoder.encodeBitsTape(in, inout, ws.tape);
-        else
-            encoder.encodeBits(in, inout, ws.lpn[0]);
-    };
-
     // Steady state. slots[slotCur] holds this iteration's
     // transcript (ciphertexts + masked sums), pulled off the wire by
     // the previous call; only the unmask — which needs this call's
@@ -370,7 +382,7 @@ FerretCotReceiver::extendInto(Rng &rng, BitVec &choice_out, Block *t_out)
             std::copy_n(ws.leaf[0] + tr * leaves, width, y + row0);
         ws.x.set(row0 + slot->alphas[tr], true);
     }
-    encode_bits(ws.e, ws.x);
+    encodeBitsPooled(encoder, ws, ws.e, ws.x);
     const uint64_t lpn_bits_us = uint64_t(phase.seconds() * 1e6);
     stats_.add("lpn_bits_us", lpn_bits_us);
     phaseSpan(traced, "lpn_bits", lpn_bits_us, p.n);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cstring>
 
 #include "common/logging.h"
 
@@ -23,11 +25,57 @@ matrixKey(uint64_t seed)
 
 constexpr size_t kRowsPerChunk = 256;
 
+constexpr size_t kLane = LpnIndexTape::kLane;
+
+// ---------------------------------------------------------------------------
+// Matrix generation: 64 rows per AES batch
+// ---------------------------------------------------------------------------
+
+/** Rows of one generated block: one word of bit-encode output. */
+constexpr size_t kBlockRows = 64;
+constexpr unsigned kCallsPerRow = LpnEncoder::aesCallsPerRow;
+constexpr size_t kBlockCtrs = kBlockRows * kCallsPerRow;
+constexpr size_t kRowWords = 4 * kCallsPerRow;
+
+/**
+ * Tap words of rows [row0, row0+64): AES block c of row r is
+ * AES_key(r*3 + c), so the block's counters are consecutive. Word
+ * 4c + w of a row is 32-bit word w (low first) of its block c; rows
+ * take the first d of their 12 words.
+ */
+void
+blockWords(const crypto::Aes128 &aes, uint64_t row0, uint32_t *words)
+{
+    static_assert(std::endian::native == std::endian::little,
+                  "tap words are the blocks' little-endian 32-bit words");
+    Block ks[kBlockCtrs];
+    for (size_t i = 0; i < kBlockCtrs; ++i)
+        ks[i] = Block::fromUint64(row0 * kCallsPerRow + i);
+    aes.encryptBatch(ks, ks, kBlockCtrs);
+    std::memcpy(words, ks, sizeof(ks));
+}
+
+const LpnParams &
+checked(const LpnParams &p)
+{
+    IRONMAN_CHECK(p.n > 0 && p.k > 1 && p.k <= UINT32_MAX && p.d >= 1);
+    IRONMAN_CHECK(p.d <= LpnEncoder::kMaxWeight,
+                  "3 AES calls supply at most 12 indices");
+    return p;
+}
+
+void
+checkBitRange(const LpnParams &p, const BitVec &in, const BitVec &inout,
+              size_t row0, size_t count)
+{
+    IRONMAN_CHECK(in.size() == p.k && inout.size() == p.n);
+    IRONMAN_CHECK(row0 % kBlockRows == 0 && row0 + count <= p.n,
+                  "bit encode ranges start on a 64-row word");
+}
+
 // ---------------------------------------------------------------------------
 // Gather-XOR kernels over the lane-transposed tape
 // ---------------------------------------------------------------------------
-
-constexpr size_t kLane = LpnIndexTape::kLane;
 
 void
 gatherXorScalar(const Block *in, Block *inout, const uint32_t *tape,
@@ -228,72 +276,64 @@ LpnEncoder::activeKernelName()
     return "?";
 }
 
-LpnEncoder::LpnEncoder(const LpnParams &params) : p(params)
+LpnEncoder::LpnEncoder(const LpnParams &params)
+    : p(checked(params)), aes(matrixKey(p.seed)), mod(uint32_t(p.k))
 {
-    IRONMAN_CHECK(p.n > 0 && p.k > 1 && p.d >= 1);
-    IRONMAN_CHECK(p.d <= 12, "3 AES calls supply at most 12 indices");
 }
 
 void
 LpnEncoder::rowIndices(uint64_t row, uint32_t *out) const
 {
-    LpnEncodeScratch scratch;
-    rowIndicesBatch(row, 1, out, scratch);
+    rowIndicesBatch(row, 1, out);
 }
 
 void
-LpnEncoder::rowIndicesBatch(uint64_t row0, size_t count, uint32_t *out,
-                            LpnEncodeScratch &scratch) const
+LpnEncoder::rowIndicesBatch(uint64_t row0, size_t count,
+                            uint32_t *out) const
 {
-    // The index tape is AES_key(row * 3 + c) for c < 3, expressed as a
-    // counter expansion of the per-row seed block row * 3.
-    if (!scratch.gen || scratch.genSeed != p.seed) {
-        scratch.gen = crypto::makeCtrExpander(matrixKey(p.seed),
-                                              aesCallsPerRow);
-        scratch.genSeed = p.seed;
-    }
-    if (scratch.seeds.size() < count)
-        scratch.seeds.resize(count);
-    if (scratch.ks.size() < count * aesCallsPerRow)
-        scratch.ks.resize(count * aesCallsPerRow);
-
-    for (size_t r = 0; r < count; ++r)
-        scratch.seeds[r] =
-            Block::fromUint64((row0 + r) * aesCallsPerRow);
-    scratch.gen->expand(scratch.seeds.data(), scratch.ks.data(), count,
-                        aesCallsPerRow);
-
-    for (size_t r = 0; r < count; ++r) {
-        uint32_t words[aesCallsPerRow * 4];
-        for (unsigned c = 0; c < aesCallsPerRow; ++c) {
-            const Block &b = scratch.ks[r * aesCallsPerRow + c];
-            words[4 * c + 0] = uint32_t(b.lo);
-            words[4 * c + 1] = uint32_t(b.lo >> 32);
-            words[4 * c + 2] = uint32_t(b.hi);
-            words[4 * c + 3] = uint32_t(b.hi >> 32);
+    uint32_t words[kBlockRows * kRowWords];
+    const uint64_t end = row0 + count;
+    for (uint64_t b = row0 - row0 % kBlockRows; b < end; b += kBlockRows) {
+        blockWords(aes, b, words);
+        const uint64_t lo = std::max(b, row0);
+        const uint64_t hi = std::min(b + kBlockRows, end);
+        for (uint64_t r = lo; r < hi; ++r) {
+            const uint32_t *w = words + (r - b) * kRowWords;
+            uint32_t *dst = out + (r - row0) * p.d;
+            for (unsigned i = 0; i < p.d; ++i)
+                dst[i] = mod(w[i]);
         }
+    }
+}
+
+void
+LpnEncoder::laneBlock(uint64_t row0, uint32_t *mini) const
+{
+    uint32_t words[kBlockRows * kRowWords];
+    blockWords(aes, row0, words);
+    for (size_t r = 0; r < kBlockRows; ++r) {
+        const uint32_t *w = words + r * kRowWords;
+        uint32_t *dst = mini + (r / kLane) * p.d * kLane + r % kLane;
         for (unsigned i = 0; i < p.d; ++i)
-            out[r * p.d + i] = words[i] % uint32_t(p.k);
+            dst[i * kLane] = mod(w[i]);
     }
 }
 
 void
 LpnEncoder::encodeBlocks(const Block *in, Block *inout, uint64_t row0,
-                         size_t count, LpnEncodeScratch &scratch) const
+                         size_t count, LpnEncodeScratch &) const
 {
-    if (scratch.idx.size() < kRowsPerChunk * p.d)
-        scratch.idx.resize(kRowsPerChunk * p.d);
-    uint32_t *idx = scratch.idx.data();
-    for (size_t done = 0; done < count; done += kRowsPerChunk) {
-        size_t chunk = std::min(kRowsPerChunk, count - done);
-        rowIndicesBatch(row0 + done, chunk, idx, scratch);
-        for (size_t r = 0; r < chunk; ++r) {
-            Block acc = inout[done + r];
-            const uint32_t *row_idx = &idx[r * p.d];
-            for (unsigned i = 0; i < p.d; ++i)
-                acc ^= in[row_idx[i]];
-            inout[done + r] = acc;
-        }
+    // Whole 64-row mini-tapes, of which an unaligned head or tail
+    // uses only part: the block base is lane-aligned, so the kernels
+    // see the same layout as on the engine's tape.
+    const GatherFn gather = activeGatherKernel();
+    alignas(32) uint32_t mini[kBlockRows * kMaxWeight];
+    const uint64_t end = row0 + count;
+    for (uint64_t b = row0 - row0 % kBlockRows; b < end; b += kBlockRows) {
+        laneBlock(b, mini);
+        const uint64_t lo = std::max(b, row0);
+        const uint64_t hi = std::min(b + kBlockRows, end);
+        gather(in, inout + (lo - row0), mini, lo - b, hi - lo, p.d);
     }
 }
 
@@ -326,7 +366,7 @@ LpnEncoder::buildTape(LpnIndexTape &tape, size_t rows,
                 continue;
             if (sc.idx.size() < kRowsPerChunk * p.d)
                 sc.idx.resize(kRowsPerChunk * p.d);
-            rowIndicesBatch(row0, cnt, sc.idx.data(), sc);
+            rowIndicesBatch(row0, cnt, sc.idx.data());
             for (size_t r = 0; r < cnt; ++r) {
                 const size_t gr = row0 + r;
                 uint32_t *dst = out + (gr / kLane) * p.d * kLane +
@@ -349,35 +389,33 @@ LpnEncoder::encodeBlocksTape(const Block *in, Block *inout, uint64_t row0,
 }
 
 void
-LpnEncoder::encodeBits(const BitVec &in, BitVec &inout,
-                       LpnEncodeScratch &scratch) const
+LpnEncoder::encodeBits(const BitVec &in, BitVec &inout, size_t row0,
+                       size_t count) const
 {
-    IRONMAN_CHECK(in.size() == p.k && inout.size() == p.n);
-    if (scratch.idx.size() < kRowsPerChunk * p.d)
-        scratch.idx.resize(kRowsPerChunk * p.d);
-    uint32_t *idx = scratch.idx.data();
-    for (size_t done = 0; done < p.n; done += kRowsPerChunk) {
-        size_t chunk = std::min(kRowsPerChunk, p.n - done);
-        rowIndicesBatch(done, chunk, idx, scratch);
-        for (size_t r = 0; r < chunk; ++r) {
-            bool acc = inout.get(done + r);
-            for (unsigned i = 0; i < p.d; ++i)
-                acc ^= in.get(idx[r * p.d + i]);
-            inout.set(done + r, acc);
-        }
+    checkBitRange(p, in, inout, row0, count);
+    const BitGatherFn gather = activeBitKernel();
+    alignas(32) uint32_t mini[kBlockRows * kMaxWeight];
+    const uint64_t *in_words = in.rawWords().data();
+    uint64_t *out_words = inout.rawWords().data();
+    for (size_t b = row0; b < row0 + count; b += kBlockRows) {
+        laneBlock(b, mini);
+        gather(in_words, out_words + b / kBlockRows, mini,
+               std::min(kBlockRows, row0 + count - b), p.d);
     }
 }
 
 void
-LpnEncoder::encodeBitsTape(const BitVec &in, BitVec &inout,
-                           const LpnIndexTape &tape) const
+LpnEncoder::encodeBitsTape(const BitVec &in, BitVec &inout, size_t row0,
+                           size_t count, const LpnIndexTape &tape) const
 {
-    IRONMAN_CHECK(in.size() == p.k && inout.size() == p.n);
+    checkBitRange(p, in, inout, row0, count);
     IRONMAN_CHECK(tape.ready() && tape.builtFor == p &&
-                      tape.rows >= p.n,
+                      tape.rows >= row0 + count,
                   "tape too short for bit encode");
-    activeBitKernel()(in.rawWords().data(), inout.rawWords().data(),
-                      tape.idx.data(), p.n, p.d);
+    activeBitKernel()(in.rawWords().data(),
+                      inout.rawWords().data() + row0 / kBlockRows,
+                      tape.idx.data() + (row0 / kLane) * p.d * kLane,
+                      count, p.d);
 }
 
 } // namespace ironman::ot

@@ -6,8 +6,7 @@
  * The code matrix A is n x k over GF(2) with exactly d = 10 non-zeros
  * per row (a d-local linear code, as in Ferret). Row j's indices are a
  * deterministic public function of (seed, j) generated by AES in
- * counter mode — routed through the unified SeedExpander interface —
- * so:
+ * counter mode and reduced mod k by an exact multiply-shift, so:
  *   - both parties derive identical matrices with zero communication,
  *   - the matrix never needs to be materialized (it can stream), and
  *   - benches can regenerate the exact access pattern the NMP
@@ -18,32 +17,35 @@
  * into the SPCOT output. This is the memory-bandwidth-bound kernel the
  * paper accelerates with near-memory processing.
  *
- * Two encode paths exist:
+ * One kernel family does the gather-XOR: lane-transposed index tapes
+ * feed SIMD block and bit kernels (SSE2 baseline, AVX2
+ * runtime-dispatched like the AES engines). The tapes come from one of
+ * two places:
  *
- *  - the streaming path regenerates indices per kRowsPerChunk chunk
- *    through an LpnEncodeScratch (AES index tape on the fly);
- *  - the tape path consumes a precomputed LpnIndexTape — the index
- *    unpack and the `% k` reduction happen exactly once, at build
- *    time, in a lane-transposed layout that feeds the SIMD gather-XOR
- *    kernels (SSE2 baseline, AVX2 runtime-dispatched like the AES
- *    engines). This is what the FERRET steady state uses: the matrix
- *    is fixed per engine, so every extension replays the tape.
+ *  - LpnIndexTape, built once per engine: the matrix is fixed by the
+ *    public seed, so every extension replays it. This is what the
+ *    FERRET steady state uses while the tape fits
+ *    OtWorkspace::kLpnTapeBytesCap;
+ *  - the fused streaming kernel (encodeBlocks / encodeBits), which
+ *    regenerates the indices of 64 rows at a time in registers and on
+ *    the stack — one AES batch, an exact multiply-shift `% k` — and
+ *    hands that 64-row mini-tape to the same kernels. The 2^23+ sets,
+ *    whose tapes are above the cap, run this path.
  *
- * The encoder itself is immutable and shareable across threads — each
- * thread brings its own scratch; the tape is read-only after build.
+ * The encoder itself is immutable and shareable across threads; the
+ * tape is read-only after build.
  */
 
 #ifndef IRONMAN_OT_LPN_H
 #define IRONMAN_OT_LPN_H
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/bitvec.h"
 #include "common/block.h"
 #include "common/thread_pool.h"
-#include "crypto/seed_expander.h"
+#include "crypto/aes.h"
 
 namespace ironman::ot {
 
@@ -63,17 +65,13 @@ struct LpnParams
 };
 
 /**
- * Per-thread scratch of the LPN encoder: the index-tape expander plus
- * the index/counter staging buffers. Grow-only; one instance per
- * thread (the expander carries mutable state).
+ * Per-thread scratch of buildTape(): row-major index staging.
+ * Grow-only; one instance per thread. The streaming encoders keep
+ * their indices on the stack and do not touch it.
  */
 struct LpnEncodeScratch
 {
-    std::unique_ptr<crypto::SeedExpander> gen; ///< lazily bound to a seed
-    uint64_t genSeed = 0;                      ///< seed gen was built for
-    std::vector<Block> seeds;                  ///< row seed blocks
-    std::vector<Block> ks;                     ///< expanded keystream
-    std::vector<uint32_t> idx;                 ///< per-chunk indices
+    std::vector<uint32_t> idx; ///< per-chunk indices
 };
 
 /**
@@ -105,6 +103,32 @@ struct LpnIndexTape
     }
 };
 
+namespace detail {
+
+/**
+ * Exact a % k for 32-bit a and k by one multiply-shift (Lemire, Kaser
+ * and Kurz, "Faster remainder by direct computation", 2019): with
+ * M = 2^64 / k rounded up, a % k = ((M * a mod 2^64) * k) >> 64.
+ */
+struct FastMod
+{
+    uint64_t m;
+    uint32_t k;
+
+    explicit FastMod(uint32_t divisor)
+        : m(~uint64_t(0) / divisor + 1), k(divisor)
+    {
+    }
+
+    uint32_t
+    operator()(uint32_t a) const
+    {
+        return uint32_t((unsigned __int128)(m * a) * k >> 64);
+    }
+};
+
+} // namespace detail
+
 /**
  * Gather-XOR kernel selection. Auto dispatches on CPUID alone: the
  * AVX2 vinserti128 kernel when the CPU has AVX2, else SSE2, else the
@@ -119,7 +143,7 @@ enum class LpnKernel
     Sse2,   ///< 8-accumulator SSE2 kernel
 };
 
-/** Streaming generator + encoder for the d-local code. */
+/** Matrix generator + encoder for the d-local code. */
 class LpnEncoder
 {
   public:
@@ -129,24 +153,29 @@ class LpnEncoder
 
     /**
      * Column indices of row @p row (exactly d entries, values < k).
-     * Deterministic and random-access. Convenience path: allocates
-     * internal scratch, so keep it off the hot loop.
+     * Deterministic and random-access: row r's indices are the first
+     * d 32-bit words of AES_key(3r), AES_key(3r+1), AES_key(3r+2),
+     * each reduced mod k. Generates a whole 64-row block, so keep it
+     * off the hot loop.
      */
     void rowIndices(uint64_t row, uint32_t *out) const;
 
     /**
      * Generate indices for rows [row0, row0+count) into @p out
-     * (count*d entries, row-major). Allocation-free given a warm
-     * scratch; batched AES keeps this off the critical path.
+     * (count*d entries, row-major). Allocation-free; the same
+     * generator as the fused kernels.
      */
-    void rowIndicesBatch(uint64_t row0, size_t count, uint32_t *out,
-                         LpnEncodeScratch &scratch) const;
+    void rowIndicesBatch(uint64_t row0, size_t count,
+                         uint32_t *out) const;
 
     /**
      * Block-vector encode: inout[j] ^= XOR_{i<d} in[idx(j,i)] for the
      * @p count rows starting at @p row0. `inout` points at the rows
      * being produced (pre-filled with the SPCOT contribution).
-     * Streaming path — indices are regenerated chunk by chunk.
+     * Streaming path: the fused kernel regenerates each 64-row block's
+     * indices into a stack mini-tape and runs the tape kernels on it,
+     * so any row0 and count work. Allocation-free; @p scratch is not
+     * touched (the parameter keeps existing call sites building).
      */
     void encodeBlocks(const Block *in, Block *inout, uint64_t row0,
                       size_t count, LpnEncodeScratch &scratch) const;
@@ -169,23 +198,45 @@ class LpnEncoder
     void encodeBlocksTape(const Block *in, Block *inout, uint64_t row0,
                           size_t count, const LpnIndexTape &tape) const;
 
-    /** Bit-vector encode: inout[j] ^= XOR_{i<d} in[idx(j,i)]. */
-    void encodeBits(const BitVec &in, BitVec &inout,
-                    LpnEncodeScratch &scratch) const;
+    /**
+     * Bit-vector encode of rows [row0, row0+count):
+     * inout[j] ^= XOR_{i<d} in[idx(j,i)]. @p row0 must be a multiple
+     * of 64, so a caller that splits the rows on those boundaries
+     * gives each part whole output words, and the parts can run
+     * concurrently. Streaming path: the fused kernel of encodeBlocks()
+     * feeding the bit kernels. Allocation-free.
+     */
+    void encodeBits(const BitVec &in, BitVec &inout, size_t row0,
+                    size_t count) const;
+
+    /** encodeBits() over all rows [0, p.n). */
+    void
+    encodeBits(const BitVec &in, BitVec &inout) const
+    {
+        encodeBits(in, inout, 0, p.n);
+    }
 
     /**
-     * Tape path of encodeBits() (rows [0, p.n)): word-at-a-time over
-     * the lane-transposed tape — one result byte per 8-row lane group
-     * instead of per-bit get/set, with an AVX2 vpgatherdd/vpsrlvd
+     * Tape path of the ranged encodeBits() (same row0 % 64 == 0
+     * rule): word-at-a-time over the lane-transposed tape — one result
+     * byte per 8-row lane group, with an AVX2 vpgatherdd/vpsrlvd
      * kernel behind the same runtime dispatch as the block path.
      */
-    void encodeBitsTape(const BitVec &in, BitVec &inout,
-                        const LpnIndexTape &tape) const;
+    void encodeBitsTape(const BitVec &in, BitVec &inout, size_t row0,
+                        size_t count, const LpnIndexTape &tape) const;
+
+    /** encodeBitsTape() over all rows [0, p.n). */
+    void
+    encodeBitsTape(const BitVec &in, BitVec &inout,
+                   const LpnIndexTape &tape) const
+    {
+        encodeBitsTape(in, inout, 0, p.n, tape);
+    }
 
     /**
-     * Pin the gather-XOR kernels (block and bit) for all encoders;
-     * LpnKernel::Auto restores per-CPU dispatch. Mirrors
-     * Aes128::forceSoftware.
+     * Pin the gather-XOR kernels (block and bit, tape and streaming
+     * paths alike) for all encoders; LpnKernel::Auto restores per-CPU
+     * dispatch. Mirrors Aes128::forceSoftware.
      */
     static void setKernel(LpnKernel kernel);
 
@@ -198,8 +249,19 @@ class LpnEncoder
     /** AES invocations needed per row of index generation. */
     static constexpr unsigned aesCallsPerRow = 3;
 
+    /** Largest weight d: 3 AES calls supply 12 32-bit words. */
+    static constexpr unsigned kMaxWeight = 12;
+
   private:
+    /**
+     * Lane-transposed indices of the 64 rows [row0, row0+64) into
+     * @p mini (64*d entries, LpnIndexTape layout). @p row0 % 64 == 0.
+     */
+    void laneBlock(uint64_t row0, uint32_t *mini) const;
+
     LpnParams p;
+    crypto::Aes128 aes; ///< keyed by the public seed
+    detail::FastMod mod;
 };
 
 namespace detail {

@@ -24,10 +24,12 @@
  * is still reading buffers derived from it.
  *
  * The workspace additionally holds the engine's precomputed LPN index
- * tape (the matrix is fixed by the public seed, so the index unpack
- * and `% k` reduction happen once per engine, not once per
- * extension). Tapes above kLpnTapeBytesCap fall back to the streaming
- * encoder to bound memory on the 2^23+ parameter sets.
+ * tape (the matrix is fixed by the public seed, so index generation
+ * happens once per engine, not once per extension). Tapes above
+ * kLpnTapeBytesCap are not built, to bound memory on the 2^23+
+ * parameter sets: those engines run the fused streaming encoder,
+ * which regenerates 64-row mini-tapes on the stack and feeds the same
+ * gather kernels, with identical output.
  */
 
 #ifndef IRONMAN_OT_OT_WORKSPACE_H
@@ -123,7 +125,7 @@ struct OtWorkspace
     Block *rows = nullptr;
 
     SpcotWorkspace spcot;
-    std::vector<LpnEncodeScratch> lpn; ///< one per pool thread
+    std::vector<LpnEncodeScratch> lpn; ///< tape build, one per thread
     LpnIndexTape tape;                 ///< empty when above the cap
 
     // Receiver-side bit staging.

@@ -1,17 +1,20 @@
 /**
  * @file
- * LPN encoder tests: determinism, agreement with a dense GF(2)
- * reference, parallel == serial, SIMD/tape == scalar streaming, and
- * preservation of the COT correlation through the encoding
- * (invariant 4 of DESIGN.md).
+ * LPN encoder tests: recorded matrix digests, determinism, agreement
+ * of the fused streaming and tape encoders with a dense GF(2)
+ * reference under every kernel, parallel == serial, and preservation
+ * of the COT correlation through the encoding (invariant 4 of
+ * DESIGN.md).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "common/rng.h"
 #include "ot/base_cot.h"
+#include "ot/ferret_params.h"
 #include "ot/lpn.h"
 
 namespace ironman::ot {
@@ -26,6 +29,126 @@ smallParams()
     p.d = 10;
     p.seed = 77;
     return p;
+}
+
+/**
+ * Dense reference of the block encode: rows[j] ^= sum of in[c] over
+ * the columns c that row j names an odd number of times (duplicate
+ * indices cancel over GF(2)).
+ */
+std::vector<Block>
+denseEncode(const LpnEncoder &enc, const std::vector<Block> &in,
+            std::vector<Block> rows)
+{
+    std::vector<uint32_t> idx(enc.params().d);
+    for (size_t j = 0; j < rows.size(); ++j) {
+        enc.rowIndices(j, idx.data());
+        std::sort(idx.begin(), idx.end());
+        for (size_t i = 0; i < idx.size(); ++i) {
+            size_t run = 1;
+            while (i + 1 < idx.size() && idx[i + 1] == idx[i])
+                ++i, ++run;
+            if (run % 2)
+                rows[j] ^= in[idx[i]];
+        }
+    }
+    return rows;
+}
+
+/** Dense reference of the bit encode (the block one on lsbs). */
+BitVec
+denseEncodeBits(const LpnEncoder &enc, const BitVec &in, BitVec rows)
+{
+    std::vector<Block> in_blocks(in.size()), row_blocks(rows.size());
+    for (size_t i = 0; i < in.size(); ++i)
+        in_blocks[i] = Block::fromUint64(in.get(i));
+    row_blocks = denseEncode(enc, in_blocks, std::move(row_blocks));
+    for (size_t j = 0; j < rows.size(); ++j)
+        rows.set(j, rows.get(j) ^ row_blocks[j].lsb());
+    return rows;
+}
+
+LpnParams
+paperLpnParams(int log_ots)
+{
+    const FerretParams f = paperParamSet(log_ots);
+    LpnParams p;
+    p.n = f.n;
+    p.k = f.k;
+    p.d = f.lpnWeight;
+    p.seed = f.lpnSeed;
+    return p;
+}
+
+// ---------------------------------------------------------------------------
+// Matrix known answers
+// ---------------------------------------------------------------------------
+
+/**
+ * FNV-1a 64 over rowIndices() of rows [row0, row0+count), each index
+ * as 4 little-endian bytes. The recorded values pin matrix A itself,
+ * on the streaming sets as well as the tape ones.
+ */
+uint64_t
+rowIndexDigest(const LpnEncoder &enc, uint64_t row0, size_t count)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    std::vector<uint32_t> idx(enc.params().d);
+    for (uint64_t r = row0; r < row0 + count; ++r) {
+        enc.rowIndices(r, idx.data());
+        for (uint32_t v : idx)
+            for (int i = 0; i < 4; ++i)
+                h = (h ^ uint8_t(v >> (8 * i))) * 0x100000001b3ULL;
+    }
+    return h;
+}
+
+TEST(LpnKatTest, RowIndicesMatchRecordedDigests)
+{
+    struct Window
+    {
+        int logOts;
+        uint64_t row0; ///< counted back from n when fromEnd
+        bool fromEnd;
+        uint64_t digest; ///< recorded with a hardware `%` reduction
+    };
+    // Rows 0..63, an unaligned mid-range window, rows n-64..n-1.
+    const Window windows[] = {
+        {20, 0, false, 0x0a31771564289b53ULL},
+        {20, 500029, false, 0x427204d1e5456902ULL},
+        {20, 64, true, 0x2145066d5a34f963ULL},
+        {24, 0, false, 0x83fecc42ebead6c6ULL},
+        {24, 8000029, false, 0x13560b8e765fbbdfULL},
+        {24, 64, true, 0xfbed215a00785e1bULL},
+    };
+    for (const Window &w : windows) {
+        const LpnEncoder enc(paperLpnParams(w.logOts));
+        const uint64_t row0 =
+            w.fromEnd ? enc.params().n - w.row0 : w.row0;
+        const uint64_t got = rowIndexDigest(enc, row0, 64);
+        EXPECT_EQ(got, w.digest) << "2^" << w.logOts << " row " << row0;
+    }
+}
+
+/** The multiply-shift reduction equals % on edge values. */
+TEST(LpnKatTest, FastModMatchesRemainder)
+{
+    for (uint32_t k : {2u, 480000u, 2147483647u}) {
+        const detail::FastMod mod(k);
+        const uint32_t top = UINT32_MAX / k * k; // largest multiple
+        const uint32_t as[] = {0,       1,       UINT32_MAX,
+                               k - 1,   k,       k + 1,
+                               2 * k,   2 * k - 1, 3 * k,
+                               top - k, top - 1, top,
+                               top + (UINT32_MAX - top)};
+        for (uint32_t a : as)
+            EXPECT_EQ(mod(a), a % k) << "a " << a << " k " << k;
+        Rng rng(k);
+        for (int i = 0; i < 10000; ++i) {
+            const uint32_t a = uint32_t(rng.nextUint64());
+            ASSERT_EQ(mod(a), a % k) << "a " << a << " k " << k;
+        }
+    }
 }
 
 TEST(LpnTest, IndicesDeterministicAndInRange)
@@ -63,8 +186,7 @@ TEST(LpnTest, BatchIndicesMatchSingle)
     LpnEncoder enc(smallParams());
     const size_t rows = 300;
     std::vector<uint32_t> batch(rows * 10);
-    LpnEncodeScratch scratch;
-    enc.rowIndicesBatch(5, rows, batch.data(), scratch);
+    enc.rowIndicesBatch(5, rows, batch.data());
     std::vector<uint32_t> one(10);
     for (size_t r = 0; r < rows; ++r) {
         enc.rowIndices(5 + r, one.data());
@@ -79,8 +201,7 @@ TEST(LpnTest, IndicesRoughlyUniformOverColumns)
     LpnEncoder enc(p);
     std::vector<uint32_t> hist(p.k, 0);
     std::vector<uint32_t> idx(p.n * p.d);
-    LpnEncodeScratch scratch;
-    enc.rowIndicesBatch(0, p.n, idx.data(), scratch);
+    enc.rowIndicesBatch(0, p.n, idx.data());
     for (uint32_t i : idx)
         hist[i]++;
     // n*d / k = 80 expected hits per column.
@@ -104,19 +225,7 @@ TEST(LpnTest, EncodeMatchesDenseReference)
     std::vector<Block> in = rng.nextBlocks(p.k);
     std::vector<Block> base = rng.nextBlocks(p.n); // SPCOT contribution
 
-    // Dense reference: build A explicitly (note duplicate indices in a
-    // row cancel over GF(2) — the reference must reproduce that).
-    std::vector<Block> expect = base;
-    std::vector<uint32_t> idx(p.d);
-    for (size_t j = 0; j < p.n; ++j) {
-        enc.rowIndices(j, idx.data());
-        std::vector<int> col_count(p.k, 0);
-        for (uint32_t i : idx)
-            col_count[i] ^= 1;
-        for (size_t c = 0; c < p.k; ++c)
-            if (col_count[c])
-                expect[j] ^= in[c];
-    }
+    std::vector<Block> expect = denseEncode(enc, in, base);
 
     std::vector<Block> got = base;
     LpnEncodeScratch scratch;
@@ -149,15 +258,168 @@ TEST(LpnTest, PartitionedEncodeMatchesSerial)
 }
 
 // ---------------------------------------------------------------------------
+// Fused streaming kernel
+// ---------------------------------------------------------------------------
+
+/** Every kernel setting the encoders can be pinned to. */
+constexpr LpnKernel kAllKernels[] = {LpnKernel::Auto, LpnKernel::Scalar,
+                                     LpnKernel::Sse2};
+
+/** n % 64 != 0, so the last 64-row block is partial. */
+LpnParams
+raggedParams()
+{
+    LpnParams p;
+    p.n = 1000;
+    p.k = 300;
+    p.d = 10;
+    p.seed = 31;
+    return p;
+}
+
+/**
+ * The fused block encode generates whole 64-row mini-tapes and uses
+ * part of them: unaligned heads, short counts and the ragged tail
+ * must all match the dense reference under every kernel.
+ */
+TEST(LpnFusedTest, UnalignedBlockRangesMatchDenseReference)
+{
+    const LpnParams p = raggedParams();
+    const LpnEncoder enc(p);
+    Rng rng(60);
+    const std::vector<Block> in = rng.nextBlocks(p.k);
+    const std::vector<Block> base = rng.nextBlocks(p.n);
+    const std::vector<Block> expect = denseEncode(enc, in, base);
+
+    struct Range
+    {
+        size_t row0, count;
+    };
+    const Range ranges[] = {{0, p.n},   {3, 1},       {5, 7},
+                            {1, 63},    {61, 65},     {64, 65},
+                            {130, 7},   {p.n - 65, 65}, {p.n - 1, 1},
+                            {37, p.n - 37}};
+    LpnEncodeScratch scratch;
+    for (LpnKernel kernel : kAllKernels) {
+        LpnEncoder::setKernel(kernel);
+        for (const Range &r : ranges) {
+            std::vector<Block> got(base.begin() + r.row0,
+                                   base.begin() + r.row0 + r.count);
+            enc.encodeBlocks(in.data(), got.data(), r.row0, r.count,
+                             scratch);
+            for (size_t j = 0; j < r.count; ++j)
+                ASSERT_EQ(got[j], expect[r.row0 + j])
+                    << "kernel " << int(kernel) << " rows " << r.row0
+                    << "+" << r.count << " row " << r.row0 + j;
+        }
+    }
+    LpnEncoder::setKernel(LpnKernel::Auto);
+}
+
+/**
+ * Ranged bit encodes (row0 on a 64-row word) touch exactly their rows
+ * and match the dense reference, streaming and tape, under every
+ * kernel — including counts 1, 7, 63, 65 and the ragged last word.
+ */
+TEST(LpnFusedTest, BitRangesMatchDenseReference)
+{
+    const LpnParams p = raggedParams();
+    const LpnEncoder enc(p);
+    Rng rng(61);
+    const BitVec in = rng.nextBits(p.k);
+    const BitVec base = rng.nextBits(p.n);
+    const BitVec expect = denseEncodeBits(enc, in, base);
+
+    common::ThreadPool pool(1);
+    LpnEncodeScratch scratch;
+    LpnIndexTape tape;
+    enc.buildTape(tape, p.n, pool, &scratch);
+
+    const size_t last = p.n - p.n % 64;
+    struct Range
+    {
+        size_t row0, count;
+    };
+    const Range ranges[] = {{0, p.n},   {0, 1},     {64, 7},
+                            {128, 63},  {192, 65},  {last, p.n - last},
+                            {last - 64, p.n - last + 64}};
+    for (LpnKernel kernel : kAllKernels) {
+        LpnEncoder::setKernel(kernel);
+        for (const Range &r : ranges)
+            for (bool use_tape : {false, true}) {
+                BitVec got = base;
+                if (use_tape)
+                    enc.encodeBitsTape(in, got, r.row0, r.count, tape);
+                else
+                    enc.encodeBits(in, got, r.row0, r.count);
+                for (size_t j = 0; j < p.n; ++j) {
+                    const bool inside =
+                        j >= r.row0 && j < r.row0 + r.count;
+                    ASSERT_EQ(got.get(j),
+                              inside ? expect.get(j) : base.get(j))
+                        << "kernel " << int(kernel) << " tape "
+                        << use_tape << " rows " << r.row0 << "+"
+                        << r.count << " row " << j;
+                }
+            }
+    }
+    LpnEncoder::setKernel(LpnKernel::Auto);
+}
+
+/**
+ * Invariant 9 for the receiver's bit-LPN: split on 64-row words over
+ * pools of 1-4 threads, the ranged encode is bit-identical to the
+ * whole-vector call, on both paths.
+ */
+TEST(LpnFusedTest, PooledBitEncodeMatchesWholeVector)
+{
+    LpnParams p;
+    p.n = 64 * 37 + 29;
+    p.k = 500;
+    p.seed = 62;
+    const LpnEncoder enc(p);
+    Rng rng(63);
+    const BitVec in = rng.nextBits(p.k);
+    const BitVec base = rng.nextBits(p.n);
+
+    LpnEncodeScratch scratch;
+    BitVec whole = base;
+    enc.encodeBits(in, whole);
+    EXPECT_EQ(whole, denseEncodeBits(enc, in, base));
+
+    common::ThreadPool build_pool(1);
+    LpnIndexTape tape;
+    enc.buildTape(tape, p.n, build_pool, &scratch);
+
+    for (int threads = 1; threads <= 4; ++threads) {
+        common::ThreadPool pool(threads);
+        for (bool use_tape : {false, true}) {
+            BitVec got = base;
+            pool.parallelFor((p.n + 63) / 64,
+                             [&](int, size_t wlo, size_t whi) {
+                const size_t row0 = wlo * 64;
+                const size_t count = std::min(whi * 64, p.n) - row0;
+                if (use_tape)
+                    enc.encodeBitsTape(in, got, row0, count, tape);
+                else
+                    enc.encodeBits(in, got, row0, count);
+            });
+            EXPECT_EQ(got, whole)
+                << threads << " threads, tape " << use_tape;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Tape + SIMD kernels
 // ---------------------------------------------------------------------------
 
 /**
  * The tape path (precomputed transposed indices + runtime-dispatched
- * SIMD gather-XOR) must be bit-identical to the streaming scalar
- * encoder under randomized seeds, including with the SIMD kernel
- * forced off (scalar tape walk), at unaligned row offsets, and
- * split into contiguous parts.
+ * SIMD gather-XOR) and the fused streaming encoder must both be
+ * bit-identical to the dense reference under randomized seeds,
+ * including with the SIMD kernel forced off (scalar tape walk), at
+ * unaligned row offsets, and split into contiguous parts.
  */
 TEST(LpnTapeTest, TapeEncodeMatchesStreamingUnderRandomSeeds)
 {
@@ -175,9 +437,11 @@ TEST(LpnTapeTest, TapeEncodeMatchesStreamingUnderRandomSeeds)
         std::vector<Block> in = rng.nextBlocks(p.k);
         std::vector<Block> base = rng.nextBlocks(p.n);
 
-        std::vector<Block> expect = base;
+        const std::vector<Block> expect = denseEncode(enc, in, base);
+        std::vector<Block> streamed = base;
         LpnEncodeScratch scratch;
-        enc.encodeBlocks(in.data(), expect.data(), 0, p.n, scratch);
+        enc.encodeBlocks(in.data(), streamed.data(), 0, p.n, scratch);
+        EXPECT_EQ(streamed, expect) << "trial " << trial;
 
         std::vector<LpnEncodeScratch> scratches(pool.threads());
         LpnIndexTape tape;
@@ -267,7 +531,7 @@ TEST(LpnTapeTest, BitEncodeTapeMatchesStreaming)
 
     BitVec expect = base;
     LpnEncodeScratch scratch;
-    enc.encodeBits(in, expect, scratch);
+    enc.encodeBits(in, expect);
 
     common::ThreadPool pool(1);
     LpnIndexTape tape;
@@ -279,9 +543,9 @@ TEST(LpnTapeTest, BitEncodeTapeMatchesStreaming)
 
 /**
  * The SIMD bit kernels (word-at-a-time groups + AVX2 vpgatherdd) must
- * be bit-identical to the streaming scalar bit encode under random
- * seeds and sizes, including n % 8 != 0 tails and through every
- * pinnable kernel.
+ * be bit-identical to the dense reference under random seeds and
+ * sizes, including n % 8 != 0 tails and through every pinnable
+ * kernel.
  */
 TEST(LpnTapeTest, BitEncodeSimdMatchesScalarUnderRandomSeeds)
 {
@@ -299,9 +563,11 @@ TEST(LpnTapeTest, BitEncodeSimdMatchesScalarUnderRandomSeeds)
         BitVec in = rng.nextBits(p.k);
         BitVec base = rng.nextBits(p.n);
 
-        BitVec expect = base;
+        const BitVec expect = denseEncodeBits(enc, in, base);
+        BitVec streamed = base;
         LpnEncodeScratch scratch;
-        enc.encodeBits(in, expect, scratch);
+        enc.encodeBits(in, streamed);
+        EXPECT_EQ(streamed, expect) << "trial " << trial;
 
         std::vector<LpnEncodeScratch> scratches(pool.threads());
         LpnIndexTape tape;
@@ -343,7 +609,7 @@ TEST(LpnTest, BitEncodeMatchesBlockEncodeOnLsb)
 
     BitVec got_bits = base_bits;
     LpnEncodeScratch scratch;
-    enc.encodeBits(in_bits, got_bits, scratch);
+    enc.encodeBits(in_bits, got_bits);
     enc.encodeBlocks(in_blocks.data(), base_blocks.data(), 0, p.n,
                      scratch);
 
@@ -381,7 +647,7 @@ TEST(LpnTest, EncodingPreservesCotCorrelation)
 
     // Receiver: x = e*A ^ u, y = s*A ^ v.
     BitVec x = u;
-    enc.encodeBits(in_r.choice, x, scratch);
+    enc.encodeBits(in_r.choice, x);
     std::vector<Block> y = v;
     enc.encodeBlocks(in_r.t.data(), y.data(), 0, p.n, scratch);
 

@@ -4,7 +4,8 @@
  *
  *  - a warm FerretCotSender/Receiver::extendInto() performs zero heap
  *    allocations on either party (asserted by a counting global
- *    allocator, including the in-memory wire);
+ *    allocator, including the in-memory wire), and so do the
+ *    streaming LPN encoders;
  *  - the multi-threaded batch-SPCOT/LPN path is bit-identical to the
  *    single-threaded path for fixed RNG seeds;
  *  - the OtWorkspace arena is sized once from FerretParams;
@@ -27,6 +28,7 @@
 #include "ot/base_cot.h"
 #include "ot/ferret.h"
 #include "ot/ferret_params.h"
+#include "ot/lpn.h"
 #include "ot/ot_workspace.h"
 #include "ppml/cot_engine.h"
 #include "ppml/secure_compute.h"
@@ -190,6 +192,39 @@ TEST(WorkspaceEngineTest, ScatterFreeExtendIsAllocationFreeAfterWarmup)
     // LPN feed (aliased arena, cross-tree expansion straight into the
     // row slots) — which must be just as allocation-free once warm.
     expectAllocationFreeAfterWarmup(tinyAlignedParams());
+}
+
+TEST(WorkspaceEngineTest, StreamingLpnEncodesAreAllocationFree)
+{
+    // The engines above run the tape; the 2^23+ sets stream instead.
+    // The fused streaming encoders keep their indices on the stack, so
+    // a block encode on a warm scratch and the receiver's ranged bit
+    // encode, fanned out as the engine does, allocate nothing.
+    LpnParams p;
+    p.n = 4096 + 40;
+    p.k = 512;
+    p.seed = 904;
+    const LpnEncoder enc(p);
+    Rng rng(905);
+    const std::vector<Block> in = rng.nextBlocks(p.k);
+    std::vector<Block> rows = rng.nextBlocks(p.n);
+    const BitVec bits_in = rng.nextBits(p.k);
+    BitVec bits = rng.nextBits(p.n);
+    LpnEncodeScratch scratch;
+    common::ThreadPool pool(3);
+    auto encode = [&] {
+        enc.encodeBlocks(in.data(), rows.data(), 0, p.n, scratch);
+        pool.parallelFor((p.n + 63) / 64, [&](int, size_t wlo, size_t whi) {
+            const size_t row0 = wlo * 64;
+            enc.encodeBits(bits_in, bits, row0,
+                           std::min(whi * 64, p.n) - row0);
+        });
+    };
+    encode(); // warm-up
+    const uint64_t before = g_allocCount.load();
+    encode();
+    EXPECT_EQ(g_allocCount.load() - before, 0u)
+        << "warm streaming LPN encodes performed heap allocations";
 }
 
 // ---------------------------------------------------------------------------
