@@ -96,8 +96,9 @@ ThreadPool::runAsync(size_t count, RangeFn fn, void *ctx)
         return;
     }
 
-    const size_t nw = workers.size();
-    const size_t per = (count + nw - 1) / nw;
+    const size_t slices = size_t(threads()) * kChunksPerThread;
+    const size_t per = ((count + slices - 1) / slices + kChunkAlign - 1) /
+                       kChunkAlign * kChunkAlign;
     {
         std::lock_guard<std::mutex> lock(mutex);
         IRONMAN_CHECK(pending == 0 && !asyncPending,
@@ -107,7 +108,8 @@ ThreadPool::runAsync(size_t count, RangeFn fn, void *ctx)
         jobCount = count;
         jobPer = per;
         jobAsync = true;
-        pending = nw;
+        nextChunk.store(0, std::memory_order_relaxed);
+        pending = workers.size();
         asyncPending = true;
         ++jobGen;
     }
@@ -115,11 +117,23 @@ ThreadPool::runAsync(size_t count, RangeFn fn, void *ctx)
 }
 
 void
+ThreadPool::claimChunks(int worker)
+{
+    const size_t chunks = (jobCount + jobPer - 1) / jobPer;
+    for (size_t c; (c = nextChunk.fetch_add(1, std::memory_order_relaxed)) <
+                   chunks;) {
+        const size_t begin = c * jobPer;
+        jobFn(jobCtx, worker, begin, std::min(jobCount, begin + jobPer));
+    }
+}
+
+void
 ThreadPool::wait()
 {
-    std::unique_lock<std::mutex> lock(mutex);
     if (!asyncPending)
         return;
+    claimChunks(0);
+    std::unique_lock<std::mutex> lock(mutex);
     cvDone.wait(lock, [this] { return pending == 0; });
     asyncPending = false;
 }
@@ -128,10 +142,6 @@ void
 ThreadPool::workerMain(int id, uint64_t seen)
 {
     for (;;) {
-        RangeFn fn;
-        void *ctx;
-        size_t count, per;
-        bool async;
         {
             std::unique_lock<std::mutex> lock(mutex);
             cvStart.wait(lock,
@@ -139,19 +149,19 @@ ThreadPool::workerMain(int id, uint64_t seen)
             if (stopping)
                 return;
             seen = jobGen;
-            fn = jobFn;
-            ctx = jobCtx;
-            count = jobCount;
-            per = jobPer;
-            async = jobAsync;
         }
 
-        // Async jobs have no caller slice: worker 1 starts at 0.
-        size_t slice = size_t(id) - (async ? 1 : 0);
-        size_t begin = std::min(count, slice * per);
-        size_t end = std::min(count, begin + per);
-        if (begin < end)
-            fn(ctx, id, begin, end);
+        // The job fields are read without the lock: the owner writes
+        // them under it before waking the workers, and rewrites them
+        // only after every worker has checked out (pending == 0).
+        if (jobAsync) {
+            claimChunks(id);
+        } else {
+            size_t begin = std::min(jobCount, size_t(id) * jobPer);
+            size_t end = std::min(jobCount, begin + jobPer);
+            if (begin < end)
+                jobFn(jobCtx, id, begin, end);
+        }
 
         {
             std::lock_guard<std::mutex> lock(mutex);

@@ -6,14 +6,20 @@
  * embarrassingly parallel over disjoint output ranges, but spawning
  * std::threads per call costs both latency and heap allocations. This
  * pool follows the stage/work-queue idiom of the pipelined-simulator
- * exemplar: N-1 persistent workers plus the calling thread, each
- * handed one contiguous range per job.
+ * exemplar: N-1 persistent workers plus the calling thread (worker 0).
+ * run() hands each of them one contiguous range. runAsync() cuts the
+ * job into fixed chunks that the workers claim at once, and the
+ * calling thread joins the job in wait() once its own stage (e.g. the
+ * next transcript's wire I/O) returns, so no core idles through the
+ * drain.
  *
  * Properties the protocol code relies on:
- *  - the range partition depends only on (count, threads), never on
- *    scheduling, so parallel output is bit-identical to serial;
- *  - run() performs no heap allocation (jobs are a function pointer +
- *    context, not a queue of std::functions);
+ *  - range and chunk boundaries depend only on (count, threads),
+ *    never on scheduling. Which thread runs an async chunk does
+ *    depend on scheduling, so a job's output must depend only on the
+ *    range, never on the worker id (ids pick per-thread scratch);
+ *  - run(), runAsync() and wait() perform no heap allocation (jobs
+ *    are a function pointer + context, not a queue of std::functions);
  *  - with threads <= 1 the pool holds no workers and runs inline.
  *
  * Jobs must not throw (protocol invariants use IRONMAN_CHECK, which
@@ -23,6 +29,7 @@
 #ifndef IRONMAN_COMMON_THREAD_POOL_H
 #define IRONMAN_COMMON_THREAD_POOL_H
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -31,7 +38,7 @@
 
 namespace ironman::common {
 
-/** Persistent worker pool; one contiguous range per worker. */
+/** Persistent worker pool; the calling thread is worker 0. */
 class ThreadPool
 {
   public:
@@ -75,18 +82,25 @@ class ThreadPool
     }
 
     /**
-     * Launch a job on the background workers ONLY and return
-     * immediately, leaving the calling thread free for other work
-     * (e.g. wire I/O of the next pipeline stage). [0, count) is split
-     * into workers.size() contiguous ranges; fn receives worker ids
-     * 1..workers.size(). With no workers (threads() == 1) the job runs
-     * inline before returning. @p ctx and the data it references must
-     * stay alive until wait(). run()/parallelFor() must not be called
-     * while an async job is pending.
+     * Launch a job on the background workers and return immediately,
+     * leaving the calling thread free for other work (e.g. wire I/O of
+     * the next pipeline stage). [0, count) is cut into contiguous
+     * chunks of ceil(count / (threads() * kChunksPerThread)) rounded
+     * up to kChunkAlign; the workers claim them in order through one
+     * cursor and call fn(ctx, id, begin, end) for each. With no
+     * workers (threads() == 1) the job runs inline before returning.
+     * @p ctx and the data it references must stay alive until wait().
+     * run()/parallelFor() must not be called while an async job is
+     * pending.
      */
     void runAsync(size_t count, RangeFn fn, void *ctx);
 
-    /** Block until the job launched by runAsync() has completed. */
+    /**
+     * Join the job launched by runAsync(): claim its remaining chunks
+     * on the calling thread as worker 0, then block until the workers'
+     * last chunks finish. Worker ids stay in [0, threads()); when the
+     * pool has workers, id 0 runs only here.
+     */
     void wait();
 
     /** Async sugar; the callable must outlive the matching wait(). */
@@ -102,8 +116,15 @@ class ThreadPool
     }
 
   private:
+    /** Async chunks per thread: the caller's late join stays balanced. */
+    static constexpr size_t kChunksPerThread = 8;
+    /** Async chunk widths are multiples of this (whole 64-row words). */
+    static constexpr size_t kChunkAlign = 64;
+
     void workerMain(int id, uint64_t start_gen);
     void stopWorkers();
+    /** Run unclaimed chunks of the async job as @p worker. */
+    void claimChunks(int worker);
 
     std::vector<std::thread> workers;
 
@@ -114,8 +135,9 @@ class ThreadPool
     RangeFn jobFn = nullptr;
     void *jobCtx = nullptr;
     size_t jobCount = 0;
-    size_t jobPer = 0;     ///< range width (ceil(count / slices))
-    bool jobAsync = false; ///< workers-only split (no caller slice)
+    size_t jobPer = 0;     ///< range (run) or chunk (runAsync) width
+    bool jobAsync = false; ///< chunks claimed through nextChunk
+    std::atomic<size_t> nextChunk{0}; ///< async claim cursor
     size_t pending = 0;    ///< workers still running the current job
     bool asyncPending = false; ///< a runAsync() awaits wait()
     bool stopping = false;

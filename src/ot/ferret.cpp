@@ -228,9 +228,10 @@ FerretCotSender::extendInto(Rng &rng, Block *out)
     // Hand the output tail to the pool workers and, while they
     // gather-XOR, push iteration i+1's SPCOT transcript from this
     // thread (expansion runs serially here — the pool is busy; the
-    // partition never changes the bits). Stage-handoff invariant:
-    // slot slotCur is free (scattered above), the transcript writes
-    // slot slotCur^1.
+    // partition never changes the bits). The calling thread joins the
+    // LPN once its wire stage returns (wait() claims the chunks left).
+    // Stage-handoff invariant: slot slotCur is free (scattered
+    // above), the transcript writes slot slotCur^1.
     phase.reset();
     auto encode_tail = [&](int worker, size_t lo, size_t hi) {
         encodeRange(encoder, ws, lpn_r, z + reserved + lo,
@@ -387,11 +388,12 @@ FerretCotReceiver::extendInto(Rng &rng, BitVec &choice_out, Block *t_out)
     stats_.add("lpn_bits_us", lpn_bits_us);
     phaseSpan(traced, "lpn_bits", lpn_bits_us, p.n);
 
-    // Prefetch iteration i+1: choices out, then the block LPN runs on
-    // the workers while this thread blocks on the returning
-    // ciphertexts. Stage-handoff invariant: the next transcript fills
-    // slots[slotCur^1] while the LPN stage still reads slots[slotCur]'s
-    // alphas (and nothing else of it).
+    // Prefetch iteration i+1: choices out, then the block LPN starts
+    // on the workers while this thread reads the returning
+    // ciphertexts; the calling thread joins the LPN once its wire
+    // stage returns. Stage-handoff invariant: the next transcript
+    // fills slots[slotCur^1] while the LPN stage still reads
+    // slots[slotCur]'s alphas (and nothing else of it).
     SpcotRecvSlot *next_slot = &ws.spcot.slots[slotCur ^ 1];
     draw_alphas();
     spcotRecvSendChoices(*ch, cfg, p.t, ws.alphas.data(), ws.x, p.k,

@@ -143,7 +143,8 @@ TEST(FerretPipelineTest, ReproducesRecordedTranscriptDigests)
     for (const KnownAnswer &kat : knownAnswers()) {
         const FerretParams &p = kat.params;
         ASSERT_GT(p.usableOts(), 0u) << p.name;
-        for (int threads : {1, 4}) {
+        // 2 is the ledger's engine width; 3 makes uneven chunk claims.
+        for (int threads : {1, 2, 3, 4}) {
             RunOutput run = runExtensions(p, threads, 3, kat.seed);
             EXPECT_EQ(digest(run), kat.digest)
                 << p.name << " at " << threads << " threads";

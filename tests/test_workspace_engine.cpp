@@ -17,10 +17,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <new>
 #include <thread>
+
+#include <sched.h>
+#include <sys/syscall.h>
+#include <unistd.h>
 
 #include "common/rng.h"
 #include "net/two_party.h"
@@ -111,8 +117,9 @@ namespace {
 // ---------------------------------------------------------------------------
 
 void
-expectAllocationFreeAfterWarmup(const FerretParams &p)
+expectAllocationFreeAfterWarmup(const FerretParams &p, int threads)
 {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
     Rng dealer(901);
     Block delta = dealer.nextBlock();
     auto [bs, br] = dealBaseCots(dealer, delta, p.reservedCots());
@@ -127,6 +134,11 @@ expectAllocationFreeAfterWarmup(const FerretParams &p)
     FerretCotSender sender(duplex.a(), p, delta, std::move(bs.q));
     FerretCotReceiver receiver(duplex.b(), p, std::move(br.choice),
                                std::move(br.t));
+    // Above 1 thread the async LPN hands off to the pool and the
+    // caller joins it in wait(): the chunk cursor and the join must
+    // not allocate either.
+    sender.setThreads(threads);
+    receiver.setThreads(threads);
 
     std::vector<Block> q(p.usableOts());
     std::vector<Block> t(p.usableOts());
@@ -183,7 +195,8 @@ expectAllocationFreeAfterWarmup(const FerretParams &p)
 
 TEST(WorkspaceEngineTest, ExtendIsAllocationFreeAfterWarmup)
 {
-    expectAllocationFreeAfterWarmup(tinyTestParams());
+    for (int threads : {1, 2, 4})
+        expectAllocationFreeAfterWarmup(tinyTestParams(), threads);
 }
 
 TEST(WorkspaceEngineTest, ScatterFreeExtendIsAllocationFreeAfterWarmup)
@@ -191,7 +204,8 @@ TEST(WorkspaceEngineTest, ScatterFreeExtendIsAllocationFreeAfterWarmup)
     // bucketSize() == treeLeaves(): the engines take the scatter-free
     // LPN feed (aliased arena, cross-tree expansion straight into the
     // row slots) — which must be just as allocation-free once warm.
-    expectAllocationFreeAfterWarmup(tinyAlignedParams());
+    for (int threads : {1, 2, 4})
+        expectAllocationFreeAfterWarmup(tinyAlignedParams(), threads);
 }
 
 TEST(WorkspaceEngineTest, StreamingLpnEncodesAreAllocationFree)
@@ -279,12 +293,13 @@ runExtensions(int threads, int iterations, uint64_t seed)
 TEST(WorkspaceEngineTest, MultiThreadedMatchesSingleThreaded)
 {
     RunOutput serial = runExtensions(1, 2, 7100);
-    RunOutput parallel = runExtensions(4, 2, 7100);
-
-    ASSERT_EQ(serial.q.size(), parallel.q.size());
-    EXPECT_EQ(serial.q, parallel.q);
-    EXPECT_EQ(serial.t, parallel.t);
-    EXPECT_EQ(serial.choice, parallel.choice);
+    for (int threads : {2, 4}) {
+        RunOutput parallel = runExtensions(threads, 2, 7100);
+        ASSERT_EQ(serial.q.size(), parallel.q.size()) << threads;
+        EXPECT_EQ(serial.q, parallel.q) << threads;
+        EXPECT_EQ(serial.t, parallel.t) << threads;
+        EXPECT_EQ(serial.choice, parallel.choice) << threads;
+    }
 
     // And the outputs are valid correlations.
     for (size_t i = 0; i < serial.q.size(); ++i)
@@ -399,6 +414,121 @@ TEST(ThreadPoolTest, ResizeAfterUseDoesNotReplayStaleJob)
     });
     for (int h : hits)
         ASSERT_EQ(h, 2);
+}
+
+/**
+ * One async job, joined at once: every index visited exactly once in
+ * non-empty ranges, ids in [0, threads()), id 0 only on the calling
+ * thread and only inside wait() (threads() == 1 runs inline in
+ * runAsync instead).
+ * Returns whether the caller ran every chunk itself.
+ */
+bool
+runAsyncJob(common::ThreadPool &pool, size_t count,
+            std::vector<uint8_t> &hits)
+{
+    hits.assign(count, 0);
+    const int threads = pool.threads();
+    const std::thread::id caller = std::this_thread::get_id();
+    bool in_wait = false; // touched by worker 0 (the caller) only
+    std::atomic<int> bad{0};
+    std::atomic<size_t> by_workers{0};
+    auto job = [&](int worker, size_t lo, size_t hi) {
+        const bool on_caller = std::this_thread::get_id() == caller;
+        if (lo >= hi || hi > count || worker < 0 || worker >= threads ||
+            on_caller != (worker == 0) ||
+            (worker == 0 && threads > 1 && !in_wait))
+            bad.fetch_add(1, std::memory_order_relaxed);
+        if (worker != 0)
+            by_workers.fetch_add(hi - lo, std::memory_order_relaxed);
+        for (size_t i = lo; i < hi; ++i)
+            hits[i]++;
+    };
+    pool.parallelForAsync(count, job);
+    in_wait = true;
+    pool.wait();
+    in_wait = false;
+
+    EXPECT_EQ(bad.load(), 0) << count << " rows at " << threads;
+    for (size_t i = 0; i < count; ++i)
+        if (hits[i] != 1) {
+            ADD_FAILURE() << "index " << i << " of " << count << " at "
+                          << threads << " threads visited "
+                          << int(hits[i]) << " times";
+            break;
+        }
+    return by_workers.load() == 0;
+}
+
+TEST(ThreadPoolTest, AsyncJobVisitsEveryIndexOnceAndCallerJoinsInWait)
+{
+    common::ThreadPool pool;
+    std::vector<uint8_t> hits;
+    std::vector<int> sync_hits;
+    for (int rep = 0; rep < 200; ++rep)
+        for (int threads : {1, 2, 3, 4}) {
+            pool.resize(threads); // between async jobs
+            for (size_t count : {0, 1, 2, 63, 64, 65, 1000, 100003}) {
+                runAsyncJob(pool, count, hits);
+                // A static-split job right after the join.
+                sync_hits.assign(count, 0);
+                pool.parallelFor(count, [&](int, size_t lo, size_t hi) {
+                    for (size_t i = lo; i < hi; ++i)
+                        sync_hits[i]++;
+                });
+                ASSERT_EQ(std::count(sync_hits.begin(), sync_hits.end(), 1),
+                          std::ptrdiff_t(count));
+            }
+            if (testing::Test::HasFailure())
+                return;
+        }
+}
+
+TEST(ThreadPoolTest, CallerDrainsAsyncJobAlone)
+{
+    // Hold the workers off until the caller has claimed every chunk:
+    // they share the caller's one CPU at SCHED_IDLE, which never
+    // preempts a normal thread, so they run only once the caller
+    // blocks in wait(). The late workers must then find the cursor
+    // spent and still check in before wait() returns. A thread of
+    // another process that preempts the caller can still let a worker
+    // in, so the drained-alone case is required at least once, and
+    // every job's contract always.
+    cpu_set_t saved;
+    ASSERT_EQ(sched_getaffinity(0, sizeof saved, &saved), 0);
+    struct RestoreAffinity
+    {
+        const cpu_set_t &mask;
+        ~RestoreAffinity() { sched_setaffinity(0, sizeof mask, &mask); }
+    } restore{saved};
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(sched_getcpu(), &one);
+
+    common::ThreadPool pool(4);
+    std::vector<pid_t> tids(size_t(pool.threads()));
+    pool.parallelFor(tids.size(), [&](int worker, size_t, size_t) {
+        tids[size_t(worker)] = pid_t(syscall(SYS_gettid));
+    });
+    const sched_param idle{};
+    for (size_t w = 0; w < tids.size(); ++w) {
+        ASSERT_EQ(sched_setaffinity(tids[w], sizeof one, &one), 0);
+        if (w > 0) {
+            ASSERT_EQ(sched_setscheduler(tids[w], SCHED_IDLE, &idle), 0);
+        }
+    }
+
+    std::vector<uint8_t> hits;
+    int alone = 0, jobs = 0;
+    for (int rep = 0; rep < 100; ++rep)
+        for (size_t count : {1, 65, 1000}) {
+            // A fresh time slice, so no tick preempts the caller
+            // mid-claim.
+            std::this_thread::sleep_for(std::chrono::microseconds(500));
+            alone += runAsyncJob(pool, count, hits);
+            ++jobs;
+        }
+    EXPECT_GT(alone, 0) << "of " << jobs << " jobs";
 }
 
 // ---------------------------------------------------------------------------
