@@ -9,9 +9,10 @@
  * exemplar: N-1 persistent workers plus the calling thread (worker 0).
  * run() hands each of them one contiguous range. runAsync() cuts the
  * job into fixed chunks that the workers claim at once, and the
- * calling thread joins the job in wait() once its own stage (e.g. the
- * next transcript's wire I/O) returns, so no core idles through the
- * drain.
+ * calling thread joins the job in wait() once its own stage returns,
+ * so no core idles through the drain. Its one call site is the FERRET
+ * receiver's LPN pass, which runs while the calling thread reads the
+ * next SPCOT transcript off the wire.
  *
  * Properties the protocol code relies on:
  *  - range and chunk boundaries depend only on (count, threads),

@@ -50,7 +50,9 @@ measureCpuOte(const ot::FerretParams &params, int threads, int executions)
     m.secondsPerExec = run_timer.seconds() / executions;
     m.spcotSeconds =
         sender_stats.get("spcot_us") * 1e-6 / executions;
-    m.lpnSeconds = sender_stats.get("lpn_us") * 1e-6 / executions;
+    m.lpnSeconds = (sender_stats.get("lpn_prefix_us") +
+                    sender_stats.get("lpn_us")) *
+                   1e-6 / executions;
     m.wireBytes = wire.totalBytes / executions;
     m.spcotPrgOps = sender_stats.get("spcot_prg_ops") / executions;
     return m;

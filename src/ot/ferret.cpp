@@ -76,33 +76,65 @@ encodeRange(const LpnEncoder &enc, OtWorkspace &ws, const Block *in,
         enc.encodeBlocks(in, inout, row0, count, ws.lpn[scratch_idx]);
 }
 
-/** Pool-parallel encodeRange over rows [row0, row0+count). */
+/**
+ * Copy rows [lo, hi) of the SPCOT output from the tree leaves @p leaf
+ * (bucket b of the rows is the first b.width leaves of tree b) into
+ * @p rows. The scatter-free feed skips this: its leaves are the rows.
+ */
 void
-encodePooled(const LpnEncoder &enc, OtWorkspace &ws, const Block *in,
-             Block *inout, size_t row0, size_t count)
+scatterRows(const FerretParams &p, const Block *leaf, Block *rows,
+            size_t lo, size_t hi)
 {
-    ws.pool.parallelFor(count, [&](int worker, size_t lo, size_t hi) {
-        encodeRange(enc, ws, in, inout + lo, row0 + lo, hi - lo, worker);
+    const size_t bucket = p.bucketSize();
+    const size_t leaves = p.treeLeaves();
+    while (lo < hi) {
+        const size_t tr = lo / bucket;
+        const size_t width = std::min((tr + 1) * bucket, hi) - lo;
+        std::copy_n(leaf + tr * leaves + (lo - tr * bucket), width,
+                    rows + lo);
+        lo += width;
+    }
+}
+
+/**
+ * Pool-parallel bit encode ws.x ^= ws.e * A of rows [0, rows), split
+ * on 64-row words so every worker owns whole words of ws.x.
+ */
+void
+encodeBitsPrefix(const LpnEncoder &enc, OtWorkspace &ws, size_t rows)
+{
+    ws.pool.parallelFor((rows + 63) / 64, [&](int, size_t wlo, size_t whi) {
+        const size_t row0 = wlo * 64;
+        const size_t count = std::min(whi * 64, rows) - row0;
+        if (ws.tape.ready())
+            enc.encodeBitsTape(ws.e, ws.x, row0, count, ws.tape);
+        else
+            enc.encodeBits(ws.e, ws.x, row0, count);
     });
 }
 
 /**
- * Pool-parallel bit encode of all rows, split on 64-row words so
- * every worker owns whole words of @p inout.
+ * The receiver's LPN over rows [lo, hi), lo a multiple of 64: block
+ * encode y ^= s * A on every row, and bit encode ws.x ^= ws.e * A on
+ * the rows at or above @p split (a multiple of 64; encodeBitsPrefix
+ * did the rows below). The streaming path generates each 64-row
+ * block's indices once for both encodes.
  */
 void
-encodeBitsPooled(const LpnEncoder &enc, OtWorkspace &ws, const BitVec &in,
-                 BitVec &inout)
+encodeRecvRange(const LpnEncoder &enc, OtWorkspace &ws, const Block *s,
+                Block *y, size_t lo, size_t hi, size_t split, int worker)
 {
-    const size_t n = enc.params().n;
-    ws.pool.parallelFor((n + 63) / 64, [&](int, size_t wlo, size_t whi) {
-        const size_t row0 = wlo * 64;
-        const size_t count = std::min(whi * 64, n) - row0;
-        if (ws.tape.ready())
-            enc.encodeBitsTape(in, inout, row0, count, ws.tape);
-        else
-            enc.encodeBits(in, inout, row0, count);
-    });
+    const size_t mid = std::clamp(split, lo, hi);
+    if (ws.tape.ready()) {
+        enc.encodeBlocksTape(s, y + lo, lo, hi - lo, ws.tape);
+        if (mid < hi)
+            enc.encodeBitsTape(ws.e, ws.x, mid, hi - mid, ws.tape);
+        return;
+    }
+    if (lo < mid)
+        enc.encodeBlocks(s, y + lo, lo, mid - lo, ws.lpn[worker]);
+    if (mid < hi)
+        enc.encodeBlocksAndBits(s, y + mid, ws.e, ws.x, mid, hi - mid);
 }
 
 /**
@@ -192,8 +224,6 @@ FerretCotSender::extendInto(Rng &rng, Block *out)
     ws.prepare(p, threads, 2, sf);
     ensureTape();
     const SpcotConfig cfg = spcotConfigOf(p);
-    const size_t bucket = p.bucketSize();
-    const size_t leaves = p.treeLeaves();
     const size_t spcot_cots = p.t * p.cotsPerTree();
     const size_t reserved = p.k + spcot_cots;
     uint64_t prg_ops = 0;
@@ -204,56 +234,54 @@ FerretCotSender::extendInto(Rng &rng, Block *out)
     Timer phase;
     if (!havePending)
         spcotSendTranscript(*ch, cfg, p.t, delta_, baseQ.data() + p.k,
-                            rng, tweak, &ws.pool, ws.spcot,
+                            rng, tweak, ws.pool, ws.spcot,
                             ws.leaf[slotCur], &prg_ops);
 
-    // Scatter the pending leaves (scatter-free: slot slotCur already
-    // IS the row vector), then encode the reserve prefix eagerly —
-    // the next transcript's chosen-OT pads need q' = z[k..reserved).
+    // Encode the reserve prefix eagerly — the next transcript's
+    // chosen-OT pads need q' = z[k..reserved). Each worker scatters
+    // the pending leaves of its rows first (scatter-free: slot slotCur
+    // already IS the row vector).
     phase.reset();
-    Block *z = sf ? ws.leaf[slotCur] : ws.rows;
+    Block *leaf = ws.leaf[slotCur];
+    Block *z = sf ? leaf : ws.rows;
     const Block *lpn_r = baseQ.data();
-    if (!sf)
-        for (size_t tr = 0; tr < p.t; ++tr) {
-            size_t row0 = tr * bucket;
-            size_t width = std::min(bucket, p.n - row0);
-            std::copy_n(ws.leaf[slotCur] + tr * leaves, width, z + row0);
-        }
-    encodePooled(encoder, ws, lpn_r, z, 0, reserved);
+    auto encode_rows = [&](int worker, size_t lo, size_t hi) {
+        if (!sf)
+            scatterRows(p, leaf, z, lo, hi);
+        encodeRange(encoder, ws, lpn_r, z + lo, lo, hi - lo, worker);
+    };
+    ws.pool.parallelFor(reserved, encode_rows);
     baseNext.assign(z, z + reserved);
     const uint64_t lpn_prefix_us = uint64_t(phase.seconds() * 1e6);
     stats_.add("lpn_prefix_us", lpn_prefix_us);
     phaseSpan(traced, "lpn_prefix", lpn_prefix_us, reserved);
 
-    // Hand the output tail to the pool workers and, while they
-    // gather-XOR, push iteration i+1's SPCOT transcript from this
-    // thread (expansion runs serially here — the pool is busy; the
-    // partition never changes the bits). The calling thread joins the
-    // LPN once its wire stage returns (wait() claims the chunks left).
-    // Stage-handoff invariant: slot slotCur is free (scattered
-    // above), the transcript writes slot slotCur^1.
-    phase.reset();
-    auto encode_tail = [&](int worker, size_t lo, size_t hi) {
-        encodeRange(encoder, ws, lpn_r, z + reserved + lo,
-                    reserved + lo, hi - lo, worker);
-    };
-    ws.pool.parallelForAsync(p.n - reserved, encode_tail);
-
+    // Iteration i+1's SPCOT transcript, expanded on the whole pool
+    // (the partition never changes the bits). It needs only the
+    // prefix's bootstrap reserve; the receiver sends its choices right
+    // after its own prefix, so the wait for them is short.
+    // Stage-handoff invariant: the transcript writes slot slotCur^1;
+    // slot slotCur holds the output tail's leaves until it is encoded.
     const int next = slotCur ^ 1;
     uint64_t prefetch_ops = 0;
-    Timer spcot_timer;
+    phase.reset();
     spcotSendTranscript(*ch, cfg, p.t, delta_, baseNext.data() + p.k,
-                        rng, tweak, /*pool=*/nullptr, ws.spcot,
-                        ws.leaf[next], &prefetch_ops);
-    const uint64_t spcot_us = uint64_t(spcot_timer.seconds() * 1e6);
+                        rng, tweak, ws.pool, ws.spcot, ws.leaf[next],
+                        &prefetch_ops);
+    const uint64_t spcot_us = uint64_t(phase.seconds() * 1e6);
     stats_.add("spcot_us", spcot_us);
     phaseSpan(traced, "spcot_transcript", spcot_us, prefetch_ops);
 
-    ws.pool.wait();
+    // The output tail, each worker copying the rows it encoded.
+    phase.reset();
+    ws.pool.parallelFor(p.n - reserved, [&](int worker, size_t lo,
+                                            size_t hi) {
+        encode_rows(worker, reserved + lo, reserved + hi);
+        std::copy(z + reserved + lo, z + reserved + hi, out + lo);
+    });
     const uint64_t lpn_us = uint64_t(phase.seconds() * 1e6);
     stats_.add("lpn_us", lpn_us);
     phaseSpan(traced, "lpn_encode", lpn_us, p.n);
-    std::copy(z + reserved, z + p.n, out);
 
     baseQ.swap(baseNext);
     slotCur = next;
@@ -334,7 +362,6 @@ FerretCotReceiver::extendInto(Rng &rng, BitVec &choice_out, Block *t_out)
     ensureTape();
     const SpcotConfig cfg = spcotConfigOf(p);
     const size_t bucket = p.bucketSize();
-    const size_t leaves = p.treeLeaves();
     const size_t spcot_cots = p.t * p.cotsPerTree();
     const size_t reserved = p.k + spcot_cots;
     uint64_t prg_ops = 0;
@@ -368,31 +395,29 @@ FerretCotReceiver::extendInto(Rng &rng, BitVec &choice_out, Block *t_out)
     stats_.add("spcot_prg_ops", prg_ops);
     phaseSpan(traced, "spcot_finish", spcot_us, prg_ops);
 
-    // Bit-LPN first: the next transcript's derandomization bits need
-    // only x = e*A ^ u.
+    // Bit-LPN prefix first: the next transcript's derandomization bits
+    // are x[k, reserved) of x = e*A ^ u, so only the rows below
+    // split (reserved rounded up to whole 64-row words) are encoded
+    // before the choices go out.
     phase.reset();
+    const size_t split = std::min(p.n, (reserved + 63) / 64 * 64);
     ws.e.assignRange(baseChoice, 0, p.k);
     ws.x.resize(p.n);
     ws.x.zeroAll();
-    Block *y = sf ? ws.leaf[0] : ws.rows;
-    const Block *lpn_s = baseT.data();
-    for (size_t tr = 0; tr < p.t; ++tr) {
-        size_t row0 = tr * bucket;
-        size_t width = std::min(bucket, p.n - row0);
-        if (!sf)
-            std::copy_n(ws.leaf[0] + tr * leaves, width, y + row0);
-        ws.x.set(row0 + slot->alphas[tr], true);
-    }
-    encodeBitsPooled(encoder, ws, ws.e, ws.x);
-    const uint64_t lpn_bits_us = uint64_t(phase.seconds() * 1e6);
-    stats_.add("lpn_bits_us", lpn_bits_us);
-    phaseSpan(traced, "lpn_bits", lpn_bits_us, p.n);
+    for (size_t tr = 0; tr < p.t; ++tr)
+        ws.x.set(tr * bucket + slot->alphas[tr], true);
+    encodeBitsPrefix(encoder, ws, split);
+    const uint64_t lpn_prefix_us = uint64_t(phase.seconds() * 1e6);
+    stats_.add("lpn_prefix_us", lpn_prefix_us);
+    phaseSpan(traced, "lpn_prefix", lpn_prefix_us, split);
 
-    // Prefetch iteration i+1: choices out, then the block LPN starts
-    // on the workers while this thread reads the returning
-    // ciphertexts; the calling thread joins the LPN once its wire
-    // stage returns. Stage-handoff invariant: the next transcript
-    // fills slots[slotCur^1] while the LPN stage still reads
+    // Prefetch iteration i+1: choices out, then one pass over all rows
+    // starts on the workers — leaf scatter, block LPN, the bit-LPN
+    // above split and the output copy — while this thread reads the returning
+    // ciphertexts; the calling thread joins the pass once its wire
+    // stage returns. Chunks start on 64-row words, so each owns whole
+    // words of x. Stage-handoff invariant: the next transcript fills
+    // slots[slotCur^1] while the LPN stage still reads
     // slots[slotCur]'s alphas (and nothing else of it).
     SpcotRecvSlot *next_slot = &ws.spcot.slots[slotCur ^ 1];
     draw_alphas();
@@ -400,10 +425,17 @@ FerretCotReceiver::extendInto(Rng &rng, BitVec &choice_out, Block *t_out)
                          tweak, ws.spcot, *next_slot);
 
     phase.reset();
-    auto encode_blocks = [&](int worker, size_t lo, size_t hi) {
-        encodeRange(encoder, ws, lpn_s, y + lo, lo, hi - lo, worker);
+    Block *y = sf ? ws.leaf[0] : ws.rows;
+    const Block *lpn_s = baseT.data();
+    auto encode_rows = [&](int worker, size_t lo, size_t hi) {
+        if (!sf)
+            scatterRows(p, ws.leaf[0], y, lo, hi);
+        encodeRecvRange(encoder, ws, lpn_s, y, lo, hi, split, worker);
+        const size_t from = std::max(lo, reserved);
+        if (from < hi)
+            std::copy(y + from, y + hi, t_out + (from - reserved));
     };
-    ws.pool.parallelForAsync(p.n, encode_blocks);
+    ws.pool.parallelForAsync(p.n, encode_rows);
     spcotRecvRecvTranscript(*ch, cfg, p.t, ws.spcot, *next_slot);
     ws.pool.wait();
     const uint64_t lpn_us = uint64_t(phase.seconds() * 1e6);
@@ -415,9 +447,7 @@ FerretCotReceiver::extendInto(Rng &rng, BitVec &choice_out, Block *t_out)
     baseT.swap(baseTNext);
     choiceNext.assignRange(ws.x, 0, reserved);
     std::swap(baseChoice, choiceNext);
-
     choice_out.assignRange(ws.x, reserved, p.n - reserved);
-    std::copy(y + reserved, y + p.n, t_out);
 
     slotCur ^= 1;
     havePending = true;

@@ -16,18 +16,19 @@
  *      base reserve; the remaining usableOts() are handed out.
  *
  * The engine overlaps consecutive extensions (the iteration
- * pipeline): while iteration i's LPN encode runs on the pool workers,
- * iteration i+1's SPCOT transcript is already crossing the wire on the
- * calling thread (see DESIGN.md §2, "The iteration pipeline"). The
- * dependency that makes this legal:
+ * pipeline): iteration i+1's SPCOT transcript crosses the wire before
+ * iteration i's LPN encode is done (see DESIGN.md §2, "The iteration
+ * pipeline"). The dependency that makes this legal:
  *
  *   - the sender's next transcript needs q' = z_i[k..reserved), so
- *     the reserve prefix of z is encoded eagerly before the output
- *     tail is handed to the workers;
+ *     the reserve prefix of z is encoded first, the transcript expanded
+ *     and pushed next, and the output tail encoded last;
  *   - the receiver's next derandomization bits need only the CHOICE
- *     BITS x_i (the cheap bit-LPN), while the unmask of the received
- *     ciphertexts — which needs the block reserve y_i — is deferred
- *     to the next call (SpcotRecvSlot holds the pending transcript).
+ *     BITS x_i[k..reserved), so it bit-encodes that word-rounded
+ *     prefix, sends them, and runs the rest of its LPN on the pool
+ *     workers while it reads the returning ciphertexts. Their unmask
+ *     — which needs the block reserve y_i — is deferred to the next
+ *     call (SpcotRecvSlot holds the pending transcript).
  *
  * Every steady-state call leaves one prefetched transcript in flight,
  * which the peer's next call consumes; the output for given RNG seeds

@@ -405,6 +405,25 @@ LpnEncoder::encodeBits(const BitVec &in, BitVec &inout, size_t row0,
 }
 
 void
+LpnEncoder::encodeBlocksAndBits(const Block *in, Block *inout,
+                                const BitVec &bits_in, BitVec &bits_inout,
+                                size_t row0, size_t count) const
+{
+    checkBitRange(p, bits_in, bits_inout, row0, count);
+    const GatherFn gather = activeGatherKernel();
+    const BitGatherFn bit_gather = activeBitKernel();
+    alignas(32) uint32_t mini[kBlockRows * kMaxWeight];
+    const uint64_t *in_words = bits_in.rawWords().data();
+    uint64_t *out_words = bits_inout.rawWords().data();
+    for (size_t b = row0; b < row0 + count; b += kBlockRows) {
+        laneBlock(b, mini);
+        const size_t rows = std::min(kBlockRows, row0 + count - b);
+        gather(in, inout + (b - row0), mini, 0, rows, p.d);
+        bit_gather(in_words, out_words + b / kBlockRows, mini, rows, p.d);
+    }
+}
+
+void
 LpnEncoder::encodeBitsTape(const BitVec &in, BitVec &inout, size_t row0,
                            size_t count, const LpnIndexTape &tape) const
 {

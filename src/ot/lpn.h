@@ -31,6 +31,9 @@
  *    the stack — one AES batch, an exact multiply-shift `% k` — and
  *    hands that 64-row mini-tape to the same kernels. The 2^23+ sets,
  *    whose tapes are above the cap, run this path.
+ *    encodeBlocksAndBits feeds one mini-tape to both the block and the
+ *    bit kernel, so the FERRET receiver, which encodes both vectors
+ *    over the same rows, generates each row's indices once.
  *
  * The encoder itself is immutable and shareable across threads; the
  * tape is read-only after build.
@@ -208,6 +211,18 @@ class LpnEncoder
      */
     void encodeBits(const BitVec &in, BitVec &inout, size_t row0,
                     size_t count) const;
+
+    /**
+     * encodeBlocks() and encodeBits() of the same rows
+     * [row0, row0+count) in one streaming pass: each 64-row block's
+     * indices are generated once and fed to both kernels. Same rules
+     * as encodeBits() (row0 % 64 == 0, so concurrent calls on 64-row
+     * aligned parts own whole words of @p bits_inout); @p inout points
+     * at row row0. Allocation-free.
+     */
+    void encodeBlocksAndBits(const Block *in, Block *inout,
+                             const BitVec &bits_in, BitVec &bits_inout,
+                             size_t row0, size_t count) const;
 
     /** encodeBits() over all rows [0, p.n). */
     void

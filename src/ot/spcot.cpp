@@ -148,11 +148,10 @@ SpcotWorkspace::prgOps() const
 void
 spcotSendTranscript(net::Channel &ch, const SpcotConfig &cfg,
                     size_t num_trees, const Block &delta, const Block *q,
-                    Rng &rng, uint64_t &tweak, common::ThreadPool *pool,
+                    Rng &rng, uint64_t &tweak, common::ThreadPool &pool,
                     SpcotWorkspace &ws, Block *w, uint64_t *prg_ops)
 {
-    ws.prepare(cfg, num_trees, pool ? pool->threads() : 1,
-               /*for_sender=*/true);
+    ws.prepare(cfg, num_trees, pool.threads(), /*for_sender=*/true);
     const SpcotShape &sh = ws.shape;
     const size_t num_levels = sh.arities.size();
     const size_t n_inst = num_trees * sh.cotsPerTree;
@@ -258,10 +257,7 @@ spcotSendTranscript(net::Channel &ch, const SpcotConfig &cfg,
         }
     };
 
-    if (pool)
-        pool->parallelFor(num_trees, expand_range);
-    else
-        expand_range(0, 0, num_trees);
+    pool.parallelFor(num_trees, expand_range);
 
     if (prg_ops)
         *prg_ops = ws.prgOps() - ops_before;

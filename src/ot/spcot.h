@@ -31,9 +31,8 @@
  *
  * The protocol is split into pipeline stages:
  *   - sender: spcotSendTranscript() expands the trees and pushes the
- *     whole transcript (chosen-OT ciphertexts + masked sums) — with a
- *     pool, or serially when the pool is busy with the previous
- *     iteration's LPN encode;
+ *     whole transcript (chosen-OT ciphertexts + masked sums), the
+ *     trees split over a worker pool;
  *   - receiver: spcotRecvSendChoices() (derandomization bits out;
  *     needs only choice BITS of the base COTs), then
  *     spcotRecvRecvTranscript() (pull ciphertexts + masked sums into a
@@ -206,16 +205,14 @@ struct SpcotWorkspace
  *          consumed in traversal order (must mirror the receiver).
  * @param rng Source of the tree and mini-tree seeds.
  * @param tweak In/out hash-tweak counter shared by both parties.
- * @param pool Worker pool splitting trees into contiguous ranges, or
- *             nullptr to expand serially on the calling thread (used
- *             while the pool runs the previous iteration's LPN).
- *             Output is bit-identical either way.
+ * @param pool Worker pool splitting trees into contiguous ranges;
+ *             the output is bit-identical for any worker count.
  * @param prg_ops If non-null, receives the PRG invocation count.
  */
 void spcotSendTranscript(net::Channel &ch, const SpcotConfig &cfg,
                          size_t num_trees, const Block &delta,
                          const Block *q, Rng &rng, uint64_t &tweak,
-                         common::ThreadPool *pool, SpcotWorkspace &ws,
+                         common::ThreadPool &pool, SpcotWorkspace &ws,
                          Block *w, uint64_t *prg_ops);
 
 /**

@@ -143,6 +143,11 @@ TEST(FerretPipelineTest, ReproducesRecordedTranscriptDigests)
     for (const KnownAnswer &kat : knownAnswers()) {
         const FerretParams &p = kat.params;
         ASSERT_GT(p.usableOts(), 0u) << p.name;
+        // The receiver bit-encodes rows [0, split) before it sends its
+        // choices, split = reserved rounded up to a 64-row word, and
+        // the rest in its one-pass LPN. A reserve off the word grid
+        // exercises the rounding and an LPN chunk straddling split.
+        ASSERT_NE(p.reservedCots() % 64, 0u) << p.name;
         // 2 is the ledger's engine width; 3 makes uneven chunk claims.
         for (int threads : {1, 2, 3, 4}) {
             RunOutput run = runExtensions(p, threads, 3, kat.seed);

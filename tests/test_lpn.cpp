@@ -367,6 +367,73 @@ TEST(LpnFusedTest, BitRangesMatchDenseReference)
 }
 
 /**
+ * encodeBlocksAndBits() — one mini-tape per 64-row block feeding both
+ * kernels — equals separate encodeBlocks() + encodeBits() calls and
+ * the dense references, touches only its rows, under every kernel:
+ * word-aligned starts, short and long counts and the ragged last word.
+ */
+TEST(LpnFusedTest, BlocksAndBitsMatchSeparateEncodes)
+{
+    LpnParams p;
+    p.n = 1700; // n % 64 != 0
+    p.k = 300;
+    p.seed = 64;
+    const LpnEncoder enc(p);
+    Rng rng(65);
+    const std::vector<Block> in = rng.nextBlocks(p.k);
+    const std::vector<Block> base = rng.nextBlocks(p.n);
+    const BitVec bits_in = rng.nextBits(p.k);
+    const BitVec bits_base = rng.nextBits(p.n);
+    const std::vector<Block> dense = denseEncode(enc, in, base);
+    const BitVec dense_bits = denseEncodeBits(enc, bits_in, bits_base);
+
+    struct Range
+    {
+        size_t row0, count;
+    };
+    std::vector<Range> ranges;
+    for (size_t row0 : {size_t(0), size_t(64), size_t(640)})
+        for (size_t count : {1, 63, 64, 65, 1000})
+            ranges.push_back({row0, count});
+    const size_t last = p.n - p.n % 64;
+    ranges.push_back({last, p.n - last});
+
+    LpnEncodeScratch scratch;
+    for (LpnKernel kernel : kAllKernels) {
+        LpnEncoder::setKernel(kernel);
+        for (const Range &r : ranges) {
+            SCOPED_TRACE(testing::Message()
+                         << "kernel " << int(kernel) << " rows " << r.row0
+                         << "+" << r.count);
+            std::vector<Block> sep(base.begin() + r.row0,
+                                   base.begin() + r.row0 + r.count);
+            BitVec sep_bits = bits_base;
+            enc.encodeBlocks(in.data(), sep.data(), r.row0, r.count,
+                             scratch);
+            enc.encodeBits(bits_in, sep_bits, r.row0, r.count);
+
+            std::vector<Block> got(base.begin() + r.row0,
+                                   base.begin() + r.row0 + r.count);
+            BitVec got_bits = bits_base;
+            enc.encodeBlocksAndBits(in.data(), got.data(), bits_in,
+                                    got_bits, r.row0, r.count);
+
+            ASSERT_EQ(got, sep);
+            ASSERT_EQ(got_bits, sep_bits);
+            for (size_t j = 0; j < r.count; ++j)
+                ASSERT_EQ(got[j], dense[r.row0 + j]) << "row " << r.row0 + j;
+            for (size_t j = 0; j < p.n; ++j) {
+                const bool inside = j >= r.row0 && j < r.row0 + r.count;
+                ASSERT_EQ(got_bits.get(j),
+                          inside ? dense_bits.get(j) : bits_base.get(j))
+                    << "bit row " << j;
+            }
+        }
+    }
+    LpnEncoder::setKernel(LpnKernel::Auto);
+}
+
+/**
  * Invariant 9 for the receiver's bit-LPN: split on 64-row words over
  * pools of 1-4 threads, the ranged encode is bit-identical to the
  * whole-vector call, on both paths.

@@ -212,6 +212,11 @@ TEST(CpuReferenceTest, MeasurementRunsOnTinyParams)
     EXPECT_EQ(m.usableOts, p.usableOts());
     EXPECT_GT(m.otsPerSecond(), 0.0);
     EXPECT_GT(m.wireBytes, 0u);
+    // The sender's SPCOT and LPN stages run one after the other, so
+    // their shares are disjoint parts of the extension.
+    EXPECT_GT(m.spcotSeconds, 0.0);
+    EXPECT_GT(m.lpnSeconds, 0.0);
+    EXPECT_LE(m.spcotSeconds + m.lpnSeconds, m.secondsPerExec);
 }
 
 } // namespace

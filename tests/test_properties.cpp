@@ -203,7 +203,7 @@ TEST(FailureInjectionTest, TamperedWireBreaksSpcotCorrelation)
             common::ThreadPool pool(1);
             SpcotWorkspace ws;
             spcotSendTranscript(evil, cfg, trees, delta, cs.q.data(), rng,
-                                tweak, &pool, ws, w.data(), nullptr);
+                                tweak, pool, ws, w.data(), nullptr);
         },
         [&](net::Channel &ch) {
             uint64_t tweak = 1;

@@ -40,7 +40,7 @@ runSend(net::Channel &ch, const SpcotConfig &cfg, size_t trees,
     SpcotWorkspace ws;
     FlatSend out;
     out.w.resize(trees * cfg.numLeaves);
-    spcotSendTranscript(ch, cfg, trees, delta, q, rng, tweak, &pool, ws,
+    spcotSendTranscript(ch, cfg, trees, delta, q, rng, tweak, pool, ws,
                         out.w.data(), &out.prgOps);
     return out;
 }

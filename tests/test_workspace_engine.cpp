@@ -212,8 +212,9 @@ TEST(WorkspaceEngineTest, StreamingLpnEncodesAreAllocationFree)
 {
     // The engines above run the tape; the 2^23+ sets stream instead.
     // The fused streaming encoders keep their indices on the stack, so
-    // a block encode on a warm scratch and the receiver's ranged bit
-    // encode, fanned out as the engine does, allocate nothing.
+    // a block encode on a warm scratch, the receiver's ranged bit
+    // encode fanned out as the engine does, and its one-pass block +
+    // bit encode allocate nothing.
     LpnParams p;
     p.n = 4096 + 40;
     p.k = 512;
@@ -233,6 +234,8 @@ TEST(WorkspaceEngineTest, StreamingLpnEncodesAreAllocationFree)
             enc.encodeBits(bits_in, bits, row0,
                            std::min(whi * 64, p.n) - row0);
         });
+        enc.encodeBlocksAndBits(in.data(), rows.data() + 64, bits_in, bits,
+                                64, p.n - 64);
     };
     encode(); // warm-up
     const uint64_t before = g_allocCount.load();
