@@ -42,7 +42,7 @@ main()
         auto meas = nmp::measureCpuOte(p, 8, 1);
 
         // Sender PRG invocations, measured through the protocol's
-        // TreePrg counters (main trees + (m-1)-of-m mini trees).
+        // expander counters (main trees + (m-1)-of-m mini trees).
         double ops = double(meas.spcotPrgOps);
         if (m == 2)
             ops_m2 = ops;

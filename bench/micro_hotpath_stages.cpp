@@ -351,17 +351,6 @@ main()
                     "%.2fx (acceptance: >= 1.2x)\n",
                     e2e.otsPerSec / 5.9e6);
 
-    // Scatter-free feed (bucketSize() == treeLeaves()): measured on
-    // the aligned tiny set, where the leaf matrix IS the row vector.
-    double sf_ots = 0;
-    {
-        const FerretParams ap = tinyAlignedParams();
-        E2e sf = endToEnd(ap, iters, &ok);
-        sf_ots = sf.otsPerSec;
-        std::printf("  scatter-free feed (%s) %8.2f M OT/s\n",
-                    ap.name.c_str(), sf.otsPerSec / 1e6);
-    }
-
     // Regression sentinel for the CI bench-smoke step: a broken
     // correlation or an implausibly slow hot path fails the run.
     if (e2e.otsPerSec < 1e5)
@@ -384,7 +373,6 @@ main()
         j.key("e2e");
         j.beginObject();
         j.kv("ots_per_sec", e2e.otsPerSec);
-        j.kv("scatter_free_ots_per_sec", sf_ots);
         j.kv("wire_bytes_per_ext", e2e.wireBytes);
         j.endObject();
         j.kv("ok", uint64_t(ok ? 1 : 0));

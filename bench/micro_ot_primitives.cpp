@@ -13,7 +13,7 @@
 #include "crypto/aes.h"
 #include "crypto/chacha.h"
 #include "crypto/crhf.h"
-#include "crypto/prg.h"
+#include "crypto/seed_expander.h"
 #include "net/two_party.h"
 #include "ot/base_cot.h"
 #include "ot/ferret.h"

@@ -14,7 +14,7 @@
 #include "bench_util.h"
 #include "common/stats.h"
 #include "crypto/aes.h"
-#include "crypto/prg.h"
+#include "crypto/seed_expander.h"
 #include "nmp/area_power.h"
 
 using namespace ironman;
@@ -25,14 +25,14 @@ namespace {
 double
 softwareBlocksPerSec(crypto::PrgKind kind)
 {
-    crypto::TreePrg prg(kind, 4);
+    auto prg = crypto::makeTreeExpander(kind, 4);
     std::vector<Block> out(4);
     Block seed = Block::fromUint64(3);
     Timer t;
     uint64_t blocks = 0;
     while (t.seconds() < 0.2) {
         for (int i = 0; i < 1000; ++i) {
-            prg.expand(seed, out.data(), 4);
+            prg->expand(&seed, out.data(), 1, 4);
             seed = out[0];
             blocks += 4;
         }

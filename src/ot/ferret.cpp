@@ -78,11 +78,11 @@ encodeRange(const LpnEncoder &enc, OtWorkspace &ws, const Block *in,
 
 /**
  * Copy rows [lo, hi) of the SPCOT output from the tree leaves @p leaf
- * (bucket b of the rows is the first b.width leaves of tree b) into
- * @p rows. The scatter-free feed skips this: its leaves are the rows.
+ * (bucket b of the rows is the first b.width leaves of tree b) to
+ * @p dst, which receives row lo.
  */
 void
-scatterRows(const FerretParams &p, const Block *leaf, Block *rows,
+scatterRows(const FerretParams &p, const Block *leaf, Block *dst,
             size_t lo, size_t hi)
 {
     const size_t bucket = p.bucketSize();
@@ -90,8 +90,8 @@ scatterRows(const FerretParams &p, const Block *leaf, Block *rows,
     while (lo < hi) {
         const size_t tr = lo / bucket;
         const size_t width = std::min((tr + 1) * bucket, hi) - lo;
-        std::copy_n(leaf + tr * leaves + (lo - tr * bucket), width,
-                    rows + lo);
+        dst = std::copy_n(leaf + tr * leaves + (lo - tr * bucket), width,
+                          dst);
         lo += width;
     }
 }
@@ -114,11 +114,11 @@ encodeBitsPrefix(const LpnEncoder &enc, OtWorkspace &ws, size_t rows)
 }
 
 /**
- * The receiver's LPN over rows [lo, hi), lo a multiple of 64: block
- * encode y ^= s * A on every row, and bit encode ws.x ^= ws.e * A on
- * the rows at or above @p split (a multiple of 64; encodeBitsPrefix
- * did the rows below). The streaming path generates each 64-row
- * block's indices once for both encodes.
+ * The receiver's LPN over rows [lo, hi): block encode y ^= s * A in
+ * place at @p y (which holds row lo), and bit encode ws.x ^= ws.e * A
+ * on the rows at or above @p split (a multiple of 64;
+ * encodeBitsPrefix did the rows below). The streaming path generates
+ * each 64-row block's indices once for both encodes.
  */
 void
 encodeRecvRange(const LpnEncoder &enc, OtWorkspace &ws, const Block *s,
@@ -126,15 +126,16 @@ encodeRecvRange(const LpnEncoder &enc, OtWorkspace &ws, const Block *s,
 {
     const size_t mid = std::clamp(split, lo, hi);
     if (ws.tape.ready()) {
-        enc.encodeBlocksTape(s, y + lo, lo, hi - lo, ws.tape);
+        enc.encodeBlocksTape(s, y, lo, hi - lo, ws.tape);
         if (mid < hi)
             enc.encodeBitsTape(ws.e, ws.x, mid, hi - mid, ws.tape);
         return;
     }
     if (lo < mid)
-        enc.encodeBlocks(s, y + lo, lo, mid - lo, ws.lpn[worker]);
+        enc.encodeBlocks(s, y, lo, mid - lo, ws.lpn[worker]);
     if (mid < hi)
-        enc.encodeBlocksAndBits(s, y + mid, ws.e, ws.x, mid, hi - mid);
+        enc.encodeBlocksAndBits(s, y + (mid - lo), ws.e, ws.x, mid,
+                                hi - mid);
 }
 
 /**
@@ -187,14 +188,12 @@ FerretCotSender::resetSession(net::Channel &channel, const Block &delta,
     // material it was derandomized against.
     tweak = 1;
     havePending = false;
-    slotCur = 0;
 }
 
 void
 FerretCotSender::prewarm()
 {
-    const bool sf = scatterFree_ && OtWorkspace::scatterFreeFeed(p);
-    ws.prepare(p, threads, 2, sf);
+    ws.prepare(p, threads);
     ensureTape();
     baseQ.reserve(p.reservedCots());
     baseNext.reserve(p.reservedCots());
@@ -213,45 +212,39 @@ FerretCotSender::extendInto(Rng &rng, Block *out)
     const bool traced = sampleThisExtension();
     IRONMAN_CHECK(ch && baseQ.size() >= p.reservedCots(),
                   "engine not bound to a session (resetSession)");
-    // Scatter-free feed: every bucket is one whole tree, so SPCOT
-    // writes straight into the LPN row slots and the leaf -> rows
-    // pass disappears (the arena aliases rows onto the leaf slots).
-    // The feed must not flip while a prefetched transcript occupies a
-    // slot (prepare() re-carves).
-    const bool sf = scatterFree_ && OtWorkspace::scatterFreeFeed(p);
-    IRONMAN_CHECK(!havePending || ws.scatterFree() == sf,
-                  "setScatterFree with a transcript in flight");
-    ws.prepare(p, threads, 2, sf);
+    ws.prepare(p, threads);
     ensureTape();
     const SpcotConfig cfg = spcotConfigOf(p);
     const size_t spcot_cots = p.t * p.cotsPerTree();
     const size_t reserved = p.k + spcot_cots;
     uint64_t prg_ops = 0;
 
-    // Steady state. Slot slotCur holds this iteration's
+    // Steady state. The leaf slot holds this iteration's
     // already-expanded leaves (prefetched by the previous call); the
     // cold first call exchanges its own transcript inline.
     Timer phase;
     if (!havePending)
         spcotSendTranscript(*ch, cfg, p.t, delta_, baseQ.data() + p.k,
                             rng, tweak, ws.pool, ws.spcot,
-                            ws.leaf[slotCur], &prg_ops);
+                            ws.leaf.data(), &prg_ops);
 
-    // Encode the reserve prefix eagerly — the next transcript's
-    // chosen-OT pads need q' = z[k..reserved). Each worker scatters
-    // the pending leaves of its rows first (scatter-free: slot slotCur
-    // already IS the row vector).
+    // Encode the reserve prefix eagerly, in place in the next reserve —
+    // the next transcript's chosen-OT pads need q' = z[k..reserved).
+    // The tail's leaves are scattered into the caller's output, which
+    // empties the leaf slot for the next transcript (lpn_prefix_us
+    // includes that scatter).
     phase.reset();
-    Block *leaf = ws.leaf[slotCur];
-    Block *z = sf ? leaf : ws.rows;
+    const Block *leaf = ws.leaf.data();
     const Block *lpn_r = baseQ.data();
-    auto encode_rows = [&](int worker, size_t lo, size_t hi) {
-        if (!sf)
-            scatterRows(p, leaf, z, lo, hi);
+    baseNext.resize(reserved);
+    Block *z = baseNext.data();
+    ws.pool.parallelFor(reserved, [&](int worker, size_t lo, size_t hi) {
+        scatterRows(p, leaf, z + lo, lo, hi);
         encodeRange(encoder, ws, lpn_r, z + lo, lo, hi - lo, worker);
-    };
-    ws.pool.parallelFor(reserved, encode_rows);
-    baseNext.assign(z, z + reserved);
+    });
+    ws.pool.parallelFor(p.n - reserved, [&](int, size_t lo, size_t hi) {
+        scatterRows(p, leaf, out + lo, reserved + lo, reserved + hi);
+    });
     const uint64_t lpn_prefix_us = uint64_t(phase.seconds() * 1e6);
     stats_.add("lpn_prefix_us", lpn_prefix_us);
     phaseSpan(traced, "lpn_prefix", lpn_prefix_us, reserved);
@@ -260,31 +253,29 @@ FerretCotSender::extendInto(Rng &rng, Block *out)
     // (the partition never changes the bits). It needs only the
     // prefix's bootstrap reserve; the receiver sends its choices right
     // after its own prefix, so the wait for them is short.
-    // Stage-handoff invariant: the transcript writes slot slotCur^1;
-    // slot slotCur holds the output tail's leaves until it is encoded.
-    const int next = slotCur ^ 1;
+    // Stage-handoff invariant: the transcript overwrites the leaf
+    // slot, which the prefix pass above has emptied.
     uint64_t prefetch_ops = 0;
     phase.reset();
     spcotSendTranscript(*ch, cfg, p.t, delta_, baseNext.data() + p.k,
-                        rng, tweak, ws.pool, ws.spcot, ws.leaf[next],
+                        rng, tweak, ws.pool, ws.spcot, ws.leaf.data(),
                         &prefetch_ops);
     const uint64_t spcot_us = uint64_t(phase.seconds() * 1e6);
     stats_.add("spcot_us", spcot_us);
     phaseSpan(traced, "spcot_transcript", spcot_us, prefetch_ops);
 
-    // The output tail, each worker copying the rows it encoded.
+    // The output tail, encoded in place in the caller's buffer.
     phase.reset();
     ws.pool.parallelFor(p.n - reserved, [&](int worker, size_t lo,
                                             size_t hi) {
-        encode_rows(worker, reserved + lo, reserved + hi);
-        std::copy(z + reserved + lo, z + reserved + hi, out + lo);
+        encodeRange(encoder, ws, lpn_r, out + lo, reserved + lo, hi - lo,
+                    worker);
     });
     const uint64_t lpn_us = uint64_t(phase.seconds() * 1e6);
     stats_.add("lpn_us", lpn_us);
     phaseSpan(traced, "lpn_encode", lpn_us, p.n);
 
     baseQ.swap(baseNext);
-    slotCur = next;
     havePending = true;
 
     stats_.add("spcot_prg_ops", prg_ops + prefetch_ops);
@@ -333,8 +324,7 @@ FerretCotReceiver::resetSession(net::Channel &channel,
 void
 FerretCotReceiver::prewarm()
 {
-    const bool sf = scatterFree_ && OtWorkspace::scatterFreeFeed(p);
-    ws.prepare(p, threads, 1, sf);
+    ws.prepare(p, threads);
     ensureTape();
     baseT.reserve(p.reservedCots());
     baseTNext.reserve(p.reservedCots());
@@ -353,12 +343,7 @@ FerretCotReceiver::extendInto(Rng &rng, BitVec &choice_out, Block *t_out)
     const bool traced = sampleThisExtension();
     IRONMAN_CHECK(ch && baseT.size() >= p.reservedCots(),
                   "engine not bound to a session (resetSession)");
-    // See the sender: scatter-free aliases the single leaf slot onto
-    // the row vector, so reconstruction writes y directly.
-    const bool sf = scatterFree_ && OtWorkspace::scatterFreeFeed(p);
-    IRONMAN_CHECK(!havePending || ws.scatterFree() == sf,
-                  "setScatterFree with a transcript in flight");
-    ws.prepare(p, threads, 1, sf);
+    ws.prepare(p, threads);
     ensureTape();
     const SpcotConfig cfg = spcotConfigOf(p);
     const size_t bucket = p.bucketSize();
@@ -389,7 +374,7 @@ FerretCotReceiver::extendInto(Rng &rng, BitVec &choice_out, Block *t_out)
         spcotRecvRecvTranscript(*ch, cfg, p.t, ws.spcot, *slot);
     }
     spcotRecvFinish(cfg, p.t, baseT.data() + p.k, ws.pool, ws.spcot,
-                    *slot, ws.leaf[0], &prg_ops);
+                    *slot, ws.leaf.data(), &prg_ops);
     const uint64_t spcot_us = uint64_t(phase.seconds() * 1e6);
     stats_.add("spcot_us", spcot_us);
     stats_.add("spcot_prg_ops", prg_ops);
@@ -412,28 +397,34 @@ FerretCotReceiver::extendInto(Rng &rng, BitVec &choice_out, Block *t_out)
     phaseSpan(traced, "lpn_prefix", lpn_prefix_us, split);
 
     // Prefetch iteration i+1: choices out, then one pass over all rows
-    // starts on the workers — leaf scatter, block LPN, the bit-LPN
-    // above split and the output copy — while this thread reads the returning
+    // starts on the workers — leaf scatter, block LPN in place and the
+    // bit-LPN above split — while this thread reads the returning
     // ciphertexts; the calling thread joins the pass once its wire
     // stage returns. Chunks start on 64-row words, so each owns whole
-    // words of x. Stage-handoff invariant: the next transcript fills
-    // slots[slotCur^1] while the LPN stage still reads
-    // slots[slotCur]'s alphas (and nothing else of it).
+    // words of x; a chunk splits at reserved, below which its rows land
+    // in the next reserve and above which in t_out. Stage-handoff
+    // invariant: the next transcript fills slots[slotCur^1] while the
+    // LPN stage still reads slots[slotCur]'s alphas (and nothing else
+    // of it).
     SpcotRecvSlot *next_slot = &ws.spcot.slots[slotCur ^ 1];
     draw_alphas();
     spcotRecvSendChoices(*ch, cfg, p.t, ws.alphas.data(), ws.x, p.k,
                          tweak, ws.spcot, *next_slot);
 
     phase.reset();
-    Block *y = sf ? ws.leaf[0] : ws.rows;
+    const Block *leaf = ws.leaf.data();
     const Block *lpn_s = baseT.data();
-    auto encode_rows = [&](int worker, size_t lo, size_t hi) {
-        if (!sf)
-            scatterRows(p, ws.leaf[0], y, lo, hi);
+    baseTNext.resize(reserved);
+    auto encode_part = [&](int worker, size_t lo, size_t hi, Block *y) {
+        scatterRows(p, leaf, y, lo, hi);
         encodeRecvRange(encoder, ws, lpn_s, y, lo, hi, split, worker);
-        const size_t from = std::max(lo, reserved);
-        if (from < hi)
-            std::copy(y + from, y + hi, t_out + (from - reserved));
+    };
+    auto encode_rows = [&](int worker, size_t lo, size_t hi) {
+        const size_t mid = std::clamp(reserved, lo, hi);
+        if (lo < mid)
+            encode_part(worker, lo, mid, baseTNext.data() + lo);
+        if (mid < hi)
+            encode_part(worker, mid, hi, t_out + (mid - reserved));
     };
     ws.pool.parallelForAsync(p.n, encode_rows);
     spcotRecvRecvTranscript(*ch, cfg, p.t, ws.spcot, *next_slot);
@@ -443,7 +434,6 @@ FerretCotReceiver::extendInto(Rng &rng, BitVec &choice_out, Block *t_out)
     phaseSpan(traced, "lpn_encode", lpn_us, p.n);
 
     // Bootstrap + output.
-    baseTNext.assign(y, y + reserved);
     baseT.swap(baseTNext);
     choiceNext.assignRange(ws.x, 0, reserved);
     std::swap(baseChoice, choiceNext);

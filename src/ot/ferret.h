@@ -21,8 +21,10 @@
  * pipeline"). The dependency that makes this legal:
  *
  *   - the sender's next transcript needs q' = z_i[k..reserved), so
- *     the reserve prefix of z is encoded first, the transcript expanded
- *     and pushed next, and the output tail encoded last;
+ *     the reserve prefix of z is encoded first (and the tail's leaves
+ *     scattered out, which empties the one leaf slot), the transcript
+ *     expanded into that slot and pushed next, and the output tail
+ *     encoded last;
  *   - the receiver's next derandomization bits need only the CHOICE
  *     BITS x_i[k..reserved), so it bit-encodes that word-rounded
  *     prefix, sends them, and runs the rest of its LPN on the pool
@@ -37,10 +39,13 @@
  * drained, so engines can be multiplexed (ppml::FerretCotEngine
  * interleaves two directions).
  *
- * Each endpoint owns an OtWorkspace (arena + fixed thread pool + the
- * precomputed LPN index tape), so extendInto() performs zero heap
- * allocations once warm and fans the SPCOT/LPN kernels out over
- * setThreads() workers with bit-identical output.
+ * Each endpoint owns an OtWorkspace (one SPCOT leaf slot + fixed
+ * thread pool + the precomputed LPN index tape), so extendInto()
+ * performs zero heap allocations once warm and fans the SPCOT/LPN
+ * kernels out over setThreads() workers with bit-identical output.
+ * No row is staged: the leaves scatter straight to their final place
+ * (the reserve prefix into the next base reserve, the tail into the
+ * caller's buffer) and are LPN-encoded in place there.
  *
  * Semi-honest security (the paper's frameworks are semi-honest);
  * Ferret's malicious consistency check is out of scope and noted in
@@ -99,8 +104,8 @@ class FerretCotSender
 
     /**
      * Pay the one-time sizing cost now instead of inside the first
-     * extension: arena carve, worker pool spawn, LPN index tape build
-     * (the dominant warm-up cost), staging reserves. Idempotent; an
+     * extension: leaf slot, worker pool spawn, LPN index tape build
+     * (the dominant warm-up cost), reserve capacity. Idempotent; an
      * EnginePool calls this so checked-out engines are already warm.
      */
     void prewarm();
@@ -118,16 +123,6 @@ class FerretCotSender
     /** Fixed worker-pool width for the SPCOT and LPN kernels. */
     void setThreads(int n) { threads = n > 1 ? n : 1; }
 
-    /**
-     * Toggle the scatter-free LPN feed (default on; local-only, the
-     * peer may differ). Effective only when bucketSize() ==
-     * treeLeaves(): SPCOT then expands straight into the LPN row
-     * vector and the leaf->rows pass disappears. Off forces the
-     * copying feed (tests compare the two). Flip only between
-     * extensions with no transcript in flight.
-     */
-    void setScatterFree(bool on) { scatterFree_ = on; }
-
     /** Counters: prg ops, lpn AES ops, per-phase microseconds. */
     const StatSet &stats() const { return stats_; }
 
@@ -138,13 +133,11 @@ class FerretCotSender
     FerretParams p;
     Block delta_;
     std::vector<Block> baseQ;
-    std::vector<Block> baseNext; ///< next reserve staging
+    std::vector<Block> baseNext; ///< next reserve; z[0, reserved) lands here
     LpnEncoder encoder;
     uint64_t tweak = 1;
     int threads = 1;
-    bool scatterFree_ = true;
-    bool havePending = false; ///< leaf slot slotCur holds a transcript
-    int slotCur = 0;
+    bool havePending = false; ///< the leaf slot holds a transcript
     OtWorkspace ws;
     StatSet stats_;
 };
@@ -176,9 +169,6 @@ class FerretCotReceiver
     const FerretParams &params() const { return p; }
     void setThreads(int n) { threads = n > 1 ? n : 1; }
 
-    /** Toggle the scatter-free LPN feed; see FerretCotSender. */
-    void setScatterFree(bool on) { scatterFree_ = on; }
-
     const StatSet &stats() const { return stats_; }
 
   private:
@@ -189,11 +179,10 @@ class FerretCotReceiver
     BitVec baseChoice;
     BitVec choiceNext;       ///< next choice reserve staging
     std::vector<Block> baseT;
-    std::vector<Block> baseTNext; ///< next reserve staging
+    std::vector<Block> baseTNext; ///< next reserve; y[0, reserved) lands here
     LpnEncoder encoder;
     uint64_t tweak = 1;
     int threads = 1;
-    bool scatterFree_ = true;
     bool havePending = false; ///< slots[slotCur] holds a transcript
     int slotCur = 0;
     OtWorkspace ws;

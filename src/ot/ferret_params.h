@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "crypto/prg.h"
+#include "crypto/seed_expander.h"
 
 namespace ironman::ot {
 
@@ -66,16 +66,15 @@ std::vector<FerretParams> allPaperParamSets();
 /**
  * A small set for unit tests and examples: n = 12800, k = 1024,
  * t = 20 (NOT cryptographically sized — protocol-correctness only).
- * bucketSize() (640) != treeLeaves() (1024), so engines on this set
- * use the copying LPN feed.
+ * bucketSize() (640) != treeLeaves() (1024), like every Table-4 set.
  */
 FerretParams tinyTestParams();
 
 /**
  * The tiny set with n raised to t * treeLeaves() (n = 20480, bucket
- * width 1024 == tree leaves), so every bucket is exactly one tree and
- * engines take the scatter-free LPN feed. NOT cryptographically
- * sized — protocol-correctness and feed-equivalence tests only.
+ * width 1024 == tree leaves): the bucket == tree edge shape, where
+ * every leaf is an output row and the last row is the slot's last
+ * leaf. NOT cryptographically sized — protocol-correctness tests only.
  */
 FerretParams tinyAlignedParams();
 

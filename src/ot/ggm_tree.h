@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "common/block.h"
-#include "crypto/prg.h"
 #include "crypto/seed_expander.h"
 
 namespace ironman::ot {
@@ -133,9 +132,9 @@ struct GgmBatchScratch
  * tree.
  *
  * When @p leaf_stride == layout.leaves the final level is expanded
- * DIRECTLY into @p leaves (tree tr at leaves + tr*leaf_stride) — the
- * scatter-free LPN feed aliases this to the reserve segment; otherwise
- * the last level is staged and copied per tree.
+ * DIRECTLY into @p leaves (tree tr at leaves + tr*leaf_stride), as
+ * the FERRET engines' leaf slot does; otherwise the last level is
+ * staged and copied per tree.
  *
  * @param leaf_sums Receives each tree's XOR-of-leaves (num_trees
  *        entries); may be nullptr.

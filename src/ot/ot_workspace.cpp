@@ -2,18 +2,7 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
-
 namespace ironman::ot {
-
-Block *
-BlockArena::alloc(size_t n)
-{
-    IRONMAN_CHECK(next + n <= storage.size(), "arena overflow");
-    Block *p = storage.data() + next;
-    next += n;
-    return p;
-}
 
 namespace {
 
@@ -28,40 +17,15 @@ sameShape(const FerretParams &a, const FerretParams &b)
 
 } // namespace
 
-size_t
-OtWorkspace::requiredBlocks(const FerretParams &p, int leaf_slots,
-                            bool scatter_free)
-{
-    if (scatter_free && scatterFreeFeed(p))
-        return size_t(leaf_slots) * p.t * p.treeLeaves();
-    return size_t(leaf_slots) * p.t * p.treeLeaves() + p.n;
-}
-
 void
-OtWorkspace::prepare(const FerretParams &p, int threads, int leaf_slots,
-                     bool scatter_free)
+OtWorkspace::prepare(const FerretParams &p, int threads)
 {
     threads = std::max(threads, 1);
-    leaf_slots = std::clamp(leaf_slots, 1, 2);
-    scatter_free = scatter_free && scatterFreeFeed(p);
-    if (ready && sameShape(preparedFor, p) &&
-        preparedThreads == threads && preparedSlots == leaf_slots &&
-        scatterFreeActive == scatter_free)
+    if (ready && sameShape(preparedFor, p) && preparedThreads == threads)
         return;
 
     pool.resize(threads);
-
-    arena.reserve(requiredBlocks(p, leaf_slots, scatter_free));
-    leaf[0] = arena.alloc(p.t * p.treeLeaves());
-    leaf[1] = leaf_slots == 2 ? arena.alloc(p.t * p.treeLeaves())
-                              : nullptr;
-    // Scatter-free: every bucket is one whole tree (t*l >= n), so the
-    // leaf slots ARE the row vectors — no separate staging rows, no
-    // leaf -> rows pass (invariant 11: a slot's rows may be encoded in
-    // place only after its transcript stage completed, and the other
-    // slot receives the next transcript).
-    rows = scatter_free ? leaf[0] : arena.alloc(p.n);
-    scatterFreeActive = scatter_free;
+    leaf.resize(p.t * p.treeLeaves());
 
     // The SPCOT workspace sizes itself per role on the first
     // spcotSend*/spcotRecv* call (still warm-up, and it avoids
@@ -72,7 +36,6 @@ OtWorkspace::prepare(const FerretParams &p, int threads, int leaf_slots,
     ready = true;
     preparedFor = p;
     preparedThreads = threads;
-    preparedSlots = leaf_slots;
 }
 
 } // namespace ironman::ot

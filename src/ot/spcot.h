@@ -56,7 +56,7 @@
 #include "common/stats.h"
 #include "common/thread_pool.h"
 #include "crypto/crhf.h"
-#include "crypto/prg.h"
+#include "crypto/seed_expander.h"
 #include "net/channel.h"
 #include "ot/chosen_ot.h"
 #include "ot/ggm_tree.h"

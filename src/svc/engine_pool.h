@@ -2,8 +2,8 @@
  * @file
  * Warm-engine pooling for the COT service.
  *
- * A Ferret engine's expensive state — the OtWorkspace arena (tens of
- * MB on the paper sets), the spawned worker pool, and above all the
+ * A Ferret engine's expensive state — the OtWorkspace leaf slot (one
+ * t x l matrix: 31 MB at 2^20), the spawned worker pool, and above all the
  * precomputed LPN index tape (~46 MB of AES + transpose for 2^20) —
  * depends only on FerretParams, not on the session. EnginePool keeps
  * finished engines warm, keyed by (params shape, role), and hands them

@@ -12,7 +12,7 @@
 #include "crypto/aes.h"
 #include "crypto/chacha.h"
 #include "crypto/crhf.h"
-#include "crypto/prg.h"
+#include "crypto/seed_expander.h"
 
 namespace ironman::crypto {
 namespace {
@@ -185,63 +185,64 @@ TEST(ChaChaTest, ExpandSeedsBatchMatchesScalar)
 }
 
 // ---------------------------------------------------------------------------
-// TreePrg
+// SeedExpander (GGM tree expander)
 // ---------------------------------------------------------------------------
 
-class TreePrgParamTest
+class SeedExpanderParamTest
     : public ::testing::TestWithParam<std::tuple<PrgKind, unsigned>>
 {};
 
-TEST_P(TreePrgParamTest, DeterministicAcrossInstances)
+TEST_P(SeedExpanderParamTest, DeterministicAcrossInstances)
 {
     auto [kind, arity] = GetParam();
-    TreePrg p1(kind, arity), p2(kind, arity);
+    auto e1 = makeTreeExpander(kind, arity);
+    auto e2 = makeTreeExpander(kind, arity);
     Block seed = Block::fromUint64(123);
     std::vector<Block> c1(arity), c2(arity);
-    p1.expand(seed, c1.data(), arity);
-    p2.expand(seed, c2.data(), arity);
+    e1->expand(&seed, c1.data(), 1, arity);
+    e2->expand(&seed, c2.data(), 1, arity);
     EXPECT_EQ(c1, c2);
 }
 
-TEST_P(TreePrgParamTest, LevelMatchesScalar)
+TEST_P(SeedExpanderParamTest, LevelMatchesPerSeed)
 {
     auto [kind, arity] = GetParam();
     Rng rng(5);
     std::vector<Block> parents = rng.nextBlocks(19);
-    TreePrg prg(kind, arity);
+    auto exp = makeTreeExpander(kind, arity);
 
     std::vector<Block> level(parents.size() * arity);
-    prg.expandLevel(parents.data(), parents.size(), level.data(), arity);
+    exp->expand(parents.data(), level.data(), parents.size(), arity);
 
-    TreePrg ref(kind, arity);
+    auto ref = makeTreeExpander(kind, arity);
     std::vector<Block> one(arity);
     for (size_t j = 0; j < parents.size(); ++j) {
-        ref.expand(parents[j], one.data(), arity);
+        ref->expand(&parents[j], one.data(), 1, arity);
         for (unsigned c = 0; c < arity; ++c)
             EXPECT_EQ(level[j * arity + c], one[c]);
     }
 }
 
-TEST_P(TreePrgParamTest, OpCountMatchesModel)
+TEST_P(SeedExpanderParamTest, OpCountMatchesModel)
 {
     auto [kind, arity] = GetParam();
-    TreePrg prg(kind, arity);
+    auto exp = makeTreeExpander(kind, arity);
     Block seed = Block::fromUint64(9);
     std::vector<Block> kids(arity);
-    prg.expand(seed, kids.data(), arity);
+    exp->expand(&seed, kids.data(), 1, arity);
     uint64_t expect = kind == PrgKind::Aes ? arity : (arity + 3) / 4;
-    EXPECT_EQ(prg.ops(), expect);
-    EXPECT_EQ(prg.opsForExpansion(arity), expect);
+    EXPECT_EQ(exp->ops(), expect);
+    EXPECT_EQ(exp->opsPerSeed(arity), expect);
 }
 
-TEST_P(TreePrgParamTest, ChildrenDistinctFromParentAndEachOther)
+TEST_P(SeedExpanderParamTest, ChildrenDistinctFromParentAndEachOther)
 {
     auto [kind, arity] = GetParam();
-    TreePrg prg(kind, arity);
+    auto exp = makeTreeExpander(kind, arity);
     Rng rng(6);
     Block seed = rng.nextBlock();
     std::vector<Block> kids(arity);
-    prg.expand(seed, kids.data(), arity);
+    exp->expand(&seed, kids.data(), 1, arity);
     std::set<std::string> uniq;
     uniq.insert(seed.toHex());
     for (const Block &k : kids)
@@ -250,7 +251,7 @@ TEST_P(TreePrgParamTest, ChildrenDistinctFromParentAndEachOther)
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    KindsAndArities, TreePrgParamTest,
+    KindsAndArities, SeedExpanderParamTest,
     ::testing::Combine(::testing::Values(PrgKind::Aes, PrgKind::ChaCha8,
                                          PrgKind::ChaCha20),
                        ::testing::Values(2u, 4u, 8u, 16u, 32u)),

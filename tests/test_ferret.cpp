@@ -39,7 +39,8 @@ struct FerretRun
 FerretRun
 runFerret(const FerretParams &p, int iterations, uint64_t seed,
           unsigned arity = 4,
-          crypto::PrgKind kind = crypto::PrgKind::ChaCha8)
+          crypto::PrgKind kind = crypto::PrgKind::ChaCha8,
+          int threads = 1)
 {
     FerretParams params = p;
     params.arity = arity;
@@ -55,6 +56,7 @@ runFerret(const FerretParams &p, int iterations, uint64_t seed,
         [&](net::Channel &ch) {
             FerretCotSender sender(ch, params, run.delta,
                                    std::move(base_s.q));
+            sender.setThreads(threads);
             Rng rng(seed + 1);
             for (int it = 0; it < iterations; ++it) {
                 std::vector<Block> out(params.usableOts());
@@ -67,6 +69,7 @@ runFerret(const FerretParams &p, int iterations, uint64_t seed,
             FerretCotReceiver receiver(ch, params,
                                        std::move(base_r.choice),
                                        std::move(base_r.t));
+            receiver.setThreads(threads);
             Rng rng(seed + 2);
             for (int it = 0; it < iterations; ++it) {
                 RecvOut out;
@@ -184,6 +187,22 @@ TEST(FerretTest, MultiThreadedLpnMatches)
     for (size_t i = 0; i < q_out.size(); ++i)
         ASSERT_EQ(r_out.t[i],
                   q_out[i] ^ scalarMul(r_out.choice.get(i), delta));
+}
+
+TEST(FerretTest, StreamingLpnSetBootstrapsCorrectly)
+{
+    // 2^23 is the smallest Table-4 set whose index tape is over the
+    // cap, so its engines run the fused streaming LPN encoder. Two
+    // extensions: the second one encodes from the reserve the first
+    // one bootstrapped.
+    const FerretParams p = paperParamSet(23);
+    ASSERT_GT(LpnIndexTape::bytesFor(p.n, p.lpnWeight),
+              OtWorkspace::kLpnTapeBytesCap);
+    const FerretParams below = paperParamSet(22);
+    ASSERT_LE(LpnIndexTape::bytesFor(below.n, below.lpnWeight),
+              OtWorkspace::kLpnTapeBytesCap);
+    FerretRun run = runFerret(p, 2, 9000, p.arity, p.prg, 2);
+    expectValidCots(run, p.usableOts());
 }
 
 TEST(FerretParamsTest, Table4SelfConsistency)

@@ -2,7 +2,9 @@
  * @file
  * Iteration-pipeline known-answer test (invariant 10 of DESIGN.md):
  * the FERRET engine — LPN of iteration i overlapped with the SPCOT
- * transcript of iteration i+1, double-buffered transcript slots —
+ * transcript of iteration i+1, one sender leaf slot, double-buffered
+ * receiver transcript slots, rows scattered straight to the next
+ * reserve and the caller's output —
  * must reproduce a recorded 64-bit digest of three bootstrapped
  * extensions for fixed RNG seeds, across parameter sets (different
  * tree shapes, LPN sizes and PRGs) and across worker counts.
@@ -135,6 +137,11 @@ knownAnswers()
     c.prg = crypto::PrgKind::ChaCha20;
     c.lpnSeed = 0x7777;
     kats.push_back({c, 8851, 0x74ff7cc7ec80faefULL});
+
+    // bucketSize() == treeLeaves(): every leaf of the slot is an output
+    // row. Recorded while this shape still took a separate,
+    // scatter-free LPN feed.
+    kats.push_back({tinyAlignedParams(), 8868, 0xc126380734a1b099ULL});
     return kats;
 }
 

@@ -9,7 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "crypto/prg.h"
+#include "crypto/seed_expander.h"
 #include "nmp/area_power.h"
 #include "nmp/ironman_model.h"
 #include "nmp/reference.h"
@@ -175,9 +175,9 @@ TEST(UnifiedUnitTest, LevelSumsMatchGgmExpansion)
     std::vector<Block> level{Block::fromUint64(3)};
     for (size_t lvl = 0; lvl < arities.size(); ++lvl) {
         std::vector<Block> next(level.size() * arities[lvl]);
-        crypto::TreePrg prg2(crypto::PrgKind::ChaCha8, 4);
-        prg2.expandLevel(level.data(), level.size(), next.data(),
-                         arities[lvl]);
+        auto prg2 = crypto::makeTreeExpander(crypto::PrgKind::ChaCha8, 4);
+        prg2->expand(level.data(), next.data(), level.size(),
+                     arities[lvl]);
         std::vector<Block> expect(
             sums.begin() + layout.offset[lvl],
             sums.begin() + layout.offset[lvl] + arities[lvl]);

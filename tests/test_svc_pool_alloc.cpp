@@ -6,7 +6,7 @@
  * The counting global allocator measures whole session turnovers —
  * EnginePool checkout, resetSession onto a fresh channel with fresh
  * base material, warm extensions, lease release — for both engine
- * roles. Session 0 is the warm-up (arena carve, tape build, transcript
+ * roles. Session 0 is the warm-up (leaf slot, tape build, transcript
  * buffer sizing, pool bookkeeping); sessions 1..N must allocate
  * nothing on either party. Channels and base material are prepared
  * up front: they are session INPUTS, not engine state (the service's
@@ -202,8 +202,9 @@ TEST(SvcPoolAllocTest, SessionTurnoverIsAllocationFree)
     expectPooledSessionsAllocationFree(ot::tinyTestParams());
 }
 
-TEST(SvcPoolAllocTest, ScatterFreeSessionTurnoverIsAllocationFree)
+TEST(SvcPoolAllocTest, AlignedShapeSessionTurnoverIsAllocationFree)
 {
+    // bucketSize() == treeLeaves(): every leaf of the slot is a row.
     expectPooledSessionsAllocationFree(ot::tinyAlignedParams());
 }
 

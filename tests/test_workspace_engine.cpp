@@ -8,11 +8,11 @@
  *    streaming LPN encoders;
  *  - the multi-threaded batch-SPCOT/LPN path is bit-identical to the
  *    single-threaded path for fixed RNG seeds;
- *  - the OtWorkspace arena is sized once from FerretParams;
+ *  - the OtWorkspace leaf slot is sized once from FerretParams;
  *  - the persistent ppml::FerretCotEngine refills mid-protocol and
  *    engine-backed SecureCompute matches plain evaluation;
- *  - the unified SeedExpander drives TreePrg and the NMP Unified
- *    Unit to identical results.
+ *  - the unified SeedExpander drives the GGM trees and the NMP
+ *    Unified Unit to identical results.
  */
 
 #include <gtest/gtest.h>
@@ -195,17 +195,13 @@ expectAllocationFreeAfterWarmup(const FerretParams &p, int threads)
 
 TEST(WorkspaceEngineTest, ExtendIsAllocationFreeAfterWarmup)
 {
-    for (int threads : {1, 2, 4})
-        expectAllocationFreeAfterWarmup(tinyTestParams(), threads);
-}
-
-TEST(WorkspaceEngineTest, ScatterFreeExtendIsAllocationFreeAfterWarmup)
-{
-    // bucketSize() == treeLeaves(): the engines take the scatter-free
-    // LPN feed (aliased arena, cross-tree expansion straight into the
-    // row slots) — which must be just as allocation-free once warm.
-    for (int threads : {1, 2, 4})
-        expectAllocationFreeAfterWarmup(tinyAlignedParams(), threads);
+    // tinyAlignedParams(): the bucket == tree edge shape, where every
+    // leaf of the slot is an output row.
+    for (const FerretParams &p : {tinyTestParams(), tinyAlignedParams()})
+        for (int threads : {1, 2, 4}) {
+            SCOPED_TRACE(p.name);
+            expectAllocationFreeAfterWarmup(p, threads);
+        }
 }
 
 TEST(WorkspaceEngineTest, StreamingLpnEncodesAreAllocationFree)
@@ -313,36 +309,21 @@ TEST(WorkspaceEngineTest, MultiThreadedMatchesSingleThreaded)
 }
 
 // ---------------------------------------------------------------------------
-// Arena sizing
+// Leaf slot sizing
 // ---------------------------------------------------------------------------
 
-TEST(WorkspaceEngineTest, ArenaSizedOnceFromParams)
+TEST(WorkspaceEngineTest, LeafSlotSizedOnceFromParams)
 {
     FerretParams p = tinyTestParams();
     OtWorkspace ws;
     ws.prepare(p, 2);
+    EXPECT_EQ(ws.leaf.size(), p.t * p.treeLeaves())
+        << "one t x l leaf slot, no staging rows";
 
-    EXPECT_EQ(ws.arena.capacity(), OtWorkspace::requiredBlocks(p));
-    EXPECT_EQ(ws.arena.used(), ws.arena.capacity())
-        << "the arena is carved exactly, no slack";
-    ASSERT_NE(ws.leaf[0], nullptr);
-    EXPECT_EQ(ws.leaf[1], nullptr) << "one slot unless pipelined sender";
-    ASSERT_NE(ws.rows, nullptr);
-
-    // prepare() is idempotent: same params, same carving.
-    Block *leaf0 = ws.leaf[0];
-    Block *rows = ws.rows;
+    // prepare() is idempotent: same params, same buffer.
+    const Block *leaf = ws.leaf.data();
     ws.prepare(p, 2);
-    EXPECT_EQ(ws.leaf[0], leaf0);
-    EXPECT_EQ(ws.rows, rows);
-
-    // The pipelined sender double-buffers the leaf matrix.
-    OtWorkspace ws2;
-    ws2.prepare(p, 2, /*leaf_slots=*/2);
-    EXPECT_EQ(ws2.arena.capacity(), OtWorkspace::requiredBlocks(p, 2));
-    ASSERT_NE(ws2.leaf[1], nullptr);
-    EXPECT_EQ(size_t(ws2.leaf[1] - ws2.leaf[0]),
-              p.t * p.treeLeaves());
+    EXPECT_EQ(ws.leaf.data(), leaf);
 }
 
 // ---------------------------------------------------------------------------
@@ -537,23 +518,6 @@ TEST(ThreadPoolTest, CallerDrainsAsyncJobAlone)
 // ---------------------------------------------------------------------------
 // Unified seed expansion
 // ---------------------------------------------------------------------------
-
-TEST(SeedExpanderTest, TreePrgShimMatchesExpander)
-{
-    for (crypto::PrgKind kind :
-         {crypto::PrgKind::Aes, crypto::PrgKind::ChaCha8}) {
-        crypto::TreePrg tree(kind, 4);
-        auto exp = crypto::makeTreeExpander(kind, 4);
-
-        Rng rng(61);
-        std::vector<Block> parents = rng.nextBlocks(8);
-        std::vector<Block> a(32), b(32);
-        tree.expandLevel(parents.data(), parents.size(), a.data(), 4);
-        exp->expand(parents.data(), b.data(), parents.size(), 4);
-        EXPECT_EQ(a, b) << crypto::prgKindName(kind);
-        EXPECT_EQ(tree.ops(), exp->ops());
-    }
-}
 
 TEST(SeedExpanderTest, UnifiedUnitExpandAndReduceMatchesGgmSums)
 {
