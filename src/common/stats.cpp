@@ -1,7 +1,5 @@
 #include "common/stats.h"
 
-#include <sstream>
-
 namespace ironman {
 
 uint64_t
@@ -20,15 +18,6 @@ StatSet::merge(const StatSet &o)
         return;
     for (const auto &[name, value] : o.counters)
         counters[name] += value;
-}
-
-std::string
-StatSet::toString() const
-{
-    std::ostringstream os;
-    for (const auto &[name, value] : counters)
-        os << name << "=" << value << "\n";
-    return os.str();
 }
 
 } // namespace ironman

@@ -10,7 +10,7 @@
  *  - StatSet is OFFLINE, bench-only accounting: string-keyed map,
  *    allocates on every new name, and has NO concurrency story —
  *    callers must externally serialize all access (including reads;
- *    get()/toString() walk the same map add() mutates). Never place
+ *    get()/all() walk the same map add() mutates). Never place
  *    it on a serving hot path: it would break both thread safety and
  *    the zero-alloc warm-path invariant (DESIGN.md invariant 12).
  *  - Live, multi-threaded, hot-path telemetry belongs to the
@@ -51,9 +51,6 @@ class StatSet
     void merge(const StatSet &o);
 
     const std::map<std::string, uint64_t> &all() const { return counters; }
-
-    /** Render as "name=value" lines for logs. */
-    std::string toString() const;
 
   private:
     std::map<std::string, uint64_t> counters;

@@ -160,7 +160,6 @@ class Span
 
     /** Late-bound payload size (byte deltas known only at scope end). */
     void setArg(uint64_t arg) { arg_ = arg; }
-    void setTag(uint32_t tag) { tag_ = tag; }
 
     Span(const Span &) = delete;
     Span &operator=(const Span &) = delete;

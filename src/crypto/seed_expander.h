@@ -54,9 +54,6 @@ class SeedExpander
   public:
     virtual ~SeedExpander() = default;
 
-    /** Largest fanout expand() accepts. */
-    unsigned maxFanout() const { return maxFan; }
-
     /**
      * Expand @p n seeds into @p fanout children each:
      * out[i*fanout + c] = child c of seeds[i]. Deterministic; both
@@ -69,10 +66,8 @@ class SeedExpander
     /** Primitive invocations one seed costs at @p fanout. */
     virtual uint64_t opsPerSeed(unsigned fanout) const = 0;
 
-    /** Total primitive invocations since construction / resetOps(). */
+    /** Total primitive invocations since construction. */
     uint64_t ops() const { return opCount; }
-
-    void resetOps() { opCount = 0; }
 
   protected:
     explicit SeedExpander(unsigned max_fanout) : maxFan(max_fanout) {}

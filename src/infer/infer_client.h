@@ -51,6 +51,7 @@
 #include "ppml/secure_compute.h"
 #include "svc/cot_client.h"
 #include "svc/reservoir.h"
+#include "svc/retry.h"
 
 namespace ironman::infer {
 

@@ -3,12 +3,12 @@
  * Deterministic fault injection for the socket transport.
  *
  * A FaultPlan arms ONE fault on a SocketChannel, triggered when the
- * channel's cumulative payload-bytes-sent or direction-turn counter
- * crosses a scheduled offset. Because both counters are deterministic
- * functions of the protocol (not of timing), a seeded plan reproduces
- * the same failure at the same protocol point on every run — which is
- * what lets the chaos tests assert exact recovery behavior instead of
- * "usually survives".
+ * channel's cumulative payload-bytes-sent counter crosses a scheduled
+ * offset. Because that counter is a deterministic function of the
+ * protocol (not of timing), a seeded plan reproduces the same failure
+ * at the same protocol point on every run — which is what lets the
+ * chaos tests assert exact recovery behavior instead of "usually
+ * survives".
  *
  * Fault kinds (what the INSTRUMENTED endpoint does at the trigger):
  *
@@ -30,10 +30,9 @@
  *   Delay         — sleep delayUs once at the trigger, then continue.
  *                   A latency spike, not an error.
  *
- * Each plan fires at most once (one-shot). Byte offsets trigger on
- * the SEND path (at flush time, where frames are cut); turn offsets
- * trigger at the send->recv turnaround. Offsets beyond the run never
- * fire — a grid sweep can arm blindly.
+ * Each plan fires at most once (one-shot). Offsets trigger on the
+ * SEND path (at flush time, where frames are cut). Offsets beyond the
+ * run never fire — a grid sweep can arm blindly.
  */
 
 #ifndef IRONMAN_NET_FAULT_H
@@ -60,9 +59,6 @@ struct FaultPlan
     /** Fire when cumulative payload bytes sent reach this (send path). */
     uint64_t atSentByte = UINT64_MAX;
 
-    /** Fire at this direction-turn count (send->recv turnaround). */
-    uint64_t atTurn = UINT64_MAX;
-
     /** Kind::Delay: spike length. */
     uint64_t delayUs = 0;
 
@@ -75,17 +71,6 @@ struct FaultPlan
         FaultPlan p;
         p.kind = k;
         p.atSentByte = at_byte;
-        p.delayUs = delay_us;
-        return p;
-    }
-
-    /** A plan firing at the @p at_turn'th direction turnaround. */
-    static FaultPlan
-    atTurnCount(Kind k, uint64_t at_turn, uint64_t delay_us = 0)
-    {
-        FaultPlan p;
-        p.kind = k;
-        p.atTurn = at_turn;
         p.delayUs = delay_us;
         return p;
     }

@@ -309,34 +309,6 @@ SocketChannel::flush()
 }
 
 void
-SocketChannel::applyTurnFault()
-{
-    switch (fault.kind) {
-      case FaultPlan::Kind::Delay:
-        faultDone = true;
-        std::this_thread::sleep_for(
-            std::chrono::microseconds(fault.delayUs));
-        return;
-      case FaultPlan::Kind::Close:
-        faultDone = true;
-        shutdownBoth();
-        throw WireError(WireFault::PeerClosed,
-                        "fault injection: abrupt close at turnaround");
-      case FaultPlan::Kind::Stall:
-        faultDone = true;
-        throw WireError(WireFault::Transient,
-                        "fault injection: stall at turnaround");
-      case FaultPlan::Kind::Corrupt:
-      case FaultPlan::Kind::TruncateFrame:
-        // Send-path faults: re-arm for the next flushed byte.
-        fault.atSentByte = wireSent + 1;
-        return;
-      case FaultPlan::Kind::None:
-        return;
-    }
-}
-
-void
 SocketChannel::readFrame()
 {
     trace::Span span("read_frame", "net");
@@ -408,8 +380,6 @@ SocketChannel::recvBytes(void *data, size_t len)
         const uint64_t turn =
             turnCount.fetch_add(1, std::memory_order_relaxed) + 1;
         trace::instant("turn", "net", 0, turn);
-        if (fault.armed() && !faultDone && turn >= fault.atTurn)
-            applyTurnFault();
         // Latency injection point: one sleep per turnaround models the
         // propagation delay of the half-round this endpoint now waits
         // on (see setSimulatedDelay).

@@ -150,9 +150,6 @@ class SocketChannel final : public Channel
         faultDone = false;
     }
 
-    /** Whether the armed fault has fired. */
-    bool faultFired() const { return fault.armed() && faultDone; }
-
     /**
      * Inject simulated one-way latency: every direction turnaround
      * into receiving sleeps this long before reading, so a protocol
@@ -183,7 +180,6 @@ class SocketChannel final : public Channel
     void writeAll(const uint8_t *data, size_t len);
     void writeFrames(size_t from);
     void applySendFault();
-    void applyTurnFault();
     void readFrame();
     void pollOrThrow(short events, uint64_t timeout_ms,
                      const char *what);

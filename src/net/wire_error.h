@@ -31,7 +31,8 @@
  *                 impossible. Retrying cannot help.
  *
  * Retry policy consumes exactly one bit of this: retryable() — see
- * svc::RetryPolicy.
+ * svc::RetryPolicy, which infer::InferClient's whole-transport redial
+ * (the one recovery path) runs under.
  */
 
 #ifndef IRONMAN_NET_WIRE_ERROR_H

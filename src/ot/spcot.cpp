@@ -7,12 +7,6 @@
 
 namespace ironman::ot {
 
-std::vector<unsigned>
-SpcotConfig::levelArities() const
-{
-    return treeArities(numLeaves, arity);
-}
-
 size_t
 SpcotConfig::cotsPerTree() const
 {

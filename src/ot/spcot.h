@@ -77,9 +77,6 @@ struct SpcotConfig
                prg == o.prg;
     }
 
-    /** Per-level arities (mixed radix; see treeArities()). */
-    std::vector<unsigned> levelArities() const;
-
     /** Base COTs consumed per tree: log2(numLeaves). */
     size_t cotsPerTree() const;
 };

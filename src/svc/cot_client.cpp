@@ -49,27 +49,6 @@ CotClient::connectTcp(const std::string &host, uint16_t port,
 }
 
 std::unique_ptr<CotClient>
-CotClient::connectTcpRetry(const std::string &host, uint16_t port,
-                           const ot::FerretParams &params, Options opt,
-                           const RetryPolicy &retry,
-                           const RetryEventHook &hook)
-{
-    const unsigned attempts = retry.maxAttempts > 0 ? retry.maxAttempts
-                                                    : 1u;
-    for (unsigned attempt = 1;; ++attempt) {
-        try {
-            retry.sleepBefore(attempt);
-            return connectTcp(host, port, params, opt);
-        } catch (const net::WireError &e) {
-            if (!e.retryable() || attempt >= attempts)
-                throw;
-            if (hook)
-                hook(attempt, retry.backoffMs(attempt + 1), e.what());
-        }
-    }
-}
-
-std::unique_ptr<CotClient>
 CotClient::connectUnix(const std::string &path,
                        const ot::FerretParams &params, Options opt)
 {

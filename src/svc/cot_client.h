@@ -28,7 +28,6 @@
 #include "net/socket_channel.h"
 #include "ot/ferret.h"
 #include "ot/ferret_params.h"
-#include "svc/retry.h"
 #include "svc/wire.h"
 
 namespace ironman::svc {
@@ -56,20 +55,6 @@ class CotClient
     static std::unique_ptr<CotClient>
     connectTcp(const std::string &host, uint16_t port,
                const ot::FerretParams &params, Options opt);
-
-    /**
-     * connectTcp with reconnect: retryable failures (refused connect —
-     * the daemon is restarting — or a wire error inside the handshake)
-     * are retried under @p retry's backoff/budget; the last error is
-     * rethrown once the budget is spent. Non-retryable errors (a
-     * server REJECT, bad configuration) propagate immediately.
-     * @p hook observes each retry (may be empty).
-     */
-    static std::unique_ptr<CotClient>
-    connectTcpRetry(const std::string &host, uint16_t port,
-                    const ot::FerretParams &params, Options opt,
-                    const RetryPolicy &retry,
-                    const RetryEventHook &hook = RetryEventHook());
 
     /** Convenience: connect + handshake over a Unix-domain path. */
     static std::unique_ptr<CotClient>

@@ -1,7 +1,5 @@
 #include "svc/operator_stock.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/trace.h"
@@ -38,7 +36,7 @@ OperatorStock::attach(CotServer &server)
     server.setSenderSink([this](const CotServer::SenderBatch &b) {
         std::lock_guard<std::mutex> lock(m);
         SessionStock &s = sessions[b.sessionId];
-        s.blocks.insert(s.blocks.end(), b.q, b.q + b.count);
+        s.bank.append(b.q, b.count);
         s.delta = b.delta;
         s.haveDelta = true;
         stockMetrics().depth.add(int64_t(b.count));
@@ -46,9 +44,7 @@ OperatorStock::attach(CotServer &server)
     });
     server.setReceiverSink([this](const CotServer::ReceiverBatch &b) {
         std::lock_guard<std::mutex> lock(m);
-        SessionStock &s = sessions[b.sessionId];
-        s.blocks.insert(s.blocks.end(), b.t, b.t + b.count);
-        s.bits.appendRange(*b.choice, 0, b.count);
+        sessions[b.sessionId].bank.append(b.t, b.count, b.choice);
         stockMetrics().depth.add(int64_t(b.count));
         cv.notify_all();
     });
@@ -67,27 +63,10 @@ OperatorStock::attach(CotServer &server)
     server.setSessionEndSink([this](uint64_t sid) { drop(sid); });
 }
 
-void
-OperatorStock::compactLocked(SessionStock &s)
+OperatorStock::SessionStock &
+OperatorStock::waitForStockLocked(std::unique_lock<std::mutex> &lock,
+                                  uint64_t sid, size_t n, bool need_delta)
 {
-    // Drop the consumed prefix once it dominates the stock, so a
-    // long-lived session stays bounded without per-take churn.
-    if (s.head < 4096 || s.head * 2 < s.blocks.size())
-        return;
-    s.blocks.erase(s.blocks.begin(), s.blocks.begin() + long(s.head));
-    if (!s.bits.empty()) {
-        BitVec rest;
-        rest.assignRange(s.bits, s.head, s.bits.size() - s.head);
-        std::swap(s.bits, rest);
-    }
-    s.head = 0;
-}
-
-void
-OperatorStock::takeSend(uint64_t sid, size_t n, std::vector<Block> *q,
-                        Block *delta)
-{
-    std::unique_lock<std::mutex> lock(m);
     const uint64_t t0_us = metrics::nowUs();
     // find(), never operator[]: a take must not materialize entries
     // for sids nobody stocks (a bogus hello would otherwise grow the
@@ -96,8 +75,9 @@ OperatorStock::takeSend(uint64_t sid, size_t n, std::vector<Block> *q,
             if (stopped)
                 return true;
             const auto it = sessions.find(sid);
-            return it != sessions.end() && it->second.haveDelta &&
-                   it->second.blocks.size() - it->second.head >= n;
+            return it != sessions.end() &&
+                   (it->second.haveDelta || !need_delta) &&
+                   it->second.bank.size() >= n;
         }))
         throw net::WireError(
             net::WireFault::Deadline,
@@ -106,13 +86,27 @@ OperatorStock::takeSend(uint64_t sid, size_t n, std::vector<Block> *q,
     if (stopped)
         throw net::WireError(net::WireFault::Fatal,
                              "OperatorStock: retired");
-    noteTakeLocked(t0_us, n);
-    SessionStock &s = sessions[sid];
-    q->resize(n);
-    std::copy_n(s.blocks.data() + s.head, n, q->data());
+
+    StockMetrics &sm = stockMetrics();
+    const uint64_t waited = metrics::nowUs() - t0_us;
+    if (waited > 0) {
+        sm.waits.inc();
+        sm.waitUs.inc(waited);
+        trace::emitSpan("stock_wait", "svc", t0_us, waited, 0, n);
+    }
+    sm.taken.inc(n);
+    sm.depth.sub(int64_t(n));
+    return sessions.find(sid)->second;
+}
+
+void
+OperatorStock::takeSend(uint64_t sid, size_t n, std::vector<Block> *q,
+                        Block *delta)
+{
+    std::unique_lock<std::mutex> lock(m);
+    SessionStock &s = waitForStockLocked(lock, sid, n, true);
+    s.bank.take(n, q);
     *delta = s.delta;
-    s.head += n;
-    compactLocked(s);
 }
 
 void
@@ -120,28 +114,7 @@ OperatorStock::takeRecv(uint64_t sid, size_t n, BitVec *bits,
                         std::vector<Block> *t)
 {
     std::unique_lock<std::mutex> lock(m);
-    const uint64_t t0_us = metrics::nowUs();
-    if (!cv.wait_for(lock, waitTimeout, [&] {
-            if (stopped)
-                return true;
-            const auto it = sessions.find(sid);
-            return it != sessions.end() &&
-                   it->second.blocks.size() - it->second.head >= n;
-        }))
-        throw net::WireError(
-            net::WireFault::Deadline,
-            "OperatorStock: timed out waiting for stock (client dead, "
-            "stalled, or bogus session id)");
-    if (stopped)
-        throw net::WireError(net::WireFault::Fatal,
-                             "OperatorStock: retired");
-    noteTakeLocked(t0_us, n);
-    SessionStock &s = sessions[sid];
-    bits->assignRange(s.bits, s.head, n);
-    t->resize(n);
-    std::copy_n(s.blocks.data() + s.head, n, t->data());
-    s.head += n;
-    compactLocked(s);
+    waitForStockLocked(lock, sid, n, false).bank.take(n, t, bits);
 }
 
 std::string
@@ -157,23 +130,7 @@ OperatorStock::stock(uint64_t sid) const
 {
     std::lock_guard<std::mutex> lock(m);
     const auto it = sessions.find(sid);
-    return it == sessions.end() ? 0
-                                : it->second.blocks.size() -
-                                      it->second.head;
-}
-
-void
-OperatorStock::noteTakeLocked(uint64_t t0_us, size_t n)
-{
-    StockMetrics &sm = stockMetrics();
-    const uint64_t waited = metrics::nowUs() - t0_us;
-    if (waited > 0) {
-        sm.waits.inc();
-        sm.waitUs.inc(waited);
-        trace::emitSpan("stock_wait", "svc", t0_us, waited, 0, n);
-    }
-    sm.taken.inc(n);
-    sm.depth.sub(int64_t(n));
+    return it == sessions.end() ? 0 : it->second.bank.size();
 }
 
 void
@@ -184,8 +141,7 @@ OperatorStock::drop(uint64_t sid)
     if (it == sessions.end())
         return;
     // Unconsumed residue leaves the bank with its session.
-    stockMetrics().depth.sub(
-        int64_t(it->second.blocks.size() - it->second.head));
+    stockMetrics().depth.sub(int64_t(it->second.bank.size()));
     sessions.erase(it);
 }
 

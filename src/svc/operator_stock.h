@@ -48,6 +48,7 @@
 #include "common/bitvec.h"
 #include "common/block.h"
 #include "ppml/cot_supply.h"
+#include "svc/cot_bank.h"
 #include "svc/cot_server.h"
 
 namespace ironman::svc {
@@ -124,17 +125,20 @@ class OperatorStock
   private:
     struct SessionStock
     {
-        std::string peer;          ///< owner; set at session start
-        BitVec bits;               ///< receiver sessions only
-        std::vector<Block> blocks; ///< q or t
-        size_t head = 0;           ///< consumed prefix
-        Block delta;               ///< sender sessions only
+        std::string peer; ///< owner; set at session start
+        CotBank bank;     ///< receiver sessions bank bits + t, senders q
+        Block delta;      ///< sender sessions only
         bool haveDelta = false;
     };
 
-    void compactLocked(SessionStock &s);
-    /** Record wait time + take size + depth delta (telemetry). */
-    void noteTakeLocked(uint64_t t0_us, size_t n);
+    /**
+     * Block until session @p sid banks @p n correlations (and its
+     * delta, if @p need_delta), then record the take's wait, size and
+     * depth delta. Throws on timeout or shutdown.
+     */
+    SessionStock &waitForStockLocked(std::unique_lock<std::mutex> &lock,
+                                     uint64_t sid, size_t n,
+                                     bool need_delta);
 
     mutable std::mutex m;
     std::condition_variable cv;

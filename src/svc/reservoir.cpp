@@ -19,8 +19,6 @@ struct ReservoirMetrics {
     metrics::Gauge &stock = metrics::gauge("svc_reservoir_stock_cots");
     metrics::Counter &refills =
         metrics::counter("svc_reservoir_refills_total");
-    metrics::Counter &reconnects =
-        metrics::counter("svc_reservoir_reconnects_total");
     metrics::Counter &stalls =
         metrics::counter("svc_reservoir_stalls_total");
     metrics::Counter &stallUs =
@@ -38,47 +36,12 @@ reservoirMetrics()
 } // namespace
 
 Reservoir::Reservoir(CotClient &c, Options opt)
-    : client_(&c), opt_(opt), role_(c.role()), usable_(c.usableOts())
+    : client_(c), opt_(opt), role_(c.role()), usable_(c.usableOts())
 {
     IRONMAN_CHECK(opt_.lowWaterBatches >= 1 &&
                       opt_.maxBatches >= opt_.lowWaterBatches,
                   "reservoir watermarks inverted");
     reservoirMetrics(); // register handles before the refill loop runs
-    refillThread = std::thread([this] { refillLoop(); });
-}
-
-Reservoir::Reservoir(SessionFactory f, Options opt, RetryPolicy retry,
-                     RetryEventHook hook)
-    : factory(std::move(f)), retry_(retry), retryHook(std::move(hook)),
-      opt_(opt)
-{
-    IRONMAN_CHECK(opt_.lowWaterBatches >= 1 &&
-                      opt_.maxBatches >= opt_.lowWaterBatches,
-                  "reservoir watermarks inverted");
-    IRONMAN_CHECK(factory, "reservoir factory mode needs a factory");
-
-    // The initial dial gets the same budget as a recovery dial: a
-    // daemon mid-restart looks identical at connect time.
-    const unsigned attempts =
-        retry_.maxAttempts > 0 ? retry_.maxAttempts : 1u;
-    for (unsigned attempt = 1;; ++attempt) {
-        try {
-            retry_.sleepBefore(attempt);
-            owned = factory();
-            break;
-        } catch (const net::WireError &e) {
-            if (!e.retryable() || attempt >= attempts)
-                throw;
-            if (retryHook)
-                retryHook(attempt, retry_.backoffMs(attempt + 1),
-                          e.what());
-        }
-    }
-    IRONMAN_CHECK(owned, "reservoir factory returned null");
-    client_ = owned.get();
-    role_ = client_->role();
-    usable_ = client_->usableOts();
-    reservoirMetrics();
     refillThread = std::thread([this] { refillLoop(); });
 }
 
@@ -88,7 +51,7 @@ Reservoir::~Reservoir()
     // Retire the remaining stock from the process-wide gauge so a
     // finished reservoir doesn't leave phantom inventory behind.
     std::lock_guard<std::mutex> lock(m);
-    reservoirMetrics().stock.sub(int64_t(blocks.size() - head));
+    reservoirMetrics().stock.sub(int64_t(bank.size()));
 }
 
 void
@@ -114,58 +77,6 @@ Reservoir::markFailed(net::WireFault fault, const std::string &what)
     stockCv.notify_all();
 }
 
-bool
-Reservoir::recoverSession(const net::WireError &cause)
-{
-    // The dead session's stock is unusable: the operator halves lived
-    // in the old server process. Discard before redialing so takers
-    // never see a tape mixing two sessions.
-    {
-        std::lock_guard<std::mutex> lock(m);
-        discardStockLocked();
-    }
-
-    const unsigned attempts =
-        retry_.maxAttempts > 0 ? retry_.maxAttempts : 1u;
-    std::string last = cause.what();
-    for (unsigned attempt = 1; attempt <= attempts; ++attempt) {
-        {
-            std::lock_guard<std::mutex> lock(m);
-            if (!running)
-                return false;
-        }
-        if (retryHook)
-            retryHook(attempt, retry_.backoffMs(attempt + 1), last);
-        try {
-            // Backoff BEFORE the dial: the failure that brought us
-            // here is evidence the daemon is down right now.
-            retry_.sleepBefore(attempt + 1);
-            std::unique_ptr<CotClient> fresh = factory();
-            IRONMAN_CHECK(fresh && fresh->role() == role_ &&
-                              fresh->usableOts() == usable_,
-                          "reservoir factory changed session shape");
-            std::lock_guard<std::mutex> lock(m);
-            owned = std::move(fresh);
-            client_ = owned.get();
-            ++reconnectCount;
-            reservoirMetrics().reconnects.inc();
-            return true;
-        } catch (const net::WireError &e) {
-            last = e.what();
-            if (!e.retryable()) {
-                markFailed(e.fault(), last);
-                return false;
-            }
-        } catch (const std::exception &e) {
-            markFailed(net::WireFault::Fatal, e.what());
-            return false;
-        }
-    }
-    markFailed(net::WireFault::PeerClosed,
-               "reconnect budget exhausted: " + last);
-    return false;
-}
-
 void
 Reservoir::refillLoop()
 {
@@ -180,7 +91,7 @@ Reservoir::refillLoop()
             // take the current stock cannot satisfy.
             std::unique_lock<std::mutex> lock(m);
             needCv.wait(lock, [&] {
-                const size_t have = blocks.size() - head;
+                const size_t have = bank.size();
                 return !running || have < low || have < demand;
             });
             if (!running)
@@ -197,32 +108,25 @@ Reservoir::refillLoop()
             try {
                 stageBlocks.resize(usable);
                 if (recv_role)
-                    client_->extendRecv(stageBits, stageBlocks.data());
+                    client_.extendRecv(stageBits, stageBlocks.data());
                 else
-                    client_->extendSend(stageBlocks.data());
+                    client_.extendSend(stageBlocks.data());
             } catch (const net::WireError &e) {
-                if (!factory || !e.retryable()) {
-                    markFailed(e.fault(), e.what());
-                    return;
-                }
-                if (!recoverSession(e))
-                    return;
-                continue; // retry this extension on the fresh session
+                markFailed(e.fault(), e.what());
+                return;
             } catch (const std::exception &e) {
                 markFailed(net::WireFault::Fatal, e.what());
                 return;
             }
 
             std::lock_guard<std::mutex> lock(m);
-            if (recv_role)
-                bits.appendRange(stageBits, 0, stageBits.size());
-            blocks.insert(blocks.end(), stageBlocks.begin(),
-                          stageBlocks.end());
+            bank.append(stageBlocks.data(), usable,
+                        recv_role ? &stageBits : nullptr);
             ++refillCount;
             reservoirMetrics().refills.inc();
             reservoirMetrics().stock.add(int64_t(stageBlocks.size()));
             stockCv.notify_all();
-            const size_t have = blocks.size() - head;
+            const size_t have = bank.size();
             // The refiller retires demand once covered — a woken taker
             // must not (another taker may still be waiting on a larger
             // figure).
@@ -235,21 +139,12 @@ Reservoir::refillLoop()
 }
 
 void
-Reservoir::discardStockLocked()
-{
-    reservoirMetrics().stock.sub(int64_t(blocks.size() - head));
-    blocks.clear();
-    bits = BitVec();
-    head = 0;
-}
-
-void
 Reservoir::waitForStockLocked(std::unique_lock<std::mutex> &lock,
                               size_t n)
 {
     // Stall accounting: time spent by takers blocked under the low
     // water mark is THE congestion signal for refill scheduling.
-    const bool stalled = running && !failed && blocks.size() - head < n;
+    const bool stalled = running && !failed && bank.size() < n;
     const uint64_t t0_us = stalled ? metrics::nowUs() : 0;
     // The demand re-arms on EVERY unsatisfied wake (the predicate runs
     // under the lock): another taker may have drained the stock after
@@ -257,7 +152,7 @@ Reservoir::waitForStockLocked(std::unique_lock<std::mutex> &lock,
     // never clear what a concurrent larger take still needs. The
     // refill loop retires demand once the stock covers it.
     stockCv.wait(lock, [&] {
-        if (!running || failed || blocks.size() - head >= n)
+        if (!running || failed || bank.size() >= n)
             return true;
         demand = std::max(demand, n);
         needCv.notify_all();
@@ -267,7 +162,7 @@ Reservoir::waitForStockLocked(std::unique_lock<std::mutex> &lock,
         reservoirMetrics().stalls.inc();
         reservoirMetrics().stallUs.inc(metrics::nowUs() - t0_us);
     }
-    if (blocks.size() - head < n) {
+    if (bank.size() < n) {
         // The taker's error, not the refiller's: a typed throw the
         // consumer can catch and route, never a process abort.
         if (failed)
@@ -287,25 +182,8 @@ Reservoir::takeRecv(size_t n, BitVec *out_bits, std::vector<Block> *t)
                   "takeRecv on a sender-role reservoir");
     std::unique_lock<std::mutex> lock(m);
     waitForStockLocked(lock, n);
-    out_bits->assignRange(bits, head, n);
-    t->resize(n);
-    std::copy_n(blocks.data() + head, n, t->data());
-    head += n;
-    takenCount += n;
-    reservoirMetrics().taken.inc(n);
-    reservoirMetrics().stock.sub(int64_t(n));
-
-    // Compact consumed whole batches so the stock stays bounded.
-    const size_t usable = usable_;
-    if (head >= usable) {
-        const size_t drop = head - head % usable;
-        blocks.erase(blocks.begin(), blocks.begin() + drop);
-        BitVec rest;
-        rest.assignRange(bits, drop, bits.size() - drop);
-        std::swap(bits, rest);
-        head -= drop;
-    }
-    needCv.notify_all();
+    bank.take(n, t, out_bits);
+    noteTakeLocked(n);
 }
 
 void
@@ -315,27 +193,17 @@ Reservoir::takeSend(size_t n, std::vector<Block> *q)
                   "takeSend on a receiver-role reservoir");
     std::unique_lock<std::mutex> lock(m);
     waitForStockLocked(lock, n);
-    q->resize(n);
-    std::copy_n(blocks.data() + head, n, q->data());
-    head += n;
+    bank.take(n, q);
+    noteTakeLocked(n);
+}
+
+void
+Reservoir::noteTakeLocked(size_t n)
+{
     takenCount += n;
     reservoirMetrics().taken.inc(n);
     reservoirMetrics().stock.sub(int64_t(n));
-
-    const size_t usable = usable_;
-    if (head >= usable) {
-        const size_t drop = head - head % usable;
-        blocks.erase(blocks.begin(), blocks.begin() + drop);
-        head -= drop;
-    }
     needCv.notify_all();
-}
-
-size_t
-Reservoir::stock() const
-{
-    std::lock_guard<std::mutex> lock(m);
-    return blocks.size() - head;
 }
 
 uint64_t
@@ -350,13 +218,6 @@ Reservoir::taken() const
 {
     std::lock_guard<std::mutex> lock(m);
     return takenCount;
-}
-
-uint64_t
-Reservoir::reconnects() const
-{
-    std::lock_guard<std::mutex> lock(m);
-    return reconnectCount;
 }
 
 bool

@@ -11,17 +11,17 @@
  * session. The refill thread extends whenever the stock drops under
  * the low-water mark and parks once it holds maxBatches extensions.
  *
- * Failure handling: a reservoir constructed over an EXTERNAL session
- * (the legacy reference constructor) treats any refill error as
- * terminal — the owner owns recovery. A reservoir constructed with a
- * session FACTORY owns its session and recovers from retryable wire
- * errors (net::WireError): it discards the dead session's remaining
- * stock (the peer's matching halves died with the server — mixing
- * tapes across sessions would hand out unpaired correlations),
- * redials through the factory under the RetryPolicy's backoff/budget,
- * and restocks. Only when the budget is spent (or the error is not
- * retryable) does the failure surface — as a typed WireError thrown
- * to every blocked and future taker, never as a silent stall.
+ * Failure handling: the reservoir runs over an EXTERNAL session and
+ * treats any refill error as terminal — it surfaces as a typed
+ * net::WireError thrown to every blocked and future taker, never as a
+ * silent stall. Recovery belongs to the session's owner:
+ * infer::InferClient redials its whole transport (channel, both COT
+ * sessions, both reservoirs), because the server's operator halves
+ * are tied to the old session ids and one session cannot be redialed
+ * on its own without breaking lockstep.
+ *
+ * The stock itself is a svc::CotBank, the bank svc::OperatorStock
+ * also keeps per session.
  *
  * ReservoirCotSupply composes two reservoirs over two sessions of
  * opposite roles into the dual-direction ppml::CotSupply the GMW
@@ -34,8 +34,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -45,8 +43,8 @@
 #include "common/block.h"
 #include "net/wire_error.h"
 #include "ppml/cot_supply.h"
+#include "svc/cot_bank.h"
 #include "svc/cot_client.h"
-#include "svc/retry.h"
 
 namespace ironman::svc {
 
@@ -79,30 +77,17 @@ class Reservoir
         }
     };
 
-    /** Dials one session; called again (under backoff) on recovery. */
-    using SessionFactory =
-        std::function<std::unique_ptr<CotClient>()>;
-
     /**
      * Start refilling immediately. @p client must outlive the
      * reservoir and must not be used elsewhere while it runs (the
-     * refill thread owns the session). No recovery: a refill error is
-     * terminal for this reservoir.
+     * refill thread owns the session). A refill error is terminal for
+     * this reservoir (see file comment).
      */
     explicit Reservoir(CotClient &client)
         : Reservoir(client, Options{})
     {
     }
     Reservoir(CotClient &client, Options opt);
-
-    /**
-     * Owning, self-healing mode: dial the initial session through
-     * @p factory (retried under @p retry if the first dial fails
-     * retryably), and on a retryable refill error discard stock,
-     * redial, restock. @p hook observes retry events (may be empty).
-     */
-    Reservoir(SessionFactory factory, Options opt, RetryPolicy retry,
-              RetryEventHook hook = RetryEventHook());
 
     ~Reservoir();
 
@@ -120,20 +105,11 @@ class Reservoir
     /** Take @p n sender-role strings; see takeRecv. */
     void takeSend(size_t n, std::vector<Block> *q);
 
-    /** The current session (rebuilt across recoveries). */
-    CotClient &session() { return *client_; }
-
-    /** Correlations currently in stock. */
-    size_t stock() const;
-
     /** Extensions the refill thread has run. */
     uint64_t refills() const;
 
     /** Correlations handed out. */
     uint64_t taken() const;
-
-    /** Successful session recoveries (factory mode only). */
-    uint64_t reconnects() const;
 
     /** Whether the supply failed terminally (takers will throw). */
     bool failedTerminally() const;
@@ -147,20 +123,16 @@ class Reservoir
 
   private:
     void refillLoop();
-    bool recoverSession(const net::WireError &cause);
     void markFailed(net::WireFault fault, const std::string &what);
     void waitForStockLocked(std::unique_lock<std::mutex> &lock,
                             size_t n);
-    void discardStockLocked();
+    /** Count a satisfied take and wake the refiller. */
+    void noteTakeLocked(size_t n);
 
-    CotClient *client_ = nullptr; ///< external, or owned.get()
-    std::unique_ptr<CotClient> owned; ///< factory mode only
-    SessionFactory factory;           ///< empty = no recovery
-    RetryPolicy retry_;
-    RetryEventHook retryHook;
+    CotClient &client_;
     Options opt_;
-    // Session invariants cached at construction so takers never touch
-    // client_ (the refill thread may be swapping it mid-recovery).
+    // Session shape cached at construction: the refill thread owns
+    // client_, so takers never touch it.
     Role role_ = Role::Receiver;
     size_t usable_ = 0;
 
@@ -168,12 +140,7 @@ class Reservoir
     std::condition_variable stockCv; ///< takers wait for stock
     std::condition_variable needCv;  ///< refiller waits for demand
 
-    // Stock, role-dependent: receiver sessions fill bits+t, sender
-    // sessions fill q. head is the consumed prefix; compaction drops
-    // whole batches once consumed.
-    BitVec bits;
-    std::vector<Block> blocks;
-    size_t head = 0;
+    CotBank bank; ///< receiver sessions bank bits + t, senders q
     size_t demand = 0; ///< largest pending take (refiller must cover it)
     bool running = true;
     bool failed = false; ///< terminal: takers throw instead of waiting
@@ -181,7 +148,6 @@ class Reservoir
     std::string failWhat;
     uint64_t refillCount = 0;
     uint64_t takenCount = 0;
-    uint64_t reconnectCount = 0;
 
     // Refill staging (thread-local to the refill loop, reused).
     BitVec stageBits;

@@ -1,8 +1,10 @@
 /**
  * @file
- * Reconnect policy shared by the service clients (svc::CotClient
- * factories, svc::Reservoir, infer::InferClient): exponential backoff
- * with deterministic jitter under a finite attempt budget.
+ * Reconnect policy of infer::InferClient, the one recovery owner of a
+ * served client: exponential backoff with deterministic jitter under
+ * a finite attempt budget. The client redials its whole transport
+ * (channel, both COT sessions, both reservoirs) under it; a
+ * svc::Reservoir never redials on its own.
  *
  * The policy consumes exactly one bit of the error taxonomy —
  * net::WireError::retryable() — and owns everything else: how many

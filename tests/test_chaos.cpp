@@ -11,15 +11,18 @@
  *    timeout;
  *  - graceful drain: in-flight sessions finish with ZERO failed
  *    requests while new connects are refused;
- *  - client recovery: the factory-mode svc::Reservoir survives a COT
- *    daemon kill/restart (discard stock, redial under backoff,
- *    restock), and infer::InferClient with autoReconnect survives a
- *    whole-backend kill/restart — uncommitted requests replay
- *    from stored shares, committed-but-unanswered ones surface as
- *    typed Result failures, and every COMPLETED image is bit-identical
- *    to an uninterrupted run (DESIGN.md invariant 15; pinned on the
- *    exact fracBits-0 zoo model, whose outputs are position-
- *    independent across session splits).
+ *  - typed reservoir failures: an svc::Reservoir does not redial on
+ *    its own, so a COT daemon stopped under a waiting taker, or a
+ *    refill stopped under one, reaches the taker as a typed
+ *    net::WireError within a bounded wait;
+ *  - client recovery: infer::InferClient, the one recovery owner,
+ *    with autoReconnect survives a whole-backend kill/restart —
+ *    uncommitted requests replay from stored shares,
+ *    committed-but-unanswered ones surface as typed Result failures,
+ *    and every COMPLETED image is bit-identical to an uninterrupted
+ *    run (DESIGN.md invariant 15; pinned on the exact fracBits-0 zoo
+ *    model, whose outputs are position-independent across session
+ *    splits).
  *
  * Everything runs over real loopback TCP; the file is part of the CI
  * ASan and TSan jobs.
@@ -28,6 +31,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -479,77 +484,84 @@ TEST(ChaosDrainTest, InferServerDrainAnswersEveryPendingRequest)
 }
 
 // ---------------------------------------------------------------------------
-// Client recovery: factory-mode reservoir vs COT daemon kill/restart
+// Reservoir over an external session: typed terminal failures
 // ---------------------------------------------------------------------------
 
-TEST(ChaosRecoveryTest, ReservoirSurvivesCotServerKillRestart)
+/**
+ * A take no stock can cover, on its own thread: the refiller keeps
+ * extending for it. Construction returns once two refills ran under
+ * it; outcome yields what the take threw ("returned" if nothing).
+ */
+struct BlockedTaker
+{
+    BlockedTaker(Reservoir &res, size_t n)
+    {
+        const uint64_t r0 = res.refills();
+        thread = std::thread([this, &res, n] {
+            BitVec bits;
+            std::vector<Block> t;
+            try {
+                res.takeRecv(n, &bits, &t);
+                done.set_value("returned");
+            } catch (const WireError &e) {
+                done.set_value(e.what());
+            }
+        });
+        waitUntil([&] { return res.refills() >= r0 + 2; });
+    }
+
+    ~BlockedTaker() { thread.join(); }
+
+    std::promise<std::string> done;
+    std::future<std::string> outcome = done.get_future();
+    std::thread thread;
+};
+
+TEST(ChaosRecoveryTest, ReservoirFailsTypedWhenCotServerStops)
 {
     const ot::FerretParams p = ot::tinyTestParams();
-    auto cot = std::make_unique<CotServer>();
-    const uint16_t port = cot->listenTcp(0);
-
+    CotServer cot;
     CotClient::Options copt;
-    copt.role = svc::Role::Sender;
-    copt.setupSeed = 0x5ee5;
-    Reservoir res(
-        [&, copt] {
-            return CotClient::connectTcp("127.0.0.1", port, p, copt);
-        },
-        Reservoir::Options{}, fastRetry(10));
+    copt.setupSeed = 0xbad5eed;
+    auto client =
+        CotClient::connectTcp("127.0.0.1", cot.listenTcp(0), p, copt);
+    Reservoir res(*client);
+    BlockedTaker taker(res, 1000 * p.usableOts());
 
-    std::vector<Block> q;
-    res.takeSend(100, &q);
-    EXPECT_EQ(q.size(), 100u);
-    EXPECT_EQ(res.reconnects(), 0u);
-
-    // Kill the daemon mid-life (possibly mid-extension: the refill
-    // thread runs continuously) and restart it on the same port.
-    cot->stop();
-    cot = std::make_unique<CotServer>();
-    ASSERT_EQ(cot->listenTcp(port), port);
-
-    // The reservoir discards the dead session's stock, redials under
-    // backoff, restocks — takers just block a little longer.
-    res.takeSend(2 * p.usableOts() + 17, &q);
-    EXPECT_EQ(q.size(), 2 * p.usableOts() + 17);
-    waitUntil([&] { return res.reconnects() >= 1; });
-    EXPECT_GE(res.reconnects(), 1u);
-    EXPECT_FALSE(res.failedTerminally());
-    res.stopRefill();
-    cot->stop();
+    // The daemon dies under a waiting taker. The reservoir does not
+    // redial (recovery belongs to the session's owner): the refill
+    // error is terminal and reaches the taker typed, within a bound.
+    cot.stop();
+    const bool thrown =
+        taker.outcome.wait_for(std::chrono::seconds(10)) ==
+        std::future_status::ready;
+    EXPECT_TRUE(thrown) << "taker still blocked 10 s after the stop";
+    if (!thrown)
+        res.stopRefill(); // unwind the taker so the test can end
+    const std::string what = taker.outcome.get();
+    EXPECT_NE(what.find("Reservoir: supply failed"), std::string::npos)
+        << what;
+    EXPECT_TRUE(res.failedTerminally());
 }
 
-TEST(ChaosRecoveryTest, ReservoirFailsTypedWhenBudgetExhausted)
+TEST(ChaosRecoveryTest, ReservoirStopFailsBlockedTakerTyped)
 {
     const ot::FerretParams p = ot::tinyTestParams();
-    auto cot = std::make_unique<CotServer>();
-    const uint16_t port = cot->listenTcp(0);
+    CotServer cot;
+    CotClient::Options copt;
+    copt.setupSeed = 0x570b;
+    auto client =
+        CotClient::connectTcp("127.0.0.1", cot.listenTcp(0), p, copt);
+    Reservoir res(*client);
+    BlockedTaker taker(res, 1000 * p.usableOts());
 
-    Reservoir res(
-        [&] {
-            CotClient::Options copt;
-            copt.setupSeed = 0xbad5eed;
-            return CotClient::connectTcp("127.0.0.1", port, p, copt);
-        },
-        Reservoir::Options{}, fastRetry(3));
-
-    BitVec bits;
-    std::vector<Block> t;
-    res.takeRecv(10, &bits, &t); // healthy first
-
-    cot->stop();
-    cot.reset(); // kill for good: every redial is refused
-
-    // The refiller burns its budget, then every taker gets a typed
-    // error instead of an abort or a forever-block.
-    try {
-        res.takeRecv(64 * p.usableOts(), &bits, &t);
-        FAIL() << "take from a dead supply must throw";
-    } catch (const WireError &e) {
-        EXPECT_TRUE(e.retryable() || e.fault() == net::WireFault::Fatal)
-            << e.what();
-    }
-    EXPECT_TRUE(res.failedTerminally());
+    // The owner stops the supply with a taker blocked: it wakes with
+    // PeerClosed instead of waiting on stock that will never come,
+    // and the session itself stays healthy for its owner.
+    res.stopRefill();
+    EXPECT_EQ(taker.outcome.get(),
+              "Reservoir: stopped with takers waiting");
+    EXPECT_FALSE(res.failedTerminally());
 }
 
 // ---------------------------------------------------------------------------

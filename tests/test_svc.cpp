@@ -527,8 +527,15 @@ TEST(ReservoirTest, BackgroundRefillYieldsCorrelatedStream)
     {
         Reservoir res(*client);
         // Odd-sized takes crossing batch boundaries: > 2 extensions.
+        // A take past the stock's ceiling (maxBatches + 1 extensions)
+        // leaves less than one extension behind, so its consumed
+        // prefix dominates the bank: each such take compacts, and the
+        // pairing checks run across both compactions.
         const size_t usable = p.usableOts();
-        const size_t takes[] = {17, usable - 5, usable / 2 + 3, 1234};
+        const size_t takes[] = {17,         usable - 5,
+                                usable / 2 + 3, 1234,
+                                3 * usable + 5, 77,
+                                4 * usable + 1, 4099};
         BitVec bits;
         std::vector<Block> t;
         size_t consumed = 0;
