@@ -322,7 +322,6 @@ InferServer::runSession(net::SocketChannel &ch, uint64_t sid,
                         trace::nowUs() - sess_t0_us, uint32_t(sid));
         trace::retainExport();
     }
-    (void)sid;
 }
 
 } // namespace ironman::infer

@@ -1,10 +1,10 @@
-#include "svc/cot_bank.h"
+#include "ppml/cot_bank.h"
 
 #include <algorithm>
 
 #include "common/logging.h"
 
-namespace ironman::svc {
+namespace ironman::ppml {
 
 void
 CotBank::append(const Block *b, size_t n, const BitVec *choice)
@@ -35,4 +35,4 @@ CotBank::take(size_t n, std::vector<Block> *out, BitVec *out_bits)
     head = 0;
 }
 
-} // namespace ironman::svc
+} // namespace ironman::ppml

@@ -1,21 +1,26 @@
 /**
  * @file
- * The one COT stock bank of the service layer: a FIFO of correlation
- * blocks (q or t), plus the matching choice bits for receiver halves,
- * consumed from a moving head. Both stocks that buffer correlations
- * ahead of the GMW online phase use it — the client's svc::Reservoir
- * and each session of the operator's svc::OperatorStock — so they
- * append, take and compact the same way.
+ * The one COT bank of the stack: a FIFO of correlation blocks (q or
+ * t), plus the matching choice bits for receiver halves, consumed
+ * from a moving head. Every buffer of correlations ahead of the GMW
+ * online phase is one of these, so all of them append, take and
+ * compact the same way:
+ *
+ *   - ppml::FerretCotEngine banks each direction of its in-process
+ *     extensions;
+ *   - svc::Reservoir banks the client's stock of one COT session;
+ *   - svc::OperatorStock banks the operator's halves per session.
  *
  * Compaction is amortized: the consumed prefix is dropped once it is
  * at least kCompactMin entries and at least half the bank, so a
- * long-lived stock stays bounded without moving memory on every take.
+ * long-lived bank stays bounded without moving memory on every take.
  *
- * Not thread-safe: the owning stock serializes access under its lock.
+ * Not thread-safe: the owner serializes access (the svc stocks under
+ * their locks; the engine runs on one protocol thread).
  */
 
-#ifndef IRONMAN_SVC_COT_BANK_H
-#define IRONMAN_SVC_COT_BANK_H
+#ifndef IRONMAN_PPML_COT_BANK_H
+#define IRONMAN_PPML_COT_BANK_H
 
 #include <cstddef>
 #include <vector>
@@ -23,7 +28,7 @@
 #include "common/bitvec.h"
 #include "common/block.h"
 
-namespace ironman::svc {
+namespace ironman::ppml {
 
 class CotBank
 {
@@ -55,6 +60,6 @@ class CotBank
     size_t head = 0;           ///< consumed prefix
 };
 
-} // namespace ironman::svc
+} // namespace ironman::ppml
 
-#endif // IRONMAN_SVC_COT_BANK_H
+#endif // IRONMAN_PPML_COT_BANK_H

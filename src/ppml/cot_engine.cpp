@@ -5,11 +5,10 @@
 
 namespace ironman::ppml {
 
-FerretCotEngine::FerretCotEngine(net::Channel &channel, int party_id,
-                                 const ot::FerretParams &params,
+FerretCotEngine::FerretCotEngine(net::Channel &ch, int party,
+                                 const ot::FerretParams &p,
                                  uint64_t setup_seed, int threads)
-    : ch(channel), party(party_id), p(params),
-      extendRng(setup_seed ^ 0x0e17e4d5u ^ uint64_t(party_id) << 32)
+    : extendRng(setup_seed ^ 0x0e17e4d5u ^ uint64_t(party) << 32)
 {
     IRONMAN_CHECK(party == 0 || party == 1);
 
@@ -37,6 +36,7 @@ FerretCotEngine::FerretCotEngine(net::Channel &channel, int party_id,
     }
     sender->setThreads(threads);
     receiver->setThreads(threads);
+    stage.resize(p.usableOts());
 
     // Prime one extension per direction; direction A runs first on
     // both sides so the interleaved sessions line up.
@@ -52,14 +52,9 @@ FerretCotEngine::FerretCotEngine(net::Channel &channel, int party_id,
 void
 FerretCotEngine::refillSend(size_t need)
 {
-    if (sendQ.size() - sendPos >= need)
-        return;
-    sendQ.erase(sendQ.begin(), sendQ.begin() + sendPos);
-    sendPos = 0;
-    while (sendQ.size() < need) {
-        size_t old = sendQ.size();
-        sendQ.resize(old + p.usableOts());
-        sender->extendInto(extendRng, sendQ.data() + old);
+    while (sendBank.size() < need) {
+        sender->extendInto(extendRng, stage.data());
+        sendBank.append(stage.data(), stage.size());
         ++extensions;
     }
 }
@@ -67,43 +62,25 @@ FerretCotEngine::refillSend(size_t need)
 void
 FerretCotEngine::refillRecv(size_t need)
 {
-    if (recvT.size() - recvPos >= need)
-        return;
-    recvT.erase(recvT.begin(), recvT.begin() + recvPos);
-    bitScratch.assignRange(recvBits, recvPos, recvBits.size() - recvPos);
-    std::swap(recvBits, bitScratch);
-    recvPos = 0;
-    while (recvT.size() < need) {
-        size_t old = recvT.size();
-        recvT.resize(old + p.usableOts());
-        receiver->extendInto(extendRng, choiceScratch,
-                             recvT.data() + old);
-        recvBits.appendRange(choiceScratch, 0, choiceScratch.size());
+    while (recvBank.size() < need) {
+        receiver->extendInto(extendRng, stageBits, stage.data());
+        recvBank.append(stage.data(), stage.size(), &stageBits);
         ++extensions;
     }
-    IRONMAN_CHECK(recvBits.size() == recvT.size());
-}
-
-const Block *
-FerretCotEngine::takeSend(size_t n)
-{
-    refillSend(n);
-    const Block *q = sendQ.data() + sendPos;
-    sendPos += n;
-    taken += n;
-    return q;
 }
 
 void
-FerretCotEngine::takeRecv(size_t n, const BitVec **bits,
-                          size_t *bit_offset, const Block **t)
+FerretCotEngine::takeSend(size_t n, std::vector<Block> *q)
+{
+    refillSend(n);
+    sendBank.take(n, q);
+}
+
+void
+FerretCotEngine::takeRecv(size_t n, BitVec *bits, std::vector<Block> *t)
 {
     refillRecv(n);
-    *bits = &recvBits;
-    *bit_offset = recvPos;
-    *t = recvT.data() + recvPos;
-    recvPos += n;
-    taken += n;
+    recvBank.take(n, t, bits);
 }
 
 } // namespace ironman::ppml

@@ -12,10 +12,12 @@
  *   - direction A: party 0 is the OTE sender, party 1 the receiver;
  *   - direction B: roles swapped;
  *
- * both multiplexed over the one protocol channel. Because the two
- * parties consume each direction in lockstep (every GMW batch spends
- * the same count on both sides), refills trigger at the same protocol
- * step on both sides and the interleaved extensions stay aligned.
+ * both multiplexed over the one protocol channel, each banked in a
+ * ppml::CotBank. A take extends only while its direction's bank holds
+ * fewer correlations than it asks for. Because the two parties
+ * consume each direction in lockstep (every GMW batch spends the same
+ * count on both sides), refills trigger at the same protocol step on
+ * both sides and the interleaved extensions stay aligned.
  *
  * Setup substitutes the trusted dealer for the one-time base-OT
  * phase, exactly like the rest of the repository (DESIGN.md): both
@@ -39,6 +41,7 @@
 #include "net/channel.h"
 #include "ot/ferret.h"
 #include "ot/ferret_params.h"
+#include "ppml/cot_bank.h"
 #include "ppml/cot_supply.h"
 
 namespace ironman::ppml {
@@ -60,52 +63,33 @@ class FerretCotEngine : public CotSupply
     const Block &sendDelta() const override { return sendDelta_; }
 
     /**
-     * Claim @p n send-direction COT strings. The pointer stays valid
-     * until the next takeSend() (a refill may compact the buffer).
-     * Runs extensions on the channel when the buffer is short — the
-     * peer must be inside its matching takeRecv().
+     * Take @p n send-direction COT strings. Runs extensions on the
+     * channel while the bank is short — the peer must be inside its
+     * matching takeRecv().
      */
-    const Block *takeSend(size_t n) override;
+    void takeSend(size_t n, std::vector<Block> *q) override;
 
-    /**
-     * Claim @p n recv-direction correlations: choice bits are
-     * (*bits)[*bit_offset ...], strings are (*t)[0..n). Validity as
-     * takeSend().
-     */
-    void takeRecv(size_t n, const BitVec **bits, size_t *bit_offset,
-                  const Block **t) override;
-
-    /** Correlations handed out so far (both directions). */
-    size_t cotsTaken() const override { return taken; }
+    /** Take @p n recv-direction correlations; refills as takeSend(). */
+    void takeRecv(size_t n, BitVec *bits,
+                  std::vector<Block> *t) override;
 
     /** Extensions run so far (both directions, including priming). */
     uint64_t extensionsRun() const { return extensions; }
-
-    const ot::FerretParams &params() const { return p; }
 
   private:
     void refillSend(size_t need);
     void refillRecv(size_t need);
 
-    net::Channel &ch;
-    int party;
-    ot::FerretParams p;
     Block sendDelta_;
-
     std::unique_ptr<ot::FerretCotSender> sender;
     std::unique_ptr<ot::FerretCotReceiver> receiver;
     Rng extendRng;
 
-    std::vector<Block> sendQ;
-    size_t sendPos = 0;
+    CotBank sendBank;
+    CotBank recvBank;
+    std::vector<Block> stage; ///< one extension's strings, either direction
+    BitVec stageBits;         ///< one receiver extension's choice bits
 
-    BitVec recvBits;
-    std::vector<Block> recvT;
-    size_t recvPos = 0;
-    BitVec bitScratch;   ///< compaction / append staging
-    BitVec choiceScratch;
-
-    size_t taken = 0;
     uint64_t extensions = 0;
 };
 

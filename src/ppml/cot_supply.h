@@ -2,29 +2,30 @@
  * @file
  * The correlation-supply abstraction the PPML online phase consumes.
  *
- * SecureCompute (and any other GMW-style consumer) needs exactly four
+ * SecureCompute (and any other GMW-style consumer) needs exactly three
  * things from its COT source: the send-direction offset, batches of
- * sender strings, batches of receiver (choice, t) pairs, and an
- * accounting counter. CotSupply names that contract so the source can
- * be either
+ * sender strings, and batches of receiver (choice, t) pairs. CotSupply
+ * names that contract so the source can be
  *
  *   - ppml::FerretCotEngine — the in-process dual-direction engine
- *     that extends on the protocol channel itself, or
+ *     that extends on the protocol channel itself,
  *   - svc::ReservoirCotSupply — client-side stocks refilled in the
  *     background from COT-service sessions (src/svc), so the online
- *     phase never stalls on extension latency.
+ *     phase never stalls on extension latency, or
+ *   - svc::OperatorCotSupply — the service operator's halves of the
+ *     same sessions.
  *
- * Contract inherited from FerretCotEngine: pointers returned by
- * takeSend()/takeRecv() stay valid until the NEXT take of the same
- * direction (a refill may compact the underlying buffer), and both
- * parties must consume each direction in lockstep for the halves to
- * line up.
+ * Each source banks its correlations in a ppml::CotBank, and every
+ * take copies out of that bank into caller storage: the consumer owns
+ * (and reuses) the buffers and counts what it took. Both parties must
+ * consume each direction in lockstep for the halves to line up.
  */
 
 #ifndef IRONMAN_PPML_COT_SUPPLY_H
 #define IRONMAN_PPML_COT_SUPPLY_H
 
 #include <cstddef>
+#include <vector>
 
 #include "common/bitvec.h"
 #include "common/block.h"
@@ -41,21 +42,17 @@ class CotSupply
     virtual const Block &sendDelta() const = 0;
 
     /**
-     * Claim @p n send-direction strings; valid until the next
-     * takeSend().
+     * Take @p n send-direction strings into @p q (resized; reused
+     * storage allocates nothing).
      */
-    virtual const Block *takeSend(size_t n) = 0;
+    virtual void takeSend(size_t n, std::vector<Block> *q) = 0;
 
     /**
-     * Claim @p n recv-direction correlations: choice bits are
-     * (*bits)[*bit_offset ...], strings are (*t)[0..n). Valid until
-     * the next takeRecv().
+     * Take @p n recv-direction correlations: choice bits into @p bits,
+     * strings into @p t (both resized to @p n).
      */
-    virtual void takeRecv(size_t n, const BitVec **bits,
-                          size_t *bit_offset, const Block **t) = 0;
-
-    /** Correlations handed out so far (both directions). */
-    virtual size_t cotsTaken() const = 0;
+    virtual void takeRecv(size_t n, BitVec *bits,
+                          std::vector<Block> *t) = 0;
 };
 
 } // namespace ironman::ppml

@@ -22,10 +22,12 @@
  * tapes and the COT pads cancel inside the chosen-OT unmasking, so
  * every intermediate SHARE is a deterministic function of the input
  * shares and the op sequence — independent of which CotSupply
- * (FerretCotEngine or svc::ReservoirCotSupply) provided the
- * correlations.
+ * (FerretCotEngine, svc::ReservoirCotSupply or svc::OperatorCotSupply)
+ * provided the correlations. All three take the same way: copied out
+ * of a ppml::CotBank into SecureCompute's reused buffers.
  *
- * Per-layer accounting: COTs from the supply counter, online bytes
+ * Per-layer accounting: COTs from SecureCompute's own counter
+ * (cotsConsumed(), the same on every supply), online bytes
  * from the channel, protocol rounds analytically (each AND/MUX batch
  * is one interaction) — the per-layer view EXPERIMENTS.md and the
  * bench report.

@@ -11,12 +11,26 @@
 namespace ironman::ppml {
 
 SecureCompute::SecureCompute(net::Channel &channel, int party_id,
-                             CotSupply &supply, unsigned bitwidth)
-    : ch(channel), party(party_id), engine(&supply),
+                             CotSupply &cot_supply, unsigned bitwidth)
+    : ch(channel), party(party_id), supply(cot_supply),
       width(bitwidth), localRng(0xfeed1234 + party_id)
 {
     IRONMAN_CHECK(party == 0 || party == 1);
     IRONMAN_CHECK(width >= 2 && width <= 64);
+}
+
+void
+SecureCompute::takeSend(size_t n)
+{
+    supply.takeSend(n, &sendCots);
+    consumed += n;
+}
+
+void
+SecureCompute::takeRecv(size_t n)
+{
+    supply.takeRecv(n, &recvBits, &recvCots);
+    consumed += n;
 }
 
 void
@@ -28,9 +42,10 @@ SecureCompute::otSendBatch(const std::vector<Block> &m0,
     trace::Span span("ot_send", "crhf", 0, n);
     uint64_t tw = tweak;
     tweak += n;
-    const Block *q = engine->takeSend(n);
+    takeSend(n);
     ot::chosenOtSendPacked(ch, crhf, m0.data(), m1.data(), n, wire_width,
-                           engine->sendDelta(), q, tw, otScratch);
+                           supply.sendDelta(), sendCots.data(), tw,
+                           otScratch);
 }
 
 std::vector<Block>
@@ -41,12 +56,9 @@ SecureCompute::otRecvBatch(const BitVec &choices, unsigned wire_width)
     uint64_t tw = tweak;
     tweak += n;
     std::vector<Block> out(n);
-    const BitVec *b;
-    size_t b_offset;
-    const Block *t;
-    engine->takeRecv(n, &b, &b_offset, &t);
-    ot::chosenOtRecvPacked(ch, crhf, choices, *b, b_offset, t, n,
-                           wire_width, out.data(), tw, otScratch);
+    takeRecv(n);
+    ot::chosenOtRecvPacked(ch, crhf, choices, recvBits, 0, recvCots.data(),
+                           n, wire_width, out.data(), tw, otScratch);
     return out;
 }
 
@@ -246,9 +258,10 @@ SecureCompute::lutEval(const std::vector<uint64_t> &x_shares,
                     Block::fromUint64(maskValue(entry - r[e]));
             }
         }
-        const Block *q = engine->takeSend(cots);
+        takeSend(cots);
         ot::oneOfNOtSend(ch, crhf, msgs.data(), n_msgs, batch,
-                         engine->sendDelta(), q, localRng, tweak);
+                         supply.sendDelta(), sendCots.data(), localRng,
+                         tweak);
         return r;
     }
 
@@ -259,15 +272,9 @@ SecureCompute::lutEval(const std::vector<uint64_t> &x_shares,
                       "index shares must be reduced mod N");
         choices[e] = uint32_t(x_shares[e]);
     }
-    std::vector<Block> got;
-    {
-        const BitVec *b;
-        size_t b_offset;
-        const Block *t;
-        engine->takeRecv(cots, &b, &b_offset, &t);
-        got = ot::oneOfNOtRecv(ch, crhf, choices, n_msgs, *b, b_offset,
-                               t, tweak);
-    }
+    takeRecv(cots);
+    const std::vector<Block> got = ot::oneOfNOtRecv(
+        ch, crhf, choices, n_msgs, recvBits, 0, recvCots.data(), tweak);
 
     std::vector<uint64_t> out(batch);
     for (size_t e = 0; e < batch; ++e)

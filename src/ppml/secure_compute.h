@@ -19,6 +19,10 @@
  * These are faithful (semi-honest) protocols, tested against plain
  * evaluation; the per-element COT counts they report anchor the
  * framework cost models in ppml/framework.h.
+ *
+ * Correlations come from a ppml::CotSupply, taken into buffers this
+ * engine owns and reuses across batches; cotsConsumed() is this
+ * engine's own count of what it took, whatever the supply.
  */
 
 #ifndef IRONMAN_PPML_SECURE_COMPUTE_H
@@ -48,8 +52,9 @@ class SecureCompute
      * Correlations are drawn from a CotSupply — normally a persistent
      * FerretCotEngine (shared channel, self-refilling across layers),
      * or a svc::ReservoirCotSupply stocked by background COT-service
-     * sessions. @p supply must outlive this object, and both parties'
-     * supplies must hand out matching halves in lockstep.
+     * sessions, or the operator's svc::OperatorCotSupply. @p supply
+     * must outlive this object, and both parties' supplies must hand
+     * out matching halves in lockstep.
      *
      * @param party 0 or 1 (party 0 sends first in every batch).
      * @param bitwidth Fixed-point width for arithmetic ops (<= 64).
@@ -105,12 +110,8 @@ class SecureCompute
     std::vector<uint64_t> lutEval(const std::vector<uint64_t> &x_shares,
                                   const std::vector<uint64_t> &table);
 
-    /** Total COT correlations consumed so far. */
-    size_t
-    cotsConsumed() const
-    {
-        return engine->cotsTaken();
-    }
+    /** Total COT correlations consumed so far (both directions). */
+    size_t cotsConsumed() const { return consumed; }
 
     /**
      * Batched interactions (AND/MUX/LUT rounds) run so far — the
@@ -140,11 +141,21 @@ class SecureCompute
     std::vector<Block> otRecvBatch(const BitVec &choices,
                                    unsigned wire_width);
 
+    /** Take @p n send-direction strings into sendCots and count them. */
+    void takeSend(size_t n);
+    /** Take @p n recv-direction correlations into recvBits/recvCots. */
+    void takeRecv(size_t n);
+
     net::Channel &ch;
     int party;
-    CotSupply *engine = nullptr;
+    CotSupply &supply;
     unsigned width;
     unsigned rounds = 0;
+    size_t consumed = 0;
+    // Take staging, reused across batches.
+    std::vector<Block> sendCots;
+    BitVec recvBits;
+    std::vector<Block> recvCots;
     crypto::Crhf crhf;
     ot::ChosenOtScratch otScratch;
     Rng localRng;

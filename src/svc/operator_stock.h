@@ -16,9 +16,12 @@
  * threads, driven by the client's reservoir refills — an extension
  * that satisfied the client's take has, by construction, already run
  * the server half, so a blocked taker only ever waits on thread
- * scheduling, never on protocol progress). OperatorCotSupply
- * composes two sessions of opposite roles into the dual-direction
- * ppml::CotSupply the server-side SecureCompute consumes.
+ * scheduling, never on protocol progress). Each session banks in a
+ * ppml::CotBank, the bank svc::Reservoir and ppml::FerretCotEngine
+ * also keep. OperatorCotSupply composes two sessions of opposite roles
+ * into the dual-direction ppml::CotSupply the server-side
+ * SecureCompute consumes; each take copies straight from the session's
+ * bank into SecureCompute's storage.
  *
  * Memory: a session's stock is bounded by its client reservoir's
  * high-water mark plus one in-flight extension, because server-side
@@ -47,8 +50,8 @@
 
 #include "common/bitvec.h"
 #include "common/block.h"
+#include "ppml/cot_bank.h"
 #include "ppml/cot_supply.h"
-#include "svc/cot_bank.h"
 #include "svc/cot_server.h"
 
 namespace ironman::svc {
@@ -125,9 +128,9 @@ class OperatorStock
   private:
     struct SessionStock
     {
-        std::string peer; ///< owner; set at session start
-        CotBank bank;     ///< receiver sessions bank bits + t, senders q
-        Block delta;      ///< sender sessions only
+        std::string peer;   ///< owner; set at session start
+        ppml::CotBank bank; ///< receiver sessions bank bits + t, senders q
+        Block delta;        ///< sender sessions only
         bool haveDelta = false;
     };
 
@@ -182,37 +185,24 @@ class OperatorCotSupply final : public ppml::CotSupply
         return delta;
     }
 
-    const Block *
-    takeSend(size_t n) override
+    void
+    takeSend(size_t n, std::vector<Block> *q) override
     {
-        stock_.takeSend(sendSid, n, &qBuf, &delta);
+        stock_.takeSend(sendSid, n, q, &delta);
         haveDelta = true;
-        taken += n;
-        return qBuf.data();
     }
 
     void
-    takeRecv(size_t n, const BitVec **bits, size_t *bit_offset,
-             const Block **t) override
+    takeRecv(size_t n, BitVec *bits, std::vector<Block> *t) override
     {
-        stock_.takeRecv(recvSid, n, &bitBuf, &tBuf);
-        *bits = &bitBuf;
-        *bit_offset = 0;
-        *t = tBuf.data();
-        taken += n;
+        stock_.takeRecv(recvSid, n, bits, t);
     }
-
-    size_t cotsTaken() const override { return taken; }
 
   private:
     OperatorStock &stock_;
     uint64_t sendSid, recvSid;
     mutable Block delta;
     mutable bool haveDelta = false;
-    std::vector<Block> qBuf;
-    BitVec bitBuf;
-    std::vector<Block> tBuf;
-    size_t taken = 0;
 };
 
 } // namespace ironman::svc

@@ -20,12 +20,13 @@
  * are tied to the old session ids and one session cannot be redialed
  * on its own without breaking lockstep.
  *
- * The stock itself is a svc::CotBank, the bank svc::OperatorStock
- * also keeps per session.
+ * The stock itself is a ppml::CotBank, the bank svc::OperatorStock
+ * keeps per session and ppml::FerretCotEngine keeps per direction.
  *
  * ReservoirCotSupply composes two reservoirs over two sessions of
  * opposite roles into the dual-direction ppml::CotSupply the GMW
- * engine consumes; the peer holding the matching halves is the
+ * engine consumes: each take copies straight from the bank into the
+ * consumer's storage. The peer holding the matching halves is the
  * service operator (the server's batch sinks carry them).
  */
 
@@ -42,8 +43,8 @@
 #include "common/bitvec.h"
 #include "common/block.h"
 #include "net/wire_error.h"
+#include "ppml/cot_bank.h"
 #include "ppml/cot_supply.h"
-#include "svc/cot_bank.h"
 #include "svc/cot_client.h"
 
 namespace ironman::svc {
@@ -140,7 +141,7 @@ class Reservoir
     std::condition_variable stockCv; ///< takers wait for stock
     std::condition_variable needCv;  ///< refiller waits for demand
 
-    CotBank bank; ///< receiver sessions bank bits + t, senders q
+    ppml::CotBank bank; ///< receiver sessions bank bits + t, senders q
     size_t demand = 0; ///< largest pending take (refiller must cover it)
     bool running = true;
     bool failed = false; ///< terminal: takers throw instead of waiting
@@ -173,35 +174,22 @@ class ReservoirCotSupply final : public ppml::CotSupply
 
     const Block &sendDelta() const override { return delta; }
 
-    const Block *
-    takeSend(size_t n) override
+    void
+    takeSend(size_t n, std::vector<Block> *q) override
     {
-        sendRes.takeSend(n, &qBuf);
-        taken += n;
-        return qBuf.data();
+        sendRes.takeSend(n, q);
     }
 
     void
-    takeRecv(size_t n, const BitVec **bits, size_t *bit_offset,
-             const Block **t) override
+    takeRecv(size_t n, BitVec *bits, std::vector<Block> *t) override
     {
-        recvRes.takeRecv(n, &bitBuf, &tBuf);
-        *bits = &bitBuf;
-        *bit_offset = 0;
-        *t = tBuf.data();
-        taken += n;
+        recvRes.takeRecv(n, bits, t);
     }
-
-    size_t cotsTaken() const override { return taken; }
 
   private:
     Reservoir &sendRes;
     Reservoir &recvRes;
     Block delta;
-    std::vector<Block> qBuf;
-    BitVec bitBuf;
-    std::vector<Block> tBuf;
-    size_t taken = 0;
 };
 
 } // namespace ironman::svc

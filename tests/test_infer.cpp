@@ -165,7 +165,7 @@ constexpr GridPoint kGrid[] = {
 constexpr uint64_t kShareSeed = 0x517a9e;
 constexpr uint64_t kSetupSeed = 777;
 // Enough requests that a w32 session's operator banks and reservoirs
-// each compact (svc::CotBank) at least twice between pairing checks.
+// each compact (ppml::CotBank) at least twice between pairing checks.
 constexpr int kRequests = 8;
 constexpr uint32_t kBatch = 3;
 

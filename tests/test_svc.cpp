@@ -731,12 +731,13 @@ TEST(ReservoirTest, DualDirectionSupplyPairsBothWays)
                                   send_client->delta());
 
         const size_t n = 4096;
-        const Block *q = supply.takeSend(n);
-        const BitVec *bits;
-        size_t off;
-        const Block *t;
-        supply.takeRecv(n, &bits, &off, &t);
-        EXPECT_EQ(supply.cotsTaken(), 2 * n);
+        std::vector<Block> q, t;
+        BitVec bits;
+        supply.takeSend(n, &q);
+        supply.takeRecv(n, &bits, &t);
+        ASSERT_EQ(q.size(), n);
+        ASSERT_EQ(t.size(), n);
+        ASSERT_EQ(bits.size(), n);
 
         waitUntil([&] {
             std::lock_guard<std::mutex> lock(rec.m);
@@ -756,9 +757,8 @@ TEST(ReservoirTest, DualDirectionSupplyPairsBothWays)
         const auto &srv_q = rec.qBySession[recv_sid];
         ASSERT_GE(srv_q.size(), n);
         for (size_t i = 0; i < n; ++i)
-            ASSERT_EQ(t[i], srv_q[i] ^ scalarMul(
-                                           bits->get(off + i),
-                                           recv_delta));
+            ASSERT_EQ(t[i],
+                      srv_q[i] ^ scalarMul(bits.get(i), recv_delta));
     }
     send_client->close();
     recv_client->close();

@@ -369,9 +369,12 @@ TEST(FerretCotEngineTest, EngineBackedReluMatchesPlainAcrossRefills)
             uint64_t(values[i] > 0 ? values[i] : 0) & kMask;
         ASSERT_EQ(got, expect) << "element " << i;
     }
-    // Construction primes one extension per direction; the protocol
-    // must have refilled beyond that.
-    EXPECT_GT(extensions, 2u);
+    // Construction primes one extension per direction, and a take
+    // extends only while its bank holds fewer than it asks for. That
+    // schedule runs exactly 14 extensions here (both directions, party
+    // 0), while each direction's CotBank compacts 5 times; a changed
+    // count means the refills moved to other protocol steps.
+    EXPECT_EQ(extensions, 14u);
 }
 
 // ---------------------------------------------------------------------------
