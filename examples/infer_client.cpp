@@ -9,7 +9,6 @@
  *       --width 24 --images 8
  *   ./infer_client --tcp ... --cot-tcp ... --depth 8    # pipelined
  *   ./infer_client --tcp ... --cot-tcp ... --depth auto # RTT-tuned
- *   ./infer_client --tcp ... --cot-tcp ... --stream     # streaming
  *
  * The client opens two sessions of opposite roles on the server's COT
  * service (--cot-tcp, printed by ./infer_server) and stocks them in
@@ -97,8 +96,6 @@ main(int argc, char **argv)
                 opt.depthAuto = true;
             else
                 opt.depth = uint16_t(std::atoi(d.c_str()));
-        } else if (arg == "--stream") {
-            opt.streamCommit = true;
         } else if (arg == "--chaos") {
             // Survive a restarting server: reconnect under backoff and
             // resubmit uncommitted requests, narrating every retry.
@@ -122,7 +119,7 @@ main(int argc, char **argv)
                 stderr,
                 "usage: infer_client --tcp HOST:PORT "
                 "--cot-tcp HOST:PORT [--model NAME] [--width W] "
-                "[--batch B] [--images N] [--depth D|auto] [--stream] "
+                "[--batch B] [--images N] [--depth D|auto] "
                 "[--seed S] [--chaos] [--trace FILE]\n");
             return 2;
         }
@@ -160,12 +157,11 @@ main(int argc, char **argv)
         return 1;
     }
     std::printf("infer_client: session %llu, %s, width %u, batch %u, "
-                "depth %u%s%s (%llu COTs/image/direction)\n",
+                "depth %u%s (%llu COTs/image/direction)\n",
                 (unsigned long long)client->sessionId(),
                 spec->name.c_str(), opt.width, opt.batch,
                 client->negotiatedDepth(),
                 opt.depthAuto ? " (auto)" : "",
-                client->streaming() ? ", streaming commits" : "",
                 (unsigned long long)spec->cotsPerImage(opt.width));
     if (opt.depthAuto)
         std::printf("infer_client: measured handshake RTT %llu us\n",

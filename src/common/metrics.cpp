@@ -1,31 +1,13 @@
 #include "common/metrics.h"
 
-#include <cctype>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <map>
 #include <mutex>
 
 namespace ironman::metrics {
-
-namespace detail {
-
-bool
-readEnabledFromEnv()
-{
-    const char *env = std::getenv("IRONMAN_METRICS");
-    if (!env)
-        return true;
-    std::string v(env);
-    for (char &c : v)
-        c = char(std::tolower((unsigned char)c));
-    return !(v == "off" || v == "0" || v == "false" || v == "no");
-}
-
-} // namespace detail
 
 uint64_t
 nowUs()

@@ -13,9 +13,7 @@
  *  - `StatSet` (common/stats.h) stays the OFFLINE bench surface:
  *    string-keyed, allocating, single-threaded.
  *
- * Recording is on by default; `IRONMAN_METRICS=off` (or `0`) turns
- * every record path into a cheap early-out for overhead A/B runs.
- * Registration itself always works so handles stay valid either way.
+ * Recording is always on.
  */
 
 #ifndef IRONMAN_COMMON_METRICS_H
@@ -29,22 +27,9 @@
 
 namespace ironman::metrics {
 
-namespace detail {
-/** One-time read of IRONMAN_METRICS (defined in metrics.cpp). */
-bool readEnabledFromEnv();
-} // namespace detail
-
-/**
- * Process-wide recording switch, read once from the environment.
- * The function-local static costs one predictable branch per record —
- * the price of the IRONMAN_METRICS=off overhead baseline.
- */
-inline bool
-enabled()
-{
-    static const bool on = detail::readEnabledFromEnv();
-    return on;
-}
+/** Always true; kept because bench/ledger/ledger.cpp's hygiene check
+ *  reads it. */
+inline bool enabled() { return true; }
 
 /** Monotonic microseconds (steady clock) for latency measurement. */
 uint64_t nowUs();
@@ -56,8 +41,7 @@ class Counter
     void
     inc(uint64_t delta = 1)
     {
-        if (enabled())
-            v_.fetch_add(delta, std::memory_order_relaxed);
+        v_.fetch_add(delta, std::memory_order_relaxed);
     }
 
     uint64_t value() const { return v_.load(std::memory_order_relaxed); }
@@ -74,8 +58,7 @@ class Gauge
     void
     add(int64_t delta)
     {
-        if (enabled())
-            v_.fetch_add(delta, std::memory_order_relaxed);
+        v_.fetch_add(delta, std::memory_order_relaxed);
     }
 
     void sub(int64_t delta) { add(-delta); }
@@ -84,8 +67,7 @@ class Gauge
     void
     set(int64_t value)
     {
-        if (enabled())
-            v_.store(value, std::memory_order_relaxed);
+        v_.store(value, std::memory_order_relaxed);
     }
 
     int64_t value() const { return v_.load(std::memory_order_relaxed); }
@@ -101,8 +83,8 @@ class Gauge
  * power-of-two octave is split into kSubBuckets equal slices, so the
  * relative bucket width is bounded by 1/kSubBuckets (12.5%) across the
  * whole tracked range [0, 2^36). Larger samples land in one overflow
- * bucket. Recording is three relaxed RMWs and no branches beyond the
- * enabled() gate; percentiles are computed only in snapshot().
+ * bucket. Recording is three relaxed RMWs and no branches;
+ * percentiles are computed only in snapshot().
  */
 class Histogram
 {
@@ -142,8 +124,6 @@ class Histogram
     void
     record(uint64_t v)
     {
-        if (!enabled())
-            return;
         buckets_[bucketIndex(v)].fetch_add(1, std::memory_order_relaxed);
         count_.fetch_add(1, std::memory_order_relaxed);
         sum_.fetch_add(v, std::memory_order_relaxed);
@@ -153,8 +133,7 @@ class Histogram
     void
     recordSinceUs(uint64_t t0_us)
     {
-        if (enabled())
-            record(nowUs() - t0_us);
+        record(nowUs() - t0_us);
     }
 
     uint64_t count() const { return count_.load(std::memory_order_relaxed); }

@@ -65,10 +65,14 @@ InferClient::InferClient(std::unique_ptr<net::SocketChannel> channel,
     IRONMAN_CHECK(sendSession->role() == svc::Role::Sender &&
                       recvSession->role() == svc::Role::Receiver,
                   "sessions must have opposite roles, sender first");
+    startSession();
+}
 
+void
+InferClient::startSession()
+{
     if (opt_.simulatedDelayUs > 0)
         ch->setSimulatedDelay(opt_.simulatedDelayUs);
-
     buildReservoirs();
     handshake();
     sc = std::make_unique<ppml::SecureCompute>(*ch, 0, *reservoirSupply,
@@ -120,8 +124,7 @@ InferClient::handshake()
     h.depth = opt_.depthAuto
                   ? uint16_t(64)
                   : (opt_.depth > 0 ? opt_.depth : uint16_t(1));
-    h.flags = uint16_t((opt_.streamCommit ? kInferFlagStreamCommit : 0) |
-                       (opt_.traceWire ? kInferFlagTrace : 0));
+    h.flags = opt_.traceWire ? kInferFlagTrace : 0;
     if (opt_.traceWire) {
         // One id per dial (a reconnect is a new timeline segment);
         // both parties' spans correlate under it in the merged export.
@@ -148,7 +151,6 @@ InferClient::handshake()
     sid = a.sessionId;
     // Adopt the server's negotiation (it only ever clamps).
     depth_ = a.depth > 0 ? a.depth : uint16_t(1);
-    stream_ = (a.flags & kInferFlagStreamCommit) != 0;
     traceOn_ = (a.flags & kInferFlagTrace) != 0;
     if (traceOn_) {
         clockOffsetUs_ =
@@ -229,8 +231,6 @@ void
 InferClient::redial()
 {
     ch = net::tcpConnect(host_, port_);
-    if (opt_.simulatedDelayUs > 0)
-        ch->setSimulatedDelay(opt_.simulatedDelayUs);
     // Same derived seeds as the original dial: the restarted daemon
     // re-deals the same deterministic session base, so the fresh
     // sessions are indistinguishable from first contact.
@@ -240,11 +240,7 @@ InferClient::redial()
     recvSession = svc::CotClient::connectTcp(cotHost_, cotPort_,
                                              opt_.params,
                                              cotRecvOptions(opt_));
-    buildReservoirs();
-    handshake();
-    sc = std::make_unique<ppml::SecureCompute>(*ch, 0, *reservoirSupply,
-                                               opt_.width);
-    runner = std::make_unique<ppml::MlpRunner>(spec_, opt_.width);
+    startSession();
 }
 
 void
@@ -385,17 +381,12 @@ InferClient::submit(const std::vector<int64_t> &inputs)
     pendingX0.insert(pendingX0.end(), x0.begin(), x0.end());
     pendingX1.insert(pendingX1.end(), x1.begin(), x1.end());
     pendingT0Us.push_back(t0_us);
-    if (stream_) {
-        // Keep the recv-ahead window primed: once two full groups are
-        // pending, commit the OLDEST — its evaluation overlaps the
-        // younger group's frames already crossing the wire. Grouping
-        // boundaries stay every depth_ submissions, exactly like the
-        // non-streaming client, so grouped references stay valid.
-        if (pendingTags.size() >= 2 * size_t(depth_))
-            commitGroup(depth_);
-    } else if (pendingTags.size() >= depth_) {
-        commitGroup(pendingTags.size());
-    }
+    // Keep the recv-ahead window primed: once two full groups are
+    // pending, commit the OLDEST — its evaluation overlaps the younger
+    // group's frames already crossing the wire. Grouping boundaries
+    // fall every depth_ submissions, so grouped references stay valid.
+    if (pendingTags.size() >= 2 * size_t(depth_))
+        commitOldest();
     return tag;
 }
 
@@ -403,20 +394,13 @@ void
 InferClient::commitPending()
 {
     while (!pendingTags.empty())
-        commitGroup(stream_ ? std::min(size_t(depth_),
-                                       pendingTags.size())
-                            : pendingTags.size());
+        commitOldest();
 }
 
 void
-InferClient::commitGroup(size_t group)
+InferClient::commitOldest()
 {
-    if (pendingTags.empty())
-        return;
-    IRONMAN_CHECK(group > 0 && group <= pendingTags.size(),
-                  "commit group out of range");
-    IRONMAN_CHECK(stream_ || group == pendingTags.size(),
-                  "partial commits need the streaming flag");
+    const size_t group = std::min(size_t(depth_), pendingTags.size());
     const size_t req_in = size_t(opt_.batch) * spec_.inputDim();
     const size_t req_out = size_t(opt_.batch) * spec_.outputDim();
     size_t answered = 0;
@@ -424,8 +408,7 @@ InferClient::commitGroup(size_t group)
         trace::Span commit_span("commit_group", "infer",
                                 uint32_t(group));
         sendInferOp(*ch, InferOp::Commit);
-        if (stream_)
-            sendCommitCount(*ch, uint16_t(group));
+        sendCommitCount(*ch, uint16_t(group));
         // One joint forward over the group: effective batch is group *
         // batch, so the DReLU round chain is paid once. The server
         // makes the exact mirror call.
@@ -482,9 +465,7 @@ InferClient::Result
 InferClient::collect()
 {
     if (ready.empty() && !pendingTags.empty())
-        commitGroup(stream_ ? std::min(size_t(depth_),
-                                       pendingTags.size())
-                            : pendingTags.size());
+        commitOldest();
     IRONMAN_CHECK(!ready.empty(), "collect() with nothing submitted");
     Result r = std::move(ready.front());
     ready.pop_front();

@@ -8,14 +8,14 @@
  * share, drive the layered GMW evaluation in lockstep over the same
  * socket, receive the server's output share, reconstruct.
  *
- * Requests are pipelined: submit() enqueues up to the negotiated
- * depth of tagged requests WITHOUT waiting for results;
- * collect()/drain() trigger the joint evaluation (one Commit, one
- * MlpRunner::forward over the concatenated shares) and reconstruct
- * the responses in submission order. infer() stays the one-shot
- * convenience (submit + collect). NOTE: a depth-k group is evaluated
- * as ONE forward
- * with effective batch k * batch, so its shares follow the GROUPED
+ * Requests are pipelined: submit() enqueues tagged requests WITHOUT
+ * waiting for results and commits the oldest depth-sized group once
+ * two groups are pending; collect()/drain() commit what is left (one
+ * Commit, one MlpRunner::forward over the concatenated shares per
+ * group) and reconstruct the responses in submission order. infer()
+ * stays the one-shot convenience (submit + collect). NOTE: a depth-k
+ * group is evaluated as ONE forward with effective batch
+ * k * batch, so its shares follow the GROUPED
  * tweak sequence — bit-identical to runLocalMlpInference over the
  * concatenated requests, while dense share-local truncation may
  * differ from k sequential calls within mlpTruncationErrorBound.
@@ -75,18 +75,15 @@ class InferClient
         /**
          * Requested in-flight requests per session; the server clamps
          * to its own bound — read negotiatedDepth() after
-         * construction. submit() auto-commits at the negotiated depth.
+         * construction. Commits stream: submit() keeps up to 2x the
+         * negotiated depth in flight and, at 2x, commits the OLDEST
+         * depth-sized group, so that group's evaluation overlaps the
+         * next group's Infer frames crossing the wire.
          */
         uint16_t depth = 1;
-        /**
-         * Streaming commits (default off): submit() keeps up to
-         * 2x the negotiated depth in flight and commits the OLDEST
-         * depth-sized group, so that group's evaluation overlaps the
-         * next group's Infer frames crossing the wire. Grouping
-         * boundaries match the non-streaming client for the same
-         * submit/collect pattern, so results stay bit-identical.
-         */
-        bool streamCommit = false;
+        /** Inert (every session streams its commits); read only by
+         *  bench/ledger/infer.cpp. */
+        bool streamCommit = true;
         /**
          * Pick the in-flight depth from the measured handshake RTT
          * instead of `depth`: request a deep window (the server
@@ -197,16 +194,17 @@ class InferClient
 
     /**
      * Pipelined issue half: share @p inputs, ship the server's share
-     * tagged, and return immediately (unless this submission fills the
-     * negotiated depth, which triggers the commit inline). Responses
-     * come back through collect()/drain() in submission order.
+     * tagged, and return immediately (unless this submission fills
+     * twice the negotiated depth, which commits the oldest depth-sized
+     * group inline). Responses come back through collect()/drain() in
+     * submission order.
      */
     uint32_t submit(const std::vector<int64_t> &inputs);
 
     /**
      * Drain half: the oldest un-collected response, committing the
-     * pending group first when nothing is ready. It is a bug to call
-     * with no submission outstanding.
+     * oldest pending group first when nothing is ready. It is a bug to
+     * call with no submission outstanding.
      */
     Result collect();
 
@@ -223,8 +221,9 @@ class InferClient
     /** Server-clamped (and auto-tuned) in-flight bound. */
     uint16_t negotiatedDepth() const { return depth_; }
 
-    /** Whether counted streaming commits were negotiated. */
-    bool streaming() const { return stream_; }
+    /** Always true (every session streams its commits); read only by
+     *  bench/ledger/infer.cpp. */
+    bool streaming() const { return true; }
 
     /** Handshake round-trip time of the current dial (us). */
     uint64_t measuredRttUs() const { return rttUs_; }
@@ -271,8 +270,11 @@ class InferClient
 
   private:
     void handshake();
+    /** One dial's setup over `ch` and the two COT sessions (the
+     *  constructor and redial() share it). */
+    void startSession();
     void commitPending();
-    void commitGroup(size_t group);
+    void commitOldest();
     void buildReservoirs();
     bool canRecover(const std::exception &e) const;
     void reconnect(const std::string &cause);
@@ -297,7 +299,6 @@ class InferClient
     bool endpointsKnown_ = false;
     uint64_t reconnectCount = 0;
     uint16_t depth_ = 1; ///< negotiated (and auto-tuned) group size
-    bool stream_ = false; ///< negotiated streaming commits
     uint64_t rttUs_ = 0;  ///< handshake RTT of the current dial
     bool traceOn_ = false;     ///< negotiated trace context
     uint64_t traceId_ = 0;     ///< propagated trace id (0 = none)

@@ -117,8 +117,6 @@ void
 InferServer::serveSession(net::SocketChannel &ch, uint64_t sid)
 {
     try {
-        if (cfg_.simulatedDelayUs > 0)
-            ch.setSimulatedDelay(cfg_.simulatedDelayUs);
         if (cfg_.simulatedBandwidthBps > 0)
             ch.setSimulatedBandwidth(cfg_.simulatedBandwidthBps);
         InferHello hello;
@@ -218,7 +216,6 @@ InferServer::runSession(net::SocketChannel &ch, uint64_t sid,
     } guard{*stock_, hello.sendSessionId, hello.recvSessionId};
 
     ppml::SecureCompute sc(ch, 1, supply, width);
-    const bool stream = (hello.flags & kInferFlagStreamCommit) != 0;
     ppml::MlpRunner runner(spec, width);
 
     const size_t req_in = size_t(hello.batch) * spec.inputDim();
@@ -245,17 +242,16 @@ InferServer::runSession(net::SocketChannel &ch, uint64_t sid,
         }
     };
 
-    // Tagged requests enqueue up to the negotiated depth; Commit
-    // evaluates a group as ONE forward (effective batch = group *
-    // batch — same lockstep call the client makes), then answers per
-    // request in submission order. With streaming negotiated the
-    // recv-ahead bound doubles and Commit carries an explicit group
-    // count, so the NEXT group's Infer frames can cross the wire (and
-    // enqueue here) while the current group's forward evaluates —
-    // overlap the PipeliningSimulator occupancy model says a
-    // fill/drain loop leaves on the table.
-    const size_t recvAhead = stream ? 2 * size_t(hello.depth)
-                                    : size_t(hello.depth);
+    // Tagged requests enqueue up to twice the negotiated depth; Commit
+    // names how many of the OLDEST pending requests form its group and
+    // evaluates them as ONE forward (effective batch = group * batch —
+    // same lockstep call the client makes), then answers per request
+    // in submission order. The doubled recv-ahead lets the NEXT
+    // group's Infer frames cross the wire (and enqueue here) while the
+    // current group's forward evaluates — overlap the
+    // PipeliningSimulator occupancy model says a fill/drain loop
+    // leaves on the table.
+    const size_t recvAhead = 2 * size_t(hello.depth);
     const bool traced = (hello.flags & kInferFlagTrace) != 0;
     const uint64_t sess_t0_us = trace::nowUs();
     std::vector<uint32_t> tags;
@@ -276,16 +272,10 @@ InferServer::runSession(net::SocketChannel &ch, uint64_t sid,
                                   req_in, width);
             trace::note("infer", tags.back(), req_in * sizeof(uint64_t));
         } else if (op == InferOp::Commit) {
-            size_t group = tags.size();
-            if (stream) {
-                group = recvCommitCount(ch);
-                if (group == 0 || group > tags.size())
-                    throw net::WireError(
-                        net::WireFault::Protocol,
-                        "infer session: bad streaming commit count");
-            } else if (tags.empty()) {
-                continue; // nothing in flight: a no-op, not an error
-            }
+            const size_t group = recvCommitCount(ch);
+            if (group == 0 || group > tags.size())
+                throw net::WireError(net::WireFault::Protocol,
+                                     "infer session: bad commit count");
             const uint64_t t0_us = metrics::nowUs();
             // Occupancy at commit time: how much of the negotiated
             // window the client actually keeps in flight.

@@ -9,9 +9,9 @@
  * over the session's net::SocketChannel — the first subsystem where
  * the ONLINE protocol, not just correlation generation, crosses the
  * wire. Sessions enqueue
- * up to the negotiated depth of tagged requests and evaluate them as
- * ONE joint forward on Commit, so the DReLU round latency is paid per
- * group instead of per request.
+ * up to twice the negotiated depth of tagged requests and evaluate the
+ * oldest group of them as ONE joint forward on each Commit, so the
+ * DReLU round latency is paid per group instead of per request.
  *
  * Concurrency model is net::SessionServer's (shared with CotServer):
  * one accept loop plus one joined (never detached) thread per active
@@ -58,16 +58,10 @@ class InferServer
         uint16_t maxDepth = 32;
 
         /**
-         * Simulated one-way latency added on this end of every
-         * session channel (SocketChannel::setSimulatedDelay) — bench
-         * harness knob for measured LAN/WAN rows, zero in production.
-         */
-        uint64_t simulatedDelayUs = 0;
-
-        /**
          * Simulated link bandwidth for every session channel
          * (SocketChannel::setSimulatedBandwidth, bits/sec); 0 = off.
-         * With simulatedDelayUs this completes the WAN model.
+         * With the client's InferClient::Options::simulatedDelayUs
+         * this completes the WAN model.
          */
         uint64_t simulatedBandwidthBps = 0;
 

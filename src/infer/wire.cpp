@@ -31,7 +31,7 @@ constexpr size_t kInferAcceptBytes = 1 + 1 + 2 + 2 + 2 + 8;
 // server's monotonic clock sample (8), the clock-offset anchor.
 constexpr size_t kInferAcceptTraceBytes = 8;
 
-constexpr uint16_t kKnownFlags = kInferFlagStreamCommit | kInferFlagTrace;
+constexpr uint16_t kKnownFlags = kInferFlagTrace;
 
 size_t
 putHelloBody(uint8_t *p, const InferHello &h)

@@ -4,11 +4,11 @@
  * that negotiates WHAT to compute (a ppml::MlpModelSpec by wire id,
  * the fixed-point bitwidth, the images-per-request batch size, and
  * the two COT-service sessions the correlations come from) and HOW
- * requests are scheduled (how many may ride in flight, streaming
- * commits, trace context), plus the request/response opcodes that
- * carry secret-shared tensors.
+ * requests are scheduled (how many may ride in flight, trace
+ * context), plus the request/response opcodes that carry
+ * secret-shared tensors.
  *
- * Version 4 session, client's (= MPC party 0's) view:
+ * Version 5 session, client's (= MPC party 0's) view:
  *
  *   connect ──► InferHello { magic, version, width, model, batch,
  *                            cot session ids, depth, flags }
@@ -16,15 +16,18 @@
  *                             flags, sessionId }
  *   loop:   ──► InferOp::Infer, u32 tag, batch*inputDim input shares
  *               (the server's share x1) — ENQUEUED on both sides, up
- *               to the negotiated depth in flight
- *           ──► InferOp::Commit — both ends run ONE joint
- *               MlpRunner::forward over every pending request's
- *               concatenated shares (effective batch = in-flight
- *               count x batch, so the DReLU round chain is paid once
- *               per group, not once per request)
- *           ◄── per pending request, in submission order: u32 tag,
+ *               to 2x the negotiated depth in flight
+ *           ──► InferOp::Commit, u16 count — both ends run ONE joint
+ *               MlpRunner::forward over the OLDEST count pending
+ *               requests' concatenated shares (effective batch = count
+ *               x batch, so the DReLU round chain is paid once per
+ *               group, not once per request)
+ *           ◄── per committed request, in submission order: u32 tag,
  *               batch*outputDim output shares (the server's y1)
  *   final:  ──► InferOp::Close
+ *
+ * Commits stream: the 2x-depth recv-ahead lets the client push group
+ * k+1's Infer frames while group k's forward is still evaluating.
  *
  * Correlations never cross this channel: the client stocks two
  * sessions of opposite roles on the COT service attached to the
@@ -38,15 +41,10 @@
  * Kogge-Stone ladder. The server serves exactly kInferWireVersion; any
  * other version gets InferStatus::BadVersion at the handshake.
  *
- * Flags: kInferFlagStreamCommit makes Commit carry a u16 group COUNT
- * that evaluates only the OLDEST count pending requests, and the
- * server accepts Infer frames for up to 2x the negotiated depth — so
- * the client can push group k+1's frames while group k's forward is
- * still evaluating. Without it Commit has no count and drains
- * everything pending. kInferFlagTrace adds the trace trailers (below).
- * The server clamps the requested depth to its own bound and echoes
- * the result in the accept; unknown flag bits are dropped, not
- * rejected.
+ * Flags: kInferFlagTrace adds the trace trailers (below); it is the
+ * only flag. The server clamps the requested depth to its own bound
+ * and echoes the result in the accept; unknown flag bits are dropped,
+ * not rejected.
  */
 
 #ifndef IRONMAN_INFER_WIRE_H
@@ -60,13 +58,12 @@
 namespace ironman::infer {
 
 constexpr uint32_t kInferMagic = 0x49524946; ///< "IRIF"
-constexpr uint16_t kInferWireVersion = 4;
+constexpr uint16_t kInferWireVersion = 5;
 
 // Hello/accept flag bits. 0x1 and 0x2 were the v2 packing and
-// comparison-circuit flags; they stay unassigned.
+// comparison-circuit flags, 0x4 the v4 streaming-commit flag; they
+// stay unassigned.
 
-/** Counted partial commits + 2x-depth recv-ahead (streaming). */
-constexpr uint16_t kInferFlagStreamCommit = 0x4;
 /**
  * Wire-propagated trace context (PR 10): the hello carries a 64-bit
  * trace id + sampled bit as trailing bytes, the accept returns the
@@ -83,7 +80,7 @@ enum class InferOp : uint8_t
 {
     Infer = 1,  ///< one batch: tagged input shares, enqueued
     Close = 2,  ///< end the session
-    Commit = 3, ///< jointly evaluate the pending requests
+    Commit = 3, ///< jointly evaluate the oldest pending requests
 };
 
 /** Handshake outcome (server to client). */
@@ -162,10 +159,7 @@ InferOp recvInferOp(net::Channel &ch);
 void sendInferTag(net::Channel &ch, uint32_t tag);
 uint32_t recvInferTag(net::Channel &ch);
 
-/**
- * Streaming-commit group count (follows InferOp::Commit only when
- * kInferFlagStreamCommit was negotiated).
- */
+/** Commit group count (follows every InferOp::Commit). */
 void sendCommitCount(net::Channel &ch, uint16_t count);
 uint16_t recvCommitCount(net::Channel &ch);
 

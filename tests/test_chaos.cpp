@@ -304,10 +304,8 @@ TEST(ChaosFaultGridTest, InferServerSurvivesEveryFaultKind)
     InferClient::Options opt;
     opt.modelId = spec.id;
     opt.width = 16;
-    // Faults must land in the streaming wire too: counted commits over
-    // a depth-2 window.
+    // Faults must land in counted commits over a depth-2 window.
     opt.depth = 2;
-    opt.streamCommit = true;
     auto runSession = [&](InferClient &client) {
         for (int r = 0; r < 3; ++r)
             client.infer(input);
@@ -350,7 +348,6 @@ TEST(ChaosFaultGridTest, InferServerSurvivesEveryFaultKind)
     // Still serving, still correct.
     opt.setupSeed = 0xfeed;
     opt.depth = 1;
-    opt.streamCommit = false;
     auto client = stack.dial(opt);
     const std::vector<int64_t> got = client->infer(input);
     EXPECT_EQ(got, ppml::mlpPlainForward(spec, input))
@@ -594,11 +591,9 @@ TEST(ChaosRecoveryTest, InferClientReservoirSupplySurvivesKillRestart)
     opt.setupSeed = 0x51;
     opt.autoReconnect = true;
     opt.retry = fastRetry(10);
-    // Streaming negotiated, but collect() after every submit keeps
-    // the groups single-request — the per-request local reference
-    // stays valid, and recovery must renegotiate the flag.
+    // collect() after every submit keeps the depth-2 groups
+    // single-request — the per-request local reference stays valid.
     opt.depth = 2;
-    opt.streamCommit = true;
     auto client = stack->dial(opt);
 
     size_t completed = 0, failed = 0;

@@ -60,9 +60,10 @@ TEST(InferWireTest, HelloAcceptRoundTrip)
     h.sendSessionId = 11;
     h.recvSessionId = 12;
     h.depth = 6;
-    // Exactly two known bits: the retired v2 packing/ladder bits
-    // (0x1, 0x2) and any other unknown bit are dropped.
-    h.flags = kInferFlagStreamCommit | 0x1 | 0x2 | 0x8000;
+    // Exactly one known bit: the retired v2 packing/ladder bits
+    // (0x1, 0x2), the retired v4 streaming bit (0x4) and any other
+    // unknown bit are dropped.
+    h.flags = kInferFlagTrace | 0x1 | 0x2 | 0x4 | 0x8000;
     sendInferHello(duplex.a(), h);
 
     InferHello got;
@@ -74,21 +75,21 @@ TEST(InferWireTest, HelloAcceptRoundTrip)
     EXPECT_EQ(got.sendSessionId, h.sendSessionId);
     EXPECT_EQ(got.recvSessionId, h.recvSessionId);
     EXPECT_EQ(got.depth, 6);
-    EXPECT_EQ(got.flags, kInferFlagStreamCommit);
+    EXPECT_EQ(got.flags, kInferFlagTrace);
 
     InferAccept reply;
     reply.status = InferStatus::Ok;
     reply.depth = 6;
-    reply.flags = kInferFlagStreamCommit | 0x1;
+    reply.flags = kInferFlagTrace | 0x1 | 0x4;
     reply.sessionId = 99;
     sendInferAccept(duplex.b(), reply);
     const InferAccept a = recvInferAccept(duplex.a());
     EXPECT_EQ(a.status, InferStatus::Ok);
     EXPECT_EQ(a.depth, 6);
-    EXPECT_EQ(a.flags, kInferFlagStreamCommit);
+    EXPECT_EQ(a.flags, kInferFlagTrace);
     EXPECT_EQ(a.sessionId, 99u);
 
-    // Exact v4 sizes: the 6-byte magic+version prefix, the 29-byte body
+    // Exact v5 sizes: the 6-byte magic+version prefix, the 29-byte body
     // (width, model, batch, both COT sids, depth, flags), and the
     // 9-byte trace trailer only when the flag is set.
     auto helloBytes = [&](uint16_t flags) {
@@ -123,9 +124,9 @@ TEST(InferWireTest, RejectsStructurallyBadHellos)
     reject([](InferHello &h) { h.width = 63; }, InferStatus::BadWidth);
     reject([](InferHello &h) { h.batch = 0; }, InferStatus::BadBatch);
     reject([](InferHello &h) { h.depth = 0; }, InferStatus::BadDepth);
-    // The retired v1/v2/v3 dialects and any future one: typed at the
+    // The retired v1-v4 dialects and any future one: typed at the
     // handshake, never a desynchronised transcript.
-    for (const uint16_t v : {1, 2, 3, 7})
+    for (const uint16_t v : {1, 2, 3, 4, 7})
         reject([v](InferHello &h) { h.version = v; },
                InferStatus::BadVersion);
     reject([](InferHello &h) { h.sendSessionId = 0; },

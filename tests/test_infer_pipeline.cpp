@@ -11,7 +11,7 @@
  *    bit. (Grouping changes the mask-tape tweak sequence, so the
  *    per-request sequential reference only agrees within the dense
  *    truncation bound; on the fracBits-0 zoo entry both are exact.)
- *  - A hello in a retired dialect (v1, v2, v3) is refused with a
+ *  - A hello in a retired dialect (v1-v4) is refused with a
  *    typed BadVersion, and the server serves the next session.
  *  - Malformed or protocol-violating byte streams reject cleanly and
  *    never poison the server for the next well-formed session.
@@ -164,14 +164,12 @@ TEST(InferPipelineTest, DepthEightMatchesGroupedLocalReference)
         ASSERT_EQ(client->negotiatedDepth(), kDepth);
 
         std::vector<uint32_t> tags;
-        for (int r = 0; r < kDepth - 1; ++r) {
+        for (int r = 0; r < kDepth; ++r) {
             tags.push_back(client->submit(reqs[r]));
-            // Nothing evaluates until the group commits.
+            // Nothing evaluates until the group commits: one full
+            // group stays pending (auto-commit waits for two).
             ASSERT_EQ(client->inFlight(), size_t(r + 1));
         }
-        // The depth-filling submission auto-commits the group.
-        tags.push_back(client->submit(reqs[kDepth - 1]));
-        ASSERT_EQ(client->inFlight(), 0u);
 
         const auto results = client->drain();
         ASSERT_EQ(results.size(), size_t(kDepth));
@@ -268,10 +266,11 @@ TEST(InferPipelineTest, RetiredDialectHellosGetBadVersion)
     const MlpModelSpec &spec = *ppml::findMlpModel("mlp-4x3x2");
 
     // A stale peer would run the Block-wide wire (v1), negotiate
-    // packing/comparison per session (v2) or ask for an engine on this
-    // channel (v3): refused before any online byte, with the typed
-    // status, not a desynchronised transcript.
-    for (const uint16_t version : {1, 2, 3}) {
+    // packing/comparison per session (v2), ask for an engine on this
+    // channel (v3) or send a count-less barrier Commit (v4): refused
+    // before any online byte, with the typed status, not a
+    // desynchronised transcript.
+    for (const uint16_t version : {1, 2, 3, 4}) {
         auto ch = net::tcpConnect("127.0.0.1", stack.port);
         InferHello h;
         h.version = version;
@@ -298,7 +297,7 @@ TEST(InferPipelineTest, RetiredDialectHellosGetBadVersion)
     EXPECT_EQ(client->infer(reqs[0]), local.outputs[0]);
     client->close();
     stack.stop();
-    EXPECT_EQ(stack.server.sessionsRejected(), 3u);
+    EXPECT_EQ(stack.server.sessionsRejected(), 4u);
     EXPECT_EQ(stack.server.sessionsServed(), 1u);
 }
 
@@ -389,8 +388,8 @@ TEST(InferPipelineTest, MalformedStreamsRejectCleanlyAndServerSurvives)
     });
     // 6. Abrupt close mid-session (empty send: connect + accept only).
     probeAfterAccept("abrupt close", [](net::SocketChannel &) {});
-    // 7. A torrent of Infer ops beyond the negotiated depth; the
-    // server kills the session at depth+1 without evaluating.
+    // 7. A torrent of Infer ops beyond the recv-ahead window; the
+    // server kills the session at 2x depth + 1 without evaluating.
     probeAfterAccept("depth flood", [&](net::SocketChannel &ch) {
         const size_t lane = spec.inputDim();
         std::vector<uint64_t> x(lane, 1);

@@ -10,8 +10,8 @@
  *  - MlpLayerStat reports MEASURED rounds that match the cost model:
  *    ceil(log2(width-1))+2 per ReLU layer (<= 8 at width 32, the
  *    acceptance bound).
- *  - Streaming commits evaluate the same depth-sized groups as the
- *    non-streaming client, so served outputs equal the grouped local
+ *  - Streaming commits evaluate depth-sized groups of the oldest
+ *    pending requests, so served outputs equal the grouped local
  *    reference bit for bit.
  *  - Malformed streaming commits (count 0, count > pending, frame
  *    floods past the 2x-depth window) kill the session, not the
@@ -218,10 +218,9 @@ TEST(RoundChainTest, StreamingServedMatchesGroupedReference)
     constexpr int kCount = 6;
     const auto reqs = makeRequests(spec, 1, kCount);
 
-    // Streaming with depth 2 commits groups {0,1}, {2,3}, {4,5} —
-    // the SAME boundaries as the non-streaming depth-2 client — so
-    // the reference is one local session evaluating those three
-    // grouped requests in order.
+    // Depth 2 commits groups {0,1}, {2,3}, {4,5}, so the reference is
+    // one local session evaluating those three grouped requests in
+    // order.
     std::vector<std::vector<int64_t>> grouped_reqs;
     for (int g = 0; g < kCount; g += kDepth)
         grouped_reqs.push_back(concatRequests(reqs, g, kDepth));
@@ -237,18 +236,15 @@ TEST(RoundChainTest, StreamingServedMatchesGroupedReference)
     opt.setupSeed = kSetupSeed;
     opt.shareSeed = kShareSeed;
     opt.depth = kDepth;
-    opt.streamCommit = true;
     auto client = stack.dial(opt);
-    ASSERT_TRUE(client->streaming());
     ASSERT_EQ(client->negotiatedDepth(), kDepth);
 
     std::vector<uint32_t> tags;
     for (int r = 0; r < kCount; ++r)
         tags.push_back(client->submit(reqs[r]));
-    // Streaming streams AHEAD of the window: after 6 submissions two
+    // Submissions stream AHEAD of the window: after 6 submissions two
     // groups committed ({0,1} at the 4th, {2,3} at the 6th) and {4,5}
-    // is still pending — more than a non-streaming client could ever
-    // hold after submit() returns.
+    // is still pending.
     EXPECT_EQ(client->inFlight(), size_t(kDepth));
 
     const auto results = client->drain();
@@ -263,26 +259,6 @@ TEST(RoundChainTest, StreamingServedMatchesGroupedReference)
             << "streaming request " << r;
     }
     client->close();
-
-    // And streaming is purely a scheduling property: a non-streaming
-    // depth-2 session over the same seeds reconstructs the same bits.
-    opt.streamCommit = false;
-    auto plainClient = stack.dial(opt);
-    ASSERT_FALSE(plainClient->streaming());
-    for (int r = 0; r < kCount; ++r)
-        plainClient->submit(reqs[r]);
-    const auto plain_results = plainClient->drain();
-    ASSERT_EQ(plain_results.size(), size_t(kCount));
-    for (int r = 0; r < kCount; ++r) {
-        const auto &group_out = grouped.outputs[r / kDepth];
-        const size_t off = size_t(r % kDepth) * req_out;
-        EXPECT_EQ(plain_results[r].outputs,
-                  std::vector<int64_t>(group_out.begin() + off,
-                                       group_out.begin() + off +
-                                           req_out))
-            << "non-streaming request " << r;
-    }
-    plainClient->close();
 }
 
 // ---------------------------------------------------------------------------
@@ -317,11 +293,9 @@ TEST(RoundChainTest, MalformedStreamingCommitsKillSessionNotServer)
         h.sendSessionId = s.sendCot->sessionId();
         h.recvSessionId = s.recvCot->sessionId();
         h.depth = 2;
-        h.flags = kInferFlagStreamCommit;
         sendInferHello(*s.ch, h);
         const InferAccept a = recvInferAccept(*s.ch);
         EXPECT_EQ(a.status, InferStatus::Ok);
-        EXPECT_NE(a.flags & kInferFlagStreamCommit, 0);
         return s;
     };
     const std::vector<uint64_t> x(spec.inputDim(), 1);
@@ -378,9 +352,7 @@ TEST(RoundChainTest, MalformedStreamingCommitsKillSessionNotServer)
     opt.setupSeed = kSetupSeed;
     opt.shareSeed = kShareSeed;
     opt.depth = 2;
-    opt.streamCommit = true;
     auto client = stack.dial(opt);
-    ASSERT_TRUE(client->streaming());
     const auto reqs = makeRequests(spec, 1, 2);
     const ppml::LocalMlpResult grouped = ppml::runLocalMlpInference(
         spec, 8, {concatRequests(reqs, 0, 2)}, kShareSeed, kSetupSeed,
