@@ -8,7 +8,6 @@
  *   ./infer_client --tcp ... --cot-tcp ... --model mlp-32x16x10 \
  *       --width 24 --images 8
  *   ./infer_client --tcp ... --cot-tcp ... --depth 8    # pipelined
- *   ./infer_client --tcp ... --cot-tcp ... --depth auto # RTT-tuned
  *
  * The client opens two sessions of opposite roles on the server's COT
  * service (--cot-tcp, printed by ./infer_server) and stocks them in
@@ -91,11 +90,7 @@ main(int argc, char **argv)
         } else if (arg == "--seed") {
             opt.setupSeed = std::strtoull(next(), nullptr, 10);
         } else if (arg == "--depth") {
-            const std::string d = next();
-            if (d == "auto")
-                opt.depthAuto = true;
-            else
-                opt.depth = uint16_t(std::atoi(d.c_str()));
+            opt.depth = uint16_t(std::atoi(next()));
         } else if (arg == "--chaos") {
             // Survive a restarting server: reconnect under backoff and
             // resubmit uncommitted requests, narrating every retry.
@@ -119,7 +114,7 @@ main(int argc, char **argv)
                 stderr,
                 "usage: infer_client --tcp HOST:PORT "
                 "--cot-tcp HOST:PORT [--model NAME] [--width W] "
-                "[--batch B] [--images N] [--depth D|auto] "
+                "[--batch B] [--images N] [--depth D] "
                 "[--seed S] [--chaos] [--trace FILE]\n");
             return 2;
         }
@@ -157,15 +152,11 @@ main(int argc, char **argv)
         return 1;
     }
     std::printf("infer_client: session %llu, %s, width %u, batch %u, "
-                "depth %u%s (%llu COTs/image/direction)\n",
+                "depth %u (%llu COTs/image/direction)\n",
                 (unsigned long long)client->sessionId(),
                 spec->name.c_str(), opt.width, opt.batch,
                 client->negotiatedDepth(),
-                opt.depthAuto ? " (auto)" : "",
                 (unsigned long long)spec->cotsPerImage(opt.width));
-    if (opt.depthAuto)
-        std::printf("infer_client: measured handshake RTT %llu us\n",
-                    (unsigned long long)client->measuredRttUs());
 
     const int64_t bound = ppml::mlpTruncationErrorBound(*spec);
     std::vector<std::vector<int64_t>> inputs;

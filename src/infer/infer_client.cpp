@@ -33,51 +33,111 @@ specOrThrow(uint32_t model_id)
     return *spec;
 }
 
+/** COT-session options of one role; the seeds derive from setupSeed. */
 svc::CotClient::Options
-cotSendOptions(const InferClient::Options &opt)
+cotOptions(const InferClient::Options &opt, svc::Role role)
 {
     svc::CotClient::Options o;
-    o.role = svc::Role::Sender;
-    o.setupSeed = opt.setupSeed * 2 + 1;
-    return o;
-}
-
-svc::CotClient::Options
-cotRecvOptions(const InferClient::Options &opt)
-{
-    svc::CotClient::Options o;
-    o.role = svc::Role::Receiver;
-    o.setupSeed = opt.setupSeed * 2 + 2;
+    o.role = role;
+    o.setupSeed = opt.setupSeed * 2 + (role == svc::Role::Sender ? 1 : 2);
     return o;
 }
 
 } // namespace
 
-InferClient::InferClient(std::unique_ptr<net::SocketChannel> channel,
-                         std::unique_ptr<svc::CotClient> send_session,
-                         std::unique_ptr<svc::CotClient> recv_session,
-                         Options opt)
-    : ch(std::move(channel)), opt_(opt), spec_(specOrThrow(opt.modelId)),
-      sendSession(std::move(send_session)),
-      recvSession(std::move(recv_session)), shareRng(opt.shareSeed)
+InferClient::InferClient(std::string host, uint16_t port,
+                         std::string cot_host, uint16_t cot_port,
+                         Options opt, ChannelDialer dial_channel)
+    : opt_(std::move(opt)), spec_(specOrThrow(opt_.modelId)),
+      host_(std::move(host)), port_(port), cotHost_(std::move(cot_host)),
+      cotPort_(cot_port), dialChannel_(std::move(dial_channel)),
+      shareRng(opt_.shareSeed)
 {
-    IRONMAN_CHECK(sendSession && recvSession, "need both COT sessions");
-    IRONMAN_CHECK(sendSession->role() == svc::Role::Sender &&
-                      recvSession->role() == svc::Role::Receiver,
-                  "sessions must have opposite roles, sender first");
-    startSession();
+    dial(/*redial=*/false, {});
+}
+
+std::unique_ptr<InferClient>
+InferClient::connectTcpReservoir(const std::string &host, uint16_t port,
+                                 const std::string &cot_host,
+                                 uint16_t cot_port, Options opt)
+{
+    return std::unique_ptr<InferClient>(new InferClient(
+        host, port, cot_host, cot_port, std::move(opt),
+        [](const std::string &h, uint16_t p) {
+            return net::tcpConnect(h, p);
+        }));
 }
 
 void
-InferClient::startSession()
+InferClient::dial(bool redial, std::string cause)
 {
-    if (opt_.simulatedDelayUs > 0)
-        ch->setSimulatedDelay(opt_.simulatedDelayUs);
-    buildReservoirs();
-    handshake();
-    sc = std::make_unique<ppml::SecureCompute>(*ch, 0, *reservoirSupply,
-                                               opt_.width);
-    runner = std::make_unique<ppml::MlpRunner>(spec_, opt_.width);
+    // One backoff schedule for both entry points: sleep slot s waits
+    // RetryPolicy::backoffMs(s) (0 for s = 1) and is reported to the
+    // hook as (s - 1, backoff, failure that led here). A redial starts
+    // one slot in — the failure that brought it here is evidence the
+    // daemon is down right now.
+    const unsigned attempts =
+        opt_.autoReconnect && opt_.retry.maxAttempts > 0
+            ? opt_.retry.maxAttempts
+            : 1u;
+    for (unsigned attempt = 1;; ++attempt) {
+        const unsigned slot = redial ? attempt + 1 : attempt;
+        dropTransport();
+        if (slot > 1 && opt_.retryHook)
+            opt_.retryHook(slot - 1, opt_.retry.backoffMs(slot), cause);
+        opt_.retry.sleepBefore(slot);
+        try {
+            // Same derived seeds on every dial: a restarted daemon
+            // re-deals the same deterministic session bases, so the
+            // fresh sessions are indistinguishable from first contact.
+            sendSession = svc::CotClient::connectTcp(
+                cotHost_, cotPort_, opt_.params,
+                cotOptions(opt_, svc::Role::Sender));
+            recvSession = svc::CotClient::connectTcp(
+                cotHost_, cotPort_, opt_.params,
+                cotOptions(opt_, svc::Role::Receiver));
+            ch = dialChannel_(host_, port_);
+            if (opt_.simulatedDelayUs > 0)
+                ch->setSimulatedDelay(opt_.simulatedDelayUs);
+            buildReservoirs();
+            handshake();
+            sc = std::make_unique<ppml::SecureCompute>(
+                *ch, 0, *reservoirSupply, opt_.width);
+            runner = std::make_unique<ppml::MlpRunner>(spec_, opt_.width);
+            return;
+        } catch (const net::WireError &e) {
+            if (!e.retryable())
+                throw;
+            if (attempt >= attempts) {
+                if (!redial)
+                    throw;
+                throw net::WireError(
+                    net::WireFault::PeerClosed,
+                    std::string("InferClient: reconnect budget "
+                                "exhausted: ") +
+                        e.what());
+            }
+            cause = e.what();
+        }
+    }
+}
+
+void
+InferClient::dropTransport()
+{
+    // Stop stocking before anything it draws on goes away.
+    if (sendRes)
+        sendRes->stopRefill();
+    if (recvRes)
+        recvRes->stopRefill();
+    sc.reset();
+    runner.reset();
+    reservoirSupply.reset();
+    sendRes.reset();
+    recvRes.reset();
+    sendSession.reset();
+    recvSession.reset();
+    ch.reset();
 }
 
 void
@@ -88,8 +148,7 @@ InferClient::buildReservoirs()
     // the REQUESTED depth (reservoirs exist before the handshake can
     // negotiate) — the server may clamp it, which only leaves the
     // stock oversized, never starved.
-    const uint64_t group =
-        opt_.depthAuto ? 64 : (opt_.depth > 0 ? opt_.depth : 1);
+    const uint64_t group = std::max<uint16_t>(opt_.depth, 1);
     const uint64_t per_commit =
         spec_.cotsPerImage(opt_.width) * opt_.batch * group;
     const svc::Reservoir::Options res_opt =
@@ -119,11 +178,7 @@ InferClient::handshake()
     h.batch = opt_.batch;
     h.sendSessionId = sendSession->sessionId();
     h.recvSessionId = recvSession->sessionId();
-    // Auto-depth asks for a deep window (the server clamps to its
-    // bound) and tunes the ACTUAL group size locally from the RTT.
-    h.depth = opt_.depthAuto
-                  ? uint16_t(64)
-                  : (opt_.depth > 0 ? opt_.depth : uint16_t(1));
+    h.depth = std::max<uint16_t>(opt_.depth, 1);
     h.flags = opt_.traceWire ? kInferFlagTrace : 0;
     if (opt_.traceWire) {
         // One id per dial (a reconnect is a new timeline segment);
@@ -133,11 +188,10 @@ InferClient::handshake()
         h.traceId = traceId_;
         h.traceSampled = opt_.traceSampled ? 1 : 0;
     }
-    // The hello/accept turnaround doubles as the RTT probe the depth
-    // auto-tuner uses — and, with the trace flag, as the clock-offset
-    // probe: the server stamps the accept with its own clock, and the
-    // RTT midpoint is our best estimate of when that stamp was taken
-    // (Cristian). It rides every (re)dial, so reconnects re-tune.
+    // The hello/accept turnaround is the RTT probe and, with the trace
+    // flag, the clock-offset probe: the server stamps the accept with
+    // its own clock, and the RTT midpoint is our best estimate of
+    // when that stamp was taken (Cristian). It rides every (re)dial.
     const uint64_t t0_us = trace::nowUs();
     sendInferHello(*ch, h);
     const InferAccept a = recvInferAccept(*ch);
@@ -161,54 +215,6 @@ InferClient::handshake()
     } else {
         traceId_ = 0;
     }
-    if (opt_.depthAuto) {
-        // One commit group costs group_rounds dependent round trips no
-        // matter how many requests ride in it; pick the depth whose
-        // per-request share of that latency meets the budget. A
-        // loopback link lands at depth 1-2, a WAN pins the negotiated
-        // ceiling.
-        const uint64_t group_rounds = uint64_t(spec_.dims.size() - 2) *
-                                      ppml::reluRounds(opt_.width);
-        const uint64_t budget =
-            opt_.depthBudgetUs > 0 ? opt_.depthBudgetUs : 1;
-        const uint64_t tuned = (group_rounds * rttUs_ + budget - 1) / budget;
-        depth_ = uint16_t(std::clamp<uint64_t>(tuned, 1, depth_));
-    }
-}
-
-std::unique_ptr<InferClient>
-InferClient::connectTcpReservoir(const std::string &host, uint16_t port,
-                                 const std::string &cot_host,
-                                 uint16_t cot_port, Options opt)
-{
-    const unsigned attempts =
-        opt.autoReconnect && opt.retry.maxAttempts > 0
-            ? opt.retry.maxAttempts
-            : 1u;
-    for (unsigned attempt = 1;; ++attempt) {
-        try {
-            opt.retry.sleepBefore(attempt);
-            auto send_session = svc::CotClient::connectTcp(
-                cot_host, cot_port, opt.params, cotSendOptions(opt));
-            auto recv_session = svc::CotClient::connectTcp(
-                cot_host, cot_port, opt.params, cotRecvOptions(opt));
-            auto c = std::make_unique<InferClient>(
-                net::tcpConnect(host, port), std::move(send_session),
-                std::move(recv_session), opt);
-            c->host_ = host;
-            c->port_ = port;
-            c->cotHost_ = cot_host;
-            c->cotPort_ = cot_port;
-            c->endpointsKnown_ = true;
-            return c;
-        } catch (const net::WireError &e) {
-            if (!e.retryable() || attempt >= attempts)
-                throw;
-            if (opt.retryHook)
-                opt.retryHook(attempt, opt.retry.backoffMs(attempt + 1),
-                              e.what());
-        }
-    }
 }
 
 InferClient::~InferClient()
@@ -223,95 +229,42 @@ InferClient::~InferClient()
 bool
 InferClient::canRecover(const std::exception &e) const
 {
-    return opt_.autoReconnect && endpointsKnown_ && !dead_ &&
-           net::isRetryable(e);
-}
-
-void
-InferClient::redial()
-{
-    ch = net::tcpConnect(host_, port_);
-    // Same derived seeds as the original dial: the restarted daemon
-    // re-deals the same deterministic session base, so the fresh
-    // sessions are indistinguishable from first contact.
-    sendSession = svc::CotClient::connectTcp(cotHost_, cotPort_,
-                                             opt_.params,
-                                             cotSendOptions(opt_));
-    recvSession = svc::CotClient::connectTcp(cotHost_, cotPort_,
-                                             opt_.params,
-                                             cotRecvOptions(opt_));
-    startSession();
+    return opt_.autoReconnect && !dead_ && net::isRetryable(e);
 }
 
 void
 InferClient::reconnect(const std::string &cause)
 {
-    // Tear the whole transport down before redialing. The share tape
-    // (shareRng) survives untouched: uncommitted requests resubmit
-    // their STORED shares, so the tape position stays consistent with
-    // an uninterrupted run.
-    if (sendRes)
-        sendRes->stopRefill();
-    if (recvRes)
-        recvRes->stopRefill();
-    sc.reset();
-    runner.reset();
-    reservoirSupply.reset();
-    sendRes.reset();
-    recvRes.reset();
-    sendSession.reset();
-    recvSession.reset();
-    ch.reset();
-
-    const unsigned attempts =
-        opt_.retry.maxAttempts > 0 ? opt_.retry.maxAttempts : 1u;
-    std::string last = cause;
-    for (unsigned attempt = 1; attempt <= attempts; ++attempt) {
-        if (opt_.retryHook)
-            opt_.retryHook(attempt, opt_.retry.backoffMs(attempt + 1),
-                           last);
-        // Backoff BEFORE the dial: the failure that brought us here
-        // is evidence the daemon is down right now.
-        opt_.retry.sleepBefore(attempt + 1);
-        try {
-            redial();
-            resubmitPending();
-            ++reconnectCount;
-            return;
-        } catch (const net::WireError &e) {
-            if (!e.retryable()) {
-                dead_ = true;
-                throw;
-            }
-            last = e.what();
-        } catch (const std::exception &e) {
-            dead_ = true;
-            throw;
-        }
+    // Every pending request is uncommitted (the caller already failed
+    // the group whose Commit was on the wire) and off the new wire;
+    // pump() resends them from their STORED shares, so the share tape
+    // (shareRng) stays consistent with an uninterrupted run.
+    sent_ = 0;
+    try {
+        dial(/*redial=*/true, cause);
+    } catch (const std::exception &e) {
+        dead_ = true;
+        dropTransport();
+        failPendingFrom(0, pendingTags.size(), e.what());
+        throw;
     }
-    dead_ = true;
-    throw net::WireError(net::WireFault::PeerClosed,
-                         "InferClient: reconnect budget exhausted: " +
-                             last);
+    ++reconnectCount;
 }
 
 void
-InferClient::resubmitPending()
+InferClient::dropOldest(size_t n)
 {
     const size_t req_in = size_t(opt_.batch) * spec_.inputDim();
-    for (size_t r = 0; r < pendingTags.size(); ++r) {
-        sendInferOp(*ch, InferOp::Infer);
-        sendInferTag(*ch, pendingTags[r]);
-        sendShareVectorPacked(*ch, pendingX1.data() + r * req_in, req_in,
-                              opt_.width);
-    }
+    pendingTags.erase(pendingTags.begin(), pendingTags.begin() + n);
+    pendingX0.erase(pendingX0.begin(), pendingX0.begin() + n * req_in);
+    pendingX1.erase(pendingX1.begin(), pendingX1.begin() + n * req_in);
+    pendingT0Us.erase(pendingT0Us.begin(), pendingT0Us.begin() + n);
 }
 
 void
 InferClient::failPendingFrom(size_t answered, size_t group,
                              const std::string &what)
 {
-    const size_t req_in = size_t(opt_.batch) * spec_.inputDim();
     for (size_t r = answered; r < group; ++r) {
         Result failed;
         failed.tag = pendingTags[r];
@@ -319,15 +272,7 @@ InferClient::failPendingFrom(size_t answered, size_t group,
         failed.error = what;
         ready.push_back(std::move(failed));
     }
-    // Only the COMMITTED group dies; requests streamed ahead of it
-    // were never committed and resubmit with the recovered session.
-    pendingTags.erase(pendingTags.begin(), pendingTags.begin() + group);
-    pendingX0.erase(pendingX0.begin(),
-                    pendingX0.begin() + group * req_in);
-    pendingX1.erase(pendingX1.begin(),
-                    pendingX1.begin() + group * req_in);
-    pendingT0Us.erase(pendingT0Us.begin(),
-                      pendingT0Us.begin() + group);
+    dropOldest(group);
 }
 
 std::vector<int64_t>
@@ -356,51 +301,64 @@ InferClient::submit(const std::vector<int64_t> &inputs)
                   "inputs are batch * inputDim values");
 
     const uint32_t tag = nextTag++;
-    const uint64_t t0_us = metrics::nowUs();
+    pendingT0Us.push_back(metrics::nowUs());
     // The tape advances exactly once per submission, reconnect or not.
     ppml::shareMlpValues(shareRng, opt_.width, inputs, &x0, &x1);
-
-    for (;;) {
-        try {
-            trace::Span submit_span("submit", "infer", tag,
-                                    x1.size() * sizeof(uint64_t));
-            sendInferOp(*ch, InferOp::Infer);
-            sendInferTag(*ch, tag);
-            sendShareVectorPacked(*ch, x1.data(), x1.size(), opt_.width);
-            break;
-        } catch (const std::exception &e) {
-            if (!canRecover(e))
-                throw;
-            // The session died before this request's Commit, so it is
-            // safe to replay: reconnect() resubmits the stored pending
-            // group, then the loop retries this send.
-            reconnect(e.what());
-        }
-    }
     pendingTags.push_back(tag);
     pendingX0.insert(pendingX0.end(), x0.begin(), x0.end());
     pendingX1.insert(pendingX1.end(), x1.begin(), x1.end());
-    pendingT0Us.push_back(t0_us);
-    // Keep the recv-ahead window primed: once two full groups are
-    // pending, commit the OLDEST — its evaluation overlaps the younger
-    // group's frames already crossing the wire. Grouping boundaries
-    // fall every depth_ submissions, so grouped references stay valid.
-    if (pendingTags.size() >= 2 * size_t(depth_))
-        commitOldest();
+    pump();
     return tag;
 }
 
 void
-InferClient::commitPending()
+InferClient::pump()
 {
-    while (!pendingTags.empty())
+    // Keep the recv-ahead window primed: once two full groups are on
+    // the wire, commit the OLDEST — its evaluation overlaps the
+    // younger group's frames already crossing the wire. Grouping
+    // boundaries fall every depth_ sends, so grouped references stay
+    // valid; after a redial the same rule refills the new window.
+    const size_t req_in = size_t(opt_.batch) * spec_.inputDim();
+    for (;;) {
+        if (sent_ >= 2 * size_t(depth_)) {
+            commitOldest();
+        } else if (sent_ < pendingTags.size()) {
+            try {
+                trace::Span submit_span("submit", "infer",
+                                        pendingTags[sent_],
+                                        req_in * sizeof(uint64_t));
+                sendInferOp(*ch, InferOp::Infer);
+                sendInferTag(*ch, pendingTags[sent_]);
+                sendShareVectorPacked(*ch, pendingX1.data() + sent_ * req_in,
+                                      req_in, opt_.width);
+            } catch (const std::exception &e) {
+                if (!canRecover(e))
+                    throw;
+                // No Commit covers this request yet, so it and every
+                // other pending request are safe to send again.
+                reconnect(e.what());
+                continue;
+            }
+            ++sent_;
+        } else {
+            return;
+        }
+    }
+}
+
+void
+InferClient::commitNext()
+{
+    pump();
+    if (!pendingTags.empty())
         commitOldest();
 }
 
 void
 InferClient::commitOldest()
 {
-    const size_t group = std::min(size_t(depth_), pendingTags.size());
+    const size_t group = std::min(size_t(depth_), sent_);
     const size_t req_in = size_t(opt_.batch) * spec_.inputDim();
     const size_t req_out = size_t(opt_.batch) * spec_.outputDim();
     size_t answered = 0;
@@ -445,27 +403,22 @@ InferClient::commitOldest()
         // request twice. Fail the group's unanswered remainder with
         // the cause (the answered prefix reconstructed fine and stays
         // collectible); requests streamed BEHIND the group were never
-        // committed, so reconnect() resubmits them safely.
+        // committed, so the caller's pump() resends them.
         requests += answered;
         failPendingFrom(answered, group, e.what());
         reconnect(e.what());
         return;
     }
     requests += group;
-    pendingTags.erase(pendingTags.begin(), pendingTags.begin() + group);
-    pendingX0.erase(pendingX0.begin(),
-                    pendingX0.begin() + group * req_in);
-    pendingX1.erase(pendingX1.begin(),
-                    pendingX1.begin() + group * req_in);
-    pendingT0Us.erase(pendingT0Us.begin(),
-                      pendingT0Us.begin() + group);
+    dropOldest(group);
+    sent_ -= group;
 }
 
 InferClient::Result
 InferClient::collect()
 {
     if (ready.empty() && !pendingTags.empty())
-        commitOldest();
+        commitNext();
     IRONMAN_CHECK(!ready.empty(), "collect() with nothing submitted");
     Result r = std::move(ready.front());
     ready.pop_front();
@@ -475,7 +428,8 @@ InferClient::collect()
 std::vector<InferClient::Result>
 InferClient::drain()
 {
-    commitPending();
+    while (!pendingTags.empty())
+        commitNext();
     std::vector<Result> all(std::make_move_iterator(ready.begin()),
                             std::make_move_iterator(ready.end()));
     ready.clear();
@@ -512,8 +466,8 @@ InferClient::close()
         return;
     // The server would drop uncommitted requests at Close; evaluate
     // them instead so every submit() has a collectible result.
-    if (!dead_)
-        commitPending();
+    while (!dead_ && !pendingTags.empty())
+        commitNext();
     closed = true;
     // Stop stocking before the session goodbyes: a refill racing the
     // server's epilogue would die on a retired stock for nothing.

@@ -39,6 +39,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -74,27 +75,16 @@ class InferClient
         ot::FerretParams params = ot::tinyTestParams();
         /**
          * Requested in-flight requests per session; the server clamps
-         * to its own bound — read negotiatedDepth() after
-         * construction. Commits stream: submit() keeps up to 2x the
-         * negotiated depth in flight and, at 2x, commits the OLDEST
-         * depth-sized group, so that group's evaluation overlaps the
-         * next group's Infer frames crossing the wire.
+         * it to its own bound on every dial — read negotiatedDepth().
+         * Commits stream: submit() keeps up to 2x the negotiated depth
+         * in flight and, at 2x, commits the OLDEST depth-sized group,
+         * so that group's evaluation overlaps the next group's Infer
+         * frames crossing the wire.
          */
         uint16_t depth = 1;
         /** Inert (every session streams its commits); read only by
          *  bench/ledger/infer.cpp. */
         bool streamCommit = true;
-        /**
-         * Pick the in-flight depth from the measured handshake RTT
-         * instead of `depth`: request a deep window (the server
-         * clamps), then run at ceil(group_rounds * rtt /
-         * depthBudgetUs) — slow links amortize the round chain over
-         * more requests, fast links don't batch for nothing.
-         * Re-measured and re-tuned on every reconnect.
-         */
-        bool depthAuto = false;
-        /** Auto-depth: per-request share of group latency (us). */
-        uint64_t depthBudgetUs = 500;
         /**
          * Request wire-propagated trace context (default off):
          * the hello carries a 64-bit trace id + sampled bit
@@ -120,14 +110,14 @@ class InferClient
          * mid-session (daemon killed, connection reset, deadline), tear
          * the whole transport down — inference channel, COT sessions,
          * reservoirs — redial under `retry`'s backoff/budget,
-         * re-handshake with the SAME seeds, and resubmit every
-         * UNCOMMITTED request from its stored shares. Requests whose
+         * re-handshake with the SAME seeds, and resend every
+         * UNCOMMITTED request from its stored shares, within the
+         * redialed session's negotiated window. Requests whose
          * Commit was already on the wire are NOT retried (the server
          * may have evaluated them; re-running could answer twice) —
          * they surface as Result{ok=false} with the triggering error.
-         * Requires connectTcpReservoir (it records the endpoints).
-         * Off by default: a bench run would rather
-         * die loudly than silently remeasure a reconnect.
+         * Off by default: a bench run would rather die loudly than
+         * silently remeasure a reconnect.
          */
         bool autoReconnect = false;
         svc::RetryPolicy retry;
@@ -158,21 +148,12 @@ class InferClient
     };
 
     /**
-     * Session over an already-connected channel: @p send_session /
-     * @p recv_session are connected Sender-/Receiver-role sessions on
-     * the COT service ATTACHED to this inference server. The client
-     * owns them (and their refill reservoirs) for the life of the
-     * session. Throws net::WireError when the server rejects the hello.
-     */
-    InferClient(std::unique_ptr<net::SocketChannel> ch,
-                std::unique_ptr<svc::CotClient> send_session,
-                std::unique_ptr<svc::CotClient> recv_session,
-                Options opt);
-
-    /**
-     * Connect + handshake: dials the inference
-     * server at @p host:@p port and the COT service at @p cot_port
-     * (two sessions, seeds derived from opt.setupSeed).
+     * Connect + handshake: dials the COT service at @p cot_port (two
+     * sessions of opposite roles, seeds derived from opt.setupSeed)
+     * and the inference server at @p host:@p port. With autoReconnect
+     * a retryable failure redials under opt.retry, starting at once;
+     * the last attempt's net::WireError is rethrown. Throws
+     * net::WireError when the server rejects the hello.
      */
     static std::unique_ptr<InferClient>
     connectTcpReservoir(const std::string &host, uint16_t port,
@@ -214,11 +195,9 @@ class InferClient
     /** Submitted but not yet committed requests. */
     size_t inFlight() const { return pendingTags.size(); }
 
-    const ppml::MlpModelSpec &model() const { return spec_; }
-    unsigned width() const { return opt_.width; }
     uint64_t sessionId() const { return sid; }
 
-    /** Server-clamped (and auto-tuned) in-flight bound. */
+    /** Server-clamped in-flight bound of the current dial. */
     uint16_t negotiatedDepth() const { return depth_; }
 
     /** Always true (every session streams its commits); read only by
@@ -269,19 +248,40 @@ class InferClient
     void close();
 
   private:
-    void handshake();
-    /** One dial's setup over `ch` and the two COT sessions (the
-     *  constructor and redial() share it). */
-    void startSession();
-    void commitPending();
-    void commitOldest();
+    /** Opens every dial's inference channel: net::tcpConnect, or the
+     *  fault-armed connect of the test fixture ServedStack. */
+    using ChannelDialer = std::function<std::unique_ptr<net::SocketChannel>(
+        const std::string &host, uint16_t port)>;
+    friend struct ServedStack;
+
+    InferClient(std::string host, uint16_t port, std::string cot_host,
+                uint16_t cot_port, Options opt, ChannelDialer dial_channel);
+
+    /**
+     * The one dial loop: build the whole transport (both COT sessions,
+     * the inference channel, reservoirs, handshake) under opt_.retry.
+     * A first dial tries at once and rethrows its last failure; a
+     * @p redial reports @p cause, backs off before every attempt, and
+     * ends in a typed "budget exhausted" PeerClosed.
+     */
+    void dial(bool redial, std::string cause);
+    void dropTransport();
     void buildReservoirs();
+    void handshake();
+    /** Send the unsent pending requests while fewer than 2x depth_
+     *  are on the wire, committing the oldest group whenever the
+     *  window is full — first submissions and resends alike. */
+    void pump();
+    void commitNext();
+    void commitOldest();
     bool canRecover(const std::exception &e) const;
+    /** Redial and mark every pending request unsent; pump() resends
+     *  them. On a spent budget the session dies and every pending
+     *  request fails typed. */
     void reconnect(const std::string &cause);
-    void redial();
-    void resubmitPending();
     void failPendingFrom(size_t answered, size_t group,
                          const std::string &what);
+    void dropOldest(size_t n);
 
     std::unique_ptr<net::SocketChannel> ch;
     Options opt_;
@@ -290,15 +290,14 @@ class InferClient
     bool closed = false;
     bool dead_ = false; ///< recovery budget spent: session is gone
 
-    // Recorded by connectTcpReservoir; recovery needs somewhere
-    // to redial (a session over a caller-supplied channel cannot).
+    // Every dial's endpoints.
     std::string host_;
     uint16_t port_ = 0;
     std::string cotHost_;
     uint16_t cotPort_ = 0;
-    bool endpointsKnown_ = false;
+    ChannelDialer dialChannel_;
     uint64_t reconnectCount = 0;
-    uint16_t depth_ = 1; ///< negotiated (and auto-tuned) group size
+    uint16_t depth_ = 1; ///< negotiated group size of the current dial
     uint64_t rttUs_ = 0;  ///< handshake RTT of the current dial
     bool traceOn_ = false;     ///< negotiated trace context
     uint64_t traceId_ = 0;     ///< propagated trace id (0 = none)
@@ -322,13 +321,15 @@ class InferClient
 
     // Pipelining state: submitted-but-uncommitted requests (tags plus
     // BOTH parties' concatenated input shares — x1 is stored so a
-    // reconnect can resubmit the exact same shares without touching
+    // reconnect can resend the exact same shares without touching
     // the share tape) and committed-but-uncollected responses in
-    // submission order.
+    // submission order. The oldest `sent_` pending requests are on
+    // the current wire.
     std::vector<uint32_t> pendingTags;
     std::vector<uint64_t> pendingX0;
     std::vector<uint64_t> pendingX1;
     std::vector<uint64_t> pendingT0Us; ///< submit() stamps, per tag
+    size_t sent_ = 0;
     std::deque<Result> ready;
 };
 

@@ -255,12 +255,6 @@ LpnEncoder::setKernel(LpnKernel kernel)
     gatherKernelMode.store(kernel, std::memory_order_relaxed);
 }
 
-void
-LpnEncoder::forceScalarKernel(bool force)
-{
-    setKernel(force ? LpnKernel::Scalar : LpnKernel::Auto);
-}
-
 const char *
 LpnEncoder::activeKernelName()
 {

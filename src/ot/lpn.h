@@ -255,9 +255,6 @@ class LpnEncoder
      */
     static void setKernel(LpnKernel kernel);
 
-    /** Scalar-vs-SIMD test hook: Scalar when @p force, else Auto. */
-    static void forceScalarKernel(bool force);
-
     /** Name of the block kernel Auto currently resolves to (bench). */
     static const char *activeKernelName();
 

@@ -4,8 +4,8 @@
  * an svc::CotServer and an infer::InferServer, wired together and
  * listening on loopback — the deployment examples/infer_server runs
  * in one process. dial() opens a reservoir-fed InferClient against
- * it; cotSessions() opens the two live COT sessions a hand-rolled
- * hello has to name.
+ * it, optionally over a fault-armed channel; cotSessions() opens the
+ * two live COT sessions a hand-rolled hello has to name.
  *
  * Destruction (or stop()) stops the inference daemon, then the COT
  * service; the stock outlives both.
@@ -20,6 +20,7 @@
 
 #include "infer/infer_client.h"
 #include "infer/infer_server.h"
+#include "net/fault.h"
 #include "ot/ferret_params.h"
 #include "svc/cot_client.h"
 #include "svc/cot_server.h"
@@ -51,6 +52,20 @@ struct ServedStack
     {
         return InferClient::connectTcpReservoir("127.0.0.1", port,
                                                 "127.0.0.1", cotPort, opt);
+    }
+
+    /** dial() with @p plan armed on the inference channel from its
+     *  first byte, hello included (the chaos fault grid). */
+    std::unique_ptr<InferClient>
+    dial(const InferClient::Options &opt, const net::FaultPlan &plan) const
+    {
+        return std::unique_ptr<InferClient>(new InferClient(
+            "127.0.0.1", port, "127.0.0.1", cotPort, opt,
+            [plan](const std::string &host, uint16_t p) {
+                auto ch = net::tcpConnect(host, p);
+                ch->setFaultPlan(plan);
+                return ch;
+            }));
     }
 
     /** Sender- then Receiver-role COT sessions on this stack. */

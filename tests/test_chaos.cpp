@@ -19,10 +19,11 @@
  *    with autoReconnect survives a whole-backend kill/restart —
  *    uncommitted requests replay from stored shares,
  *    committed-but-unanswered ones surface as typed Result failures,
- *    and every COMPLETED image is bit-identical to an uninterrupted
- *    run (DESIGN.md invariant 15; pinned on the exact fracBits-0 zoo
- *    model, whose outputs are position-independent across session
- *    splits).
+ *    a redial onto a narrower server resends within the renegotiated
+ *    window, and every COMPLETED image is bit-identical to an
+ *    uninterrupted run (DESIGN.md invariant 15; pinned on the exact
+ *    fracBits-0 zoo model, whose outputs are position-independent
+ *    across session splits).
  *
  * Everything runs over real loopback TCP; the file is part of the CI
  * ASan and TSan jobs.
@@ -31,6 +32,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <future>
 #include <memory>
 #include <string>
@@ -328,14 +330,10 @@ TEST(ChaosFaultGridTest, InferServerSurvivesEveryFaultKind)
                          FaultPlan::atByte(kind, 0).kindName() +
                          " seed=" + std::to_string(seed));
             try {
-                auto [send_cot, recv_cot] =
-                    stack.cotSessions(0xdead + 2 * seed);
-                auto ch = net::tcpConnect("127.0.0.1", stack.port);
-                ch->setFaultPlan(FaultPlan::seeded(
-                    kind, seed * 1381, transcript, /*delay_us=*/5000));
-                InferClient client(std::move(ch), std::move(send_cot),
-                                   std::move(recv_cot), opt);
-                runSession(client);
+                auto client = stack.dial(
+                    opt, FaultPlan::seeded(kind, seed * 1381, transcript,
+                                           /*delay_us=*/5000));
+                runSession(*client);
             } catch (const WireError &) {
                 // Typed.
             }
@@ -623,6 +621,77 @@ TEST(ChaosRecoveryTest, InferClientReservoirSupplySurvivesKillRestart)
     EXPECT_LE(failed, 1u);
     EXPECT_GE(completed, size_t(kRequests - 1));
     client->close();
+}
+
+TEST(ChaosRecoveryTest, RedialResendsWithinRenegotiatedWindow)
+{
+    // 15 requests stream one short of a depth-8 client's 2x-depth
+    // auto-commit; the backend restarts with depth bound 2, so the
+    // redial's recv-ahead holds 4. Only the group whose Commit raced
+    // the kill may fail: the rest resend within the new window.
+    const ppml::MlpModelSpec &spec = *ppml::findMlpModel("mlp-4x3x2");
+    constexpr size_t kDepth = 8, kStreamed = 15;
+    auto protocolAborts = [] {
+        return metrics::Registry::instance().counterValue(
+            "infer_sessions_failed_protocol_total");
+    };
+    const uint64_t aborts_before = protocolAborts();
+    auto stack = std::make_unique<ServedStack>();
+    InferClient::Options opt;
+    opt.modelId = spec.id;
+    opt.width = 16;
+    opt.depth = kDepth;
+    opt.autoReconnect = true;
+    opt.retry = fastRetry(10);
+    auto client = stack->dial(opt);
+
+    std::vector<std::vector<int64_t>> reqs;
+    for (size_t r = 0; r <= kStreamed; ++r) {
+        reqs.push_back(ppml::sampleMlpInput(spec, 6100 + r, 1));
+        if (r < kStreamed)
+            client->submit(reqs[r]);
+    }
+    InferServer::Config narrow;
+    narrow.maxDepth = 2;
+    const uint16_t port = stack->port, cot_port = stack->cotPort;
+    stack.reset();
+    stack = std::make_unique<ServedStack>(narrow, port, cot_port);
+
+    client->submit(reqs[kStreamed]); // fills the window: commits
+    const std::vector<InferClient::Result> results = client->drain();
+    ASSERT_EQ(results.size(), kStreamed + 1);
+    EXPECT_GE(client->reconnects(), 1u);
+    EXPECT_EQ(client->negotiatedDepth(), 2u);
+    const int64_t bound = ppml::mlpTruncationErrorBound(spec);
+    for (size_t r = 0; r < results.size(); ++r) {
+        EXPECT_EQ(results[r].tag, uint32_t(r + 1));
+        if (!results[r].ok) {
+            EXPECT_LT(r, kDepth) << "streamed-ahead request " << r
+                                 << " failed: " << results[r].error;
+            EXPECT_FALSE(results[r].error.empty());
+            continue;
+        }
+        const std::vector<int64_t> plain =
+            ppml::mlpPlainForward(spec, reqs[r]);
+        ASSERT_EQ(results[r].outputs.size(), plain.size());
+        for (size_t i = 0; i < plain.size(); ++i)
+            EXPECT_LE(std::llabs(results[r].outputs[i] - plain[i]), bound)
+                << "request " << r;
+    }
+    EXPECT_EQ(protocolAborts(), aborts_before)
+        << "a resend overflowed the server's in-flight window";
+
+    // No backend at all: the spent budget fails every pending request
+    // typed, the one streamed behind the raced group included.
+    stack.reset();
+    for (size_t r = 0; r < 3; ++r)
+        client->submit(reqs[r]);
+    EXPECT_THROW(client->drain(), WireError);
+    const std::vector<InferClient::Result> dead = client->drain();
+    ASSERT_EQ(dead.size(), 3u);
+    for (const InferClient::Result &res : dead)
+        EXPECT_FALSE(res.ok || res.error.empty());
+    EXPECT_THROW(client->submit(reqs[0]), WireError);
 }
 
 TEST(ChaosRecoveryTest, InferClientFailsTypedWithoutBackend)

@@ -520,10 +520,10 @@ TEST(LpnTapeTest, TapeEncodeMatchesStreamingUnderRandomSeeds)
         EXPECT_EQ(simd, expect) << "trial " << trial;
 
         // Forced-scalar tape walk.
-        LpnEncoder::forceScalarKernel(true);
+        LpnEncoder::setKernel(LpnKernel::Scalar);
         std::vector<Block> scalar = base;
         enc.encodeBlocksTape(in.data(), scalar.data(), 0, p.n, tape);
-        LpnEncoder::forceScalarKernel(false);
+        LpnEncoder::setKernel(LpnKernel::Auto);
         EXPECT_EQ(scalar, expect) << "trial " << trial;
 
         // Pinned SSE2 (falls back off x86, which must still be

@@ -1,7 +1,7 @@
 /**
  * @file
- * Round-chain guarantees: the Kogge-Stone comparison ladder,
- * streaming commits, and RTT-driven depth auto-tuning.
+ * Round-chain guarantees: the Kogge-Stone comparison ladder and
+ * streaming commits.
  *
  *  - The ladder DReLU reconstructs the plaintext sign bit across
  *    power-of-two, non-power-of-two, and degenerate widths, and local
@@ -16,8 +16,6 @@
  *  - Malformed streaming commits (count 0, count > pending, frame
  *    floods past the 2x-depth window) kill the session, not the
  *    server.
- *  - Depth auto-tune picks a small depth on a fast link and pins the
- *    negotiated ceiling on a simulated WAN.
  */
 
 #include <gtest/gtest.h>
@@ -370,45 +368,6 @@ TEST(RoundChainTest, MalformedStreamingCommitsKillSessionNotServer)
     client->close();
     stack.stop();
     EXPECT_GE(stack.server.sessionsServed(), 1u);
-}
-
-// ---------------------------------------------------------------------------
-// Depth auto-tune
-// ---------------------------------------------------------------------------
-
-TEST(RoundChainTest, AutoDepthScalesWithMeasuredRtt)
-{
-    ServedStack stack; // maxDepth 32: the negotiated ceiling
-    const MlpModelSpec &spec = *ppml::findMlpModel("mlp-16x8x4");
-
-    InferClient::Options opt;
-    opt.modelId = spec.id;
-    opt.width = 32;
-    opt.batch = 1;
-    opt.setupSeed = kSetupSeed;
-    opt.shareSeed = kShareSeed;
-    opt.depthAuto = true;
-    opt.depthBudgetUs = 2000; // wide margins for a noisy CI box
-
-    // Fast link: loopback RTT against a 2 ms budget tunes shallow.
-    auto lan = stack.dial(opt);
-    const uint16_t lan_depth = lan->negotiatedDepth();
-    EXPECT_GE(lan_depth, 1u);
-    // 7 rounds/group at w32: hitting 32 would need a ~9 ms
-    // loopback handshake.
-    EXPECT_LT(lan_depth, 32u);
-    lan->infer(makeRequests(spec, 1, 1)[0]); // sane session end to end
-    lan->close();
-
-    // Simulated WAN: >= 40 ms of injected RTT pins the ceiling.
-    opt.simulatedDelayUs = 20000;
-    opt.shareSeed = kShareSeed + 1;
-    auto wan = stack.dial(opt);
-    EXPECT_GE(wan->measuredRttUs(), 20000u);
-    const uint16_t wan_depth = wan->negotiatedDepth();
-    EXPECT_EQ(wan_depth, 32u);
-    EXPECT_GT(wan_depth, lan_depth);
-    wan->close();
 }
 
 } // namespace
