@@ -15,8 +15,9 @@
  * at every status interval. Out-of-band: the MPC wire is untouched.
  *
  * Pair with ./cot_client. The engine pool keeps finished sessions'
- * engines warm, so a burst of same-shape clients pays the LPN tape
- * build once per concurrency slot, not once per connection.
+ * engines warm, so a burst of same-shape clients sizes one engine per
+ * concurrency slot, not one per connection, and every engine of the
+ * set shares one LPN index tape, built once while any of them lives.
  */
 
 #include <atomic>

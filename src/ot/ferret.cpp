@@ -70,8 +70,8 @@ void
 encodeRange(const LpnEncoder &enc, OtWorkspace &ws, const Block *in,
             Block *inout, size_t row0, size_t count, int scratch_idx)
 {
-    if (ws.tape.ready())
-        enc.encodeBlocksTape(in, inout, row0, count, ws.tape);
+    if (ws.tape)
+        enc.encodeBlocksTape(in, inout, row0, count, *ws.tape);
     else
         enc.encodeBlocks(in, inout, row0, count, ws.lpn[scratch_idx]);
 }
@@ -106,8 +106,8 @@ encodeBitsPrefix(const LpnEncoder &enc, OtWorkspace &ws, size_t rows)
     ws.pool.parallelFor((rows + 63) / 64, [&](int, size_t wlo, size_t whi) {
         const size_t row0 = wlo * 64;
         const size_t count = std::min(whi * 64, rows) - row0;
-        if (ws.tape.ready())
-            enc.encodeBitsTape(ws.e, ws.x, row0, count, ws.tape);
+        if (ws.tape)
+            enc.encodeBitsTape(ws.e, ws.x, row0, count, *ws.tape);
         else
             enc.encodeBits(ws.e, ws.x, row0, count);
     });
@@ -125,10 +125,10 @@ encodeRecvRange(const LpnEncoder &enc, OtWorkspace &ws, const Block *s,
                 Block *y, size_t lo, size_t hi, size_t split, int worker)
 {
     const size_t mid = std::clamp(split, lo, hi);
-    if (ws.tape.ready()) {
-        enc.encodeBlocksTape(s, y, lo, hi - lo, ws.tape);
+    if (ws.tape) {
+        enc.encodeBlocksTape(s, y, lo, hi - lo, *ws.tape);
         if (mid < hi)
-            enc.encodeBitsTape(ws.e, ws.x, mid, hi - mid, ws.tape);
+            enc.encodeBitsTape(ws.e, ws.x, mid, hi - mid, *ws.tape);
         return;
     }
     if (lo < mid)
@@ -139,7 +139,7 @@ encodeRecvRange(const LpnEncoder &enc, OtWorkspace &ws, const Block *s,
 }
 
 /**
- * Build the engine's index tape unless the set is above the memory
+ * Take the set's shared index tape unless the set is above the memory
  * cap (2^23+, which stays on the streaming path). Idempotent; shared
  * by both endpoints so the cap policy lives in one place.
  */
@@ -147,9 +147,9 @@ void
 ensureTapeFor(const FerretParams &p, const LpnEncoder &enc,
               OtWorkspace &ws)
 {
-    if (LpnIndexTape::bytesFor(p.n, p.lpnWeight) <=
-        OtWorkspace::kLpnTapeBytesCap)
-        enc.buildTape(ws.tape, p.n, ws.pool, ws.lpn.data());
+    if (!ws.tape && LpnIndexTape::bytesFor(p.n, p.lpnWeight) <=
+                        OtWorkspace::kLpnTapeBytesCap)
+        ws.tape = sharedLpnTape(enc, ws.pool, ws.lpn.data());
 }
 
 } // namespace

@@ -40,9 +40,10 @@
  * interleaves two directions).
  *
  * Each endpoint owns an OtWorkspace (one SPCOT leaf slot + fixed
- * thread pool + the precomputed LPN index tape), so extendInto()
- * performs zero heap allocations once warm and fans the SPCOT/LPN
- * kernels out over setThreads() workers with bit-identical output.
+ * thread pool + a reference to its set's shared LPN index tape), so
+ * extendInto() performs zero heap allocations once warm and fans the
+ * SPCOT/LPN kernels out over setThreads() workers with bit-identical
+ * output.
  * No row is staged: the leaves scatter straight to their final place
  * (the reserve prefix into the next base reserve, the tail into the
  * caller's buffer) and are LPN-encoded in place there.
@@ -104,8 +105,9 @@ class FerretCotSender
 
     /**
      * Pay the one-time sizing cost now instead of inside the first
-     * extension: leaf slot, worker pool spawn, LPN index tape build
-     * (the dominant warm-up cost), reserve capacity. Idempotent; an
+     * extension: leaf slot, worker pool spawn, the set's shared LPN
+     * index tape (built here when no engine of the set holds it: the
+     * dominant warm-up cost), reserve capacity. Idempotent; an
      * EnginePool calls this so checked-out engines are already warm.
      */
     void prewarm();

@@ -4,6 +4,9 @@
 #include <atomic>
 #include <bit>
 #include <cstring>
+#include <map>
+#include <mutex>
+#include <tuple>
 
 #include "common/logging.h"
 
@@ -336,9 +339,6 @@ LpnEncoder::buildTape(LpnIndexTape &tape, size_t rows,
                       common::ThreadPool &pool,
                       LpnEncodeScratch *scratch) const
 {
-    if (tape.ready() && tape.builtFor == p && tape.rows >= rows)
-        return;
-
     const size_t groups = (rows + kLane - 1) / kLane;
     tape.idx.assign(groups * p.d * kLane, 0);
     tape.rows = rows;
@@ -370,6 +370,25 @@ LpnEncoder::buildTape(LpnIndexTape &tape, size_t rows,
             }
         }
     });
+}
+
+std::shared_ptr<const LpnIndexTape>
+sharedLpnTape(const LpnEncoder &enc, common::ThreadPool &pool,
+              LpnEncodeScratch *scratch)
+{
+    using Key = std::tuple<size_t, size_t, unsigned, uint64_t>;
+    static std::mutex m;
+    static std::map<Key, std::weak_ptr<const LpnIndexTape>> live;
+
+    const LpnParams &p = enc.params();
+    std::lock_guard<std::mutex> lock(m);
+    std::weak_ptr<const LpnIndexTape> &slot = live[{p.n, p.k, p.d, p.seed}];
+    if (auto tape = slot.lock())
+        return tape;
+    auto tape = std::make_shared<LpnIndexTape>();
+    enc.buildTape(*tape, p.n, pool, scratch);
+    slot = tape;
+    return tape;
 }
 
 void

@@ -22,10 +22,11 @@
  * runtime-dispatched like the AES engines). The tapes come from one of
  * two places:
  *
- *  - LpnIndexTape, built once per engine: the matrix is fixed by the
- *    public seed, so every extension replays it. This is what the
- *    FERRET steady state uses while the tape fits
- *    OtWorkspace::kLpnTapeBytesCap;
+ *  - LpnIndexTape, built once per parameter set per process
+ *    (sharedLpnTape): the matrix is fixed by the public seed, so every
+ *    extension of every engine of that set replays the same read-only
+ *    tape. This is what the FERRET steady state uses while the tape
+ *    fits OtWorkspace::kLpnTapeBytesCap;
  *  - the fused streaming kernel (encodeBlocks / encodeBits), which
  *    regenerates the indices of 64 rows at a time in registers and on
  *    the stack — one AES batch, an exact multiply-shift `% k` — and
@@ -36,13 +37,14 @@
  *    over the same rows, generates each row's indices once.
  *
  * The encoder itself is immutable and shareable across threads; the
- * tape is read-only after build.
+ * tape is read-only after build and shared by every engine of its set.
  */
 
 #ifndef IRONMAN_OT_LPN_H
 #define IRONMAN_OT_LPN_H
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/bitvec.h"
@@ -84,8 +86,9 @@ struct LpnEncodeScratch
  * idx[((r / kLane) * d + i) * kLane + (r % kLane)], so a SIMD kernel
  * processing one group reads each tap's kLane indices as one
  * contiguous 32-byte line and keeps kLane independent XOR
- * accumulators in flight. Built once per engine (the matrix is fixed
- * by the public seed); read-only and shareable afterwards.
+ * accumulators in flight. The matrix is fixed by the public seed, so
+ * one tape per parameter set serves a whole process (sharedLpnTape);
+ * read-only after build.
  */
 struct LpnIndexTape
 {
@@ -186,7 +189,8 @@ class LpnEncoder
     /**
      * Build the lane-transposed index tape for rows [0, rows),
      * fanning index generation out over @p pool (one scratch per
-     * worker). Deterministic regardless of the worker count.
+     * worker). Deterministic regardless of the worker count. Always
+     * rebuilds; engines get their tape from sharedLpnTape().
      */
     void buildTape(LpnIndexTape &tape, size_t rows,
                    common::ThreadPool &pool,
@@ -275,6 +279,26 @@ class LpnEncoder
     crypto::Aes128 aes; ///< keyed by the public seed
     detail::FastMod mod;
 };
+
+/**
+ * The process's one index tape for @p enc's params, covering all
+ * n rows: the live tape when some holder still keeps one, else a tape
+ * built now on @p pool (one scratch per worker, as buildTape()).
+ * Thread-safe.
+ *
+ * The registry keeps weak references only, so a tape lives exactly as
+ * long as some caller holds it: a process that drops every engine of a
+ * set pays the build again on the next one, so a set-up timed from
+ * nothing still measures a build, not a cache hit.
+ *
+ * One registry mutex is held across the build. Concurrent first
+ * callers of a set wait for that single build instead of building
+ * duplicates; callers of other sets wait too, which is acceptable
+ * because a build happens once per set while its holders live.
+ */
+std::shared_ptr<const LpnIndexTape>
+sharedLpnTape(const LpnEncoder &enc, common::ThreadPool &pool,
+              LpnEncodeScratch *scratch);
 
 namespace detail {
 

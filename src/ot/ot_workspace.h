@@ -23,9 +23,11 @@
  * need one leaf slot: the sender empties it (every row scattered)
  * before its next transcript expands into it (DESIGN.md invariant 11).
  *
- * The workspace additionally holds the engine's precomputed LPN index
- * tape (the matrix is fixed by the public seed, so index generation
- * happens once per engine, not once per extension). Tapes above
+ * The workspace additionally holds the engine's reference to its set's
+ * LPN index tape. The matrix is fixed by the public seed, so one
+ * read-only tape per parameter set serves every engine of a process
+ * (sharedLpnTape): index generation happens once per set while some
+ * engine of it lives, not once per engine or extension. Tapes above
  * kLpnTapeBytesCap are not built, to bound memory on the 2^23+
  * parameter sets: those engines run the fused streaming encoder,
  * which regenerates 64-row mini-tapes on the stack and feeds the same
@@ -36,6 +38,7 @@
 #define IRONMAN_OT_OT_WORKSPACE_H
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/bitvec.h"
@@ -66,7 +69,8 @@ struct OtWorkspace
 
     SpcotWorkspace spcot;
     std::vector<LpnEncodeScratch> lpn; ///< tape build, one per thread
-    LpnIndexTape tape;                 ///< empty when above the cap
+    /// The set's shared tape; null above the cap.
+    std::shared_ptr<const LpnIndexTape> tape;
 
     // Receiver-side bit staging.
     BitVec e; ///< LPN input bits

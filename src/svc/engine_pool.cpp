@@ -147,8 +147,9 @@ EnginePool::checkoutSender(const ot::FerretParams &p)
         ++madeSenders;
     }
     pm.built.inc();
-    // Construction + prewarm outside the lock: tape builds are slow
-    // and other sessions must keep checking out.
+    // Construction + prewarm outside the lock: sizing the workspace,
+    // and building the set's shared tape when no engine holds it, is
+    // slow, and other sessions must keep checking out.
     lease.engine = makeSender(p);
     return lease;
 }

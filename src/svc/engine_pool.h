@@ -3,13 +3,15 @@
  * Warm-engine pooling for the COT service.
  *
  * A Ferret engine's expensive state — the OtWorkspace leaf slot (one
- * t x l matrix: 31 MB at 2^20), the spawned worker pool, and above all the
- * precomputed LPN index tape (~46 MB of AES + transpose for 2^20) —
- * depends only on FerretParams, not on the session. EnginePool keeps
- * finished engines warm, keyed by (params shape, role), and hands them
- * to the next session of the same shape: resetSession() swaps in the
- * new channel and base reserve, and the engine behaves bit-identically
- * to a freshly constructed one while reusing every buffer.
+ * t x l matrix: 31 MB at 2^20) and the spawned worker pool — depends
+ * only on FerretParams, not on the session. EnginePool keeps finished
+ * engines warm, keyed by (params shape, role), and hands them to the
+ * next session of the same shape: resetSession() swaps in the new
+ * channel and base reserve, and the engine behaves bit-identically to
+ * a freshly constructed one while reusing every buffer. A pooled engine
+ * also keeps its set's LPN index tape (~46 MB at 2^20, one per set per
+ * process: ot::sharedLpnTape) alive, so an engine built later in the
+ * same process skips the tape build.
  *
  * Invariant 12 (DESIGN.md): a pooled engine serves successive sessions
  * with zero heap allocations after its first warm extension — checkout,
@@ -137,7 +139,8 @@ class EnginePool
 
     /**
      * Construct + prewarm @p count engines per role ahead of traffic
-     * so the first sessions skip the tape build.
+     * so the first sessions skip the workspace sizing and find the
+     * set's tape built.
      */
     void prewarm(const ot::FerretParams &p, int count);
 

@@ -1,13 +1,15 @@
 /**
  * @file
  * End-to-end Ferret OTE tests: output correlations hold, bootstrapping
- * works across iterations, and the parameter sets are self-consistent
+ * works across iterations, concurrently prewarmed engines share one
+ * LPN index tape, and the parameter sets are self-consistent
  * (invariants 1 and 7 of DESIGN.md).
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
 
 #include "common/rng.h"
 #include "net/two_party.h"
@@ -203,6 +205,57 @@ TEST(FerretTest, StreamingLpnSetBootstrapsCorrectly)
               OtWorkspace::kLpnTapeBytesCap);
     FerretRun run = runFerret(p, 2, 9000, p.arity, p.prg, 2);
     expectValidCots(run, p.usableOts());
+}
+
+/**
+ * A sender and a receiver of the 2^20 set prewarm at the same time on
+ * their own pools: both end up holding the set's one shared tape, and
+ * the pair then extends correctly from it.
+ */
+TEST(FerretTest, ConcurrentPrewarmSharesOneTape)
+{
+    const FerretParams p = paperParamSet(20);
+    FerretCotSender sender(p);
+    FerretCotReceiver receiver(p);
+    sender.setThreads(2);
+    receiver.setThreads(2);
+    std::thread warm_s([&] { sender.prewarm(); });
+    std::thread warm_r([&] { receiver.prewarm(); });
+    warm_s.join();
+    warm_r.join();
+
+    // The registry keeps weak references only, so the two engines and
+    // this acquisition are the tape's only owners.
+    LpnParams lp;
+    lp.n = p.n;
+    lp.k = p.k;
+    lp.d = p.lpnWeight;
+    lp.seed = p.lpnSeed;
+    common::ThreadPool pool(1);
+    LpnEncodeScratch scratch;
+    EXPECT_EQ(sharedLpnTape(LpnEncoder(lp), pool, &scratch).use_count(), 3);
+
+    Rng dealer(9100);
+    const Block delta = dealer.nextBlock();
+    auto [base_s, base_r] = dealBaseCots(dealer, delta, p.reservedCots());
+    std::vector<Block> q_out(p.usableOts());
+    RecvOut r_out;
+    r_out.t.resize(p.usableOts());
+    net::runTwoParty(
+        [&](net::Channel &ch) {
+            sender.resetSession(ch, delta, base_s.q.data(), base_s.q.size());
+            Rng rng(9101);
+            sender.extendInto(rng, q_out.data());
+        },
+        [&](net::Channel &ch) {
+            receiver.resetSession(ch, base_r.choice, base_r.t.data(),
+                                  base_r.t.size());
+            Rng rng(9102);
+            receiver.extendInto(rng, r_out.choice, r_out.t.data());
+        });
+    for (size_t i = 0; i < q_out.size(); ++i)
+        ASSERT_EQ(r_out.t[i],
+                  q_out[i] ^ scalarMul(r_out.choice.get(i), delta));
 }
 
 TEST(FerretParamsTest, Table4SelfConsistency)

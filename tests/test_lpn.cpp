@@ -2,15 +2,18 @@
  * @file
  * LPN encoder tests: recorded matrix digests, determinism, agreement
  * of the fused streaming and tape encoders with a dense GF(2)
- * reference under every kernel, parallel == serial, and preservation
- * of the COT correlation through the encoding (invariant 4 of
- * DESIGN.md).
+ * reference under every kernel, parallel == serial, one shared index
+ * tape per parameter set (sharedLpnTape), and preservation of the COT
+ * correlation through the encoding (invariant 4 of DESIGN.md).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <latch>
+#include <memory>
 #include <string>
+#include <thread>
 
 #include "common/rng.h"
 #include "ot/base_cot.h"
@@ -566,6 +569,93 @@ TEST(LpnTapeTest, TapeBuildDeterministicAcrossThreadCounts)
     enc.buildTape(t1, p.n, pool1, s1.data());
     enc.buildTape(t4, p.n, pool4, s4.data());
     EXPECT_EQ(t1.idx, t4.idx);
+}
+
+/** sharedLpnTape() on its own pool, as an engine calls it. */
+std::shared_ptr<const LpnIndexTape>
+acquireTape(const LpnParams &p, int threads = 2)
+{
+    common::ThreadPool pool(threads);
+    std::vector<LpnEncodeScratch> scratch(pool.threads());
+    return sharedLpnTape(LpnEncoder(p), pool, scratch.data());
+}
+
+TEST(LpnSharedTapeTest, OneTapePerParameterSet)
+{
+    const LpnParams p = smallParams();
+    const auto a = acquireTape(p);
+    const auto b = acquireTape(p, 1);
+    ASSERT_TRUE(a && a->ready());
+    EXPECT_EQ(a, b);
+    EXPECT_EQ(a->builtFor, p);
+    EXPECT_EQ(a->rows, p.n);
+
+    LpnParams other_seed = p;
+    other_seed.seed += 1;
+    LpnParams other_k = p;
+    other_k.k += 1;
+    const auto c = acquireTape(other_seed);
+    const auto d = acquireTape(other_k);
+    EXPECT_NE(c, a);
+    EXPECT_NE(d, a);
+    EXPECT_NE(c, d);
+    EXPECT_EQ(c->builtFor, other_seed);
+    EXPECT_EQ(d->builtFor, other_k);
+}
+
+/**
+ * The registry holds no strong reference: once every holder lets go
+ * the tape is freed, and the next acquisition builds a new one.
+ */
+TEST(LpnSharedTapeTest, ReleasedTapeIsRebuilt)
+{
+    const LpnParams p = smallParams();
+    std::weak_ptr<const LpnIndexTape> first;
+    {
+        const auto t = acquireTape(p);
+        first = t;
+        EXPECT_EQ(acquireTape(p), t);
+    }
+    EXPECT_TRUE(first.expired());
+    const auto again = acquireTape(p);
+    ASSERT_TRUE(again && again->ready());
+    EXPECT_TRUE(first.expired());
+    EXPECT_EQ(again.use_count(), 1);
+}
+
+/** Concurrent first callers of one set wait for a single build. */
+TEST(LpnSharedTapeTest, ConcurrentFirstCallersShareOneBuild)
+{
+    LpnParams p = smallParams();
+    p.n = size_t(1) << 16; // a build long enough for the callers to meet
+    constexpr int kCallers = 4;
+    std::vector<std::shared_ptr<const LpnIndexTape>> got(kCallers);
+    std::latch start(kCallers);
+    std::vector<std::thread> callers;
+    for (int i = 0; i < kCallers; ++i)
+        callers.emplace_back([&, i] {
+            start.arrive_and_wait();
+            got[size_t(i)] = acquireTape(p);
+        });
+    for (std::thread &t : callers)
+        t.join();
+    ASSERT_TRUE(got[0] && got[0]->ready());
+    for (int i = 1; i < kCallers; ++i)
+        EXPECT_EQ(got[size_t(i)], got[0]) << "caller " << i;
+}
+
+TEST(LpnSharedTapeTest, SharedTapeEqualsPrivateBuild)
+{
+    const LpnParams p = smallParams();
+    const LpnEncoder enc(p);
+    common::ThreadPool pool(1);
+    LpnEncodeScratch scratch;
+    LpnIndexTape own;
+    enc.buildTape(own, p.n, pool, &scratch);
+
+    const auto shared = acquireTape(p, 4);
+    EXPECT_EQ(shared->rows, own.rows);
+    EXPECT_EQ(shared->idx, own.idx);
 }
 
 /**
