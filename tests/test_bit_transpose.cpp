@@ -1,6 +1,7 @@
 /**
  * @file
- * Bit-transpose tests: round-trip and known-answer coverage for
+ * Bit-transpose tests: the 64x64 kernel against its naive definition,
+ * and round-trip and known-answer coverage for
  * transposeColumnsToBlocks — the core data movement of IKNP-style OT
  * extension — including non-multiple-of-128 widths and the span-based
  * allocation-free entry point.
@@ -31,6 +32,19 @@ randomColumns(size_t n, uint64_t seed)
     for (auto &c : cols)
         c = rng.nextBits(n);
     return cols;
+}
+
+TEST(Transpose64Test, MatchesNaive)
+{
+    Rng rng(61);
+    uint64_t a[64], orig[64];
+    for (int i = 0; i < 64; ++i)
+        orig[i] = a[i] = rng.nextUint64();
+    transpose64(a);
+    for (int i = 0; i < 64; ++i)
+        for (int j = 0; j < 64; ++j)
+            ASSERT_EQ((a[i] >> j) & 1, (orig[j] >> i) & 1)
+                << "i=" << i << " j=" << j;
 }
 
 TEST(Transpose64Test, IsAnInvolution)

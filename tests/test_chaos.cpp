@@ -48,7 +48,6 @@
 #include "ot/ferret_params.h"
 #include "infer/infer_client.h"
 #include "infer/infer_server.h"
-#include "ppml/mlp_runner.h"
 #include "ppml/model_zoo.h"
 #include "svc/cot_client.h"
 #include "svc/cot_server.h"
@@ -62,6 +61,7 @@ namespace {
 
 using infer::InferClient;
 using infer::InferServer;
+using infer::ServedCell;
 using infer::ServedStack;
 using net::FaultPlan;
 using net::WireError;
@@ -295,19 +295,16 @@ TEST(ChaosTelemetryTest, FaultKindsLandInMatchingCountersWithDumps)
 
 TEST(ChaosFaultGridTest, InferServerSurvivesEveryFaultKind)
 {
-    const ppml::MlpModelSpec &spec = *ppml::findMlpModel("mlp-4x3x2");
     InferServer::Config cfg;
     cfg.sessionRecvTimeoutMs = 300;
     cfg.sessionSendTimeoutMs = 300;
     ServedStack stack(cfg);
 
-    const std::vector<int64_t> input =
-        ppml::sampleMlpInput(spec, 777, 1);
-    InferClient::Options opt;
-    opt.modelId = spec.id;
-    opt.width = 16;
     // Faults must land in counted commits over a depth-2 window.
-    opt.depth = 2;
+    const ServedCell cell{.depth = 2, .setupSeed = 0xc1ea,
+                          .firstInput = 777};
+    const std::vector<int64_t> input = cell.inputs()[0];
+    InferClient::Options opt = cell.options();
     auto runSession = [&](InferClient &client) {
         for (int r = 0; r < 3; ++r)
             client.infer(input);
@@ -318,7 +315,6 @@ TEST(ChaosFaultGridTest, InferServerSurvivesEveryFaultKind)
     // carries only the handshake and the online protocol: measure the
     // client's send stream of one clean session and arm every fault
     // inside it.
-    opt.setupSeed = 0xc1ea;
     auto clean = stack.dial(opt);
     runSession(*clean);
     const uint64_t transcript = clean->onlineBytesSent();
@@ -348,7 +344,7 @@ TEST(ChaosFaultGridTest, InferServerSurvivesEveryFaultKind)
     opt.depth = 1;
     auto client = stack.dial(opt);
     const std::vector<int64_t> got = client->infer(input);
-    EXPECT_EQ(got, ppml::mlpPlainForward(spec, input))
+    EXPECT_EQ(got, ppml::mlpPlainForward(cell.spec(), input))
         << "fracBits-0 model is exact";
     client->close();
 }
@@ -436,22 +432,16 @@ TEST(ChaosDrainTest, CotServerDrainFinishesInFlightRejectsNew)
 
 TEST(ChaosDrainTest, InferServerDrainAnswersEveryPendingRequest)
 {
-    const ppml::MlpModelSpec &spec = *ppml::findMlpModel("mlp-4x3x2");
     ServedStack stack;
     InferServer &server = stack.server;
 
-    InferClient::Options opt;
-    opt.modelId = spec.id;
-    opt.width = 16;
-    opt.depth = 4; // submissions stay pending until drain()
-    opt.setupSeed = 0xd4a2;
-    auto client = stack.dial(opt);
-
-    std::vector<std::vector<int64_t>> reqs;
-    for (int r = 0; r < 3; ++r) {
-        reqs.push_back(ppml::sampleMlpInput(spec, 4500 + r, 1));
-        client->submit(reqs.back());
-    }
+    // Depth 4: submissions stay pending until drain().
+    const ServedCell cell{.depth = 4, .count = 3, .setupSeed = 0xd4a2,
+                          .firstInput = 4500};
+    auto client = stack.dial(cell.options());
+    const std::vector<std::vector<int64_t>> reqs = cell.inputs();
+    for (const std::vector<int64_t> &r : reqs)
+        client->submit(r);
     EXPECT_EQ(client->inFlight(), 3u);
 
     // Drain starts while the requests are in flight; the session must
@@ -467,7 +457,7 @@ TEST(ChaosDrainTest, InferServerDrainAnswersEveryPendingRequest)
         EXPECT_TRUE(results[r].ok) << "request " << r << ": "
                                    << results[r].error;
         EXPECT_EQ(results[r].outputs,
-                  ppml::mlpPlainForward(spec, reqs[r]))
+                  ppml::mlpPlainForward(cell.spec(), reqs[r]))
             << "request " << r;
     }
     client->close();
@@ -565,37 +555,26 @@ TEST(ChaosRecoveryTest, ReservoirStopFailsBlockedTakerTyped)
 
 TEST(ChaosRecoveryTest, InferClientReservoirSupplySurvivesKillRestart)
 {
-    const ppml::MlpModelSpec &spec = *ppml::findMlpModel("mlp-4x3x2");
-    constexpr unsigned kWidth = 16;
-    constexpr int kRequests = 5;
-    constexpr int kKillAfter = 2;
-
-    std::vector<std::vector<int64_t>> reqs;
-    for (int r = 0; r < kRequests; ++r)
-        reqs.push_back(ppml::sampleMlpInput(spec, 9900 + r, 1));
-    const ppml::LocalMlpResult local = ppml::runLocalMlpInference(
-        spec, kWidth, reqs, 0x77a1, 0x51, ot::tinyTestParams());
+    constexpr size_t kKillAfter = 2;
+    // collect() after every submit keeps the depth-2 groups
+    // single-request, so the per-request reference stays valid.
+    const ServedCell cell{.depth = 2, .count = 5, .setupSeed = 0x51,
+                          .shareSeed = 0x77a1, .firstInput = 9900};
+    const std::vector<std::vector<int64_t>> reqs = cell.inputs();
+    const std::vector<std::vector<int64_t>> local = cell.reference(1);
 
     // Backend A: COT daemon + stock + inference daemon.
     auto stack = std::make_unique<ServedStack>();
     const uint16_t port = stack->port;
     const uint16_t cot_port = stack->cotPort;
 
-    InferClient::Options opt;
-    opt.modelId = spec.id;
-    opt.width = kWidth;
-    opt.batch = 1;
-    opt.shareSeed = 0x77a1;
-    opt.setupSeed = 0x51;
+    InferClient::Options opt = cell.options();
     opt.autoReconnect = true;
     opt.retry = fastRetry(10);
-    // collect() after every submit keeps the depth-2 groups
-    // single-request — the per-request local reference stays valid.
-    opt.depth = 2;
     auto client = stack->dial(opt);
 
     size_t completed = 0, failed = 0;
-    for (int r = 0; r < kRequests; ++r) {
+    for (size_t r = 0; r < reqs.size(); ++r) {
         if (r == kKillAfter) {
             // Kill the WHOLE backend — inference daemon, COT daemon,
             // stock — and restart all of it on the same ports. The
@@ -610,7 +589,7 @@ TEST(ChaosRecoveryTest, InferClientReservoirSupplySurvivesKillRestart)
         client->submit(reqs[r]);
         const InferClient::Result res = client->collect();
         if (res.ok) {
-            EXPECT_EQ(res.outputs, local.outputs[r]) << "request " << r;
+            EXPECT_EQ(res.outputs, local[r]) << "request " << r;
             ++completed;
         } else {
             EXPECT_FALSE(res.error.empty());
@@ -619,7 +598,7 @@ TEST(ChaosRecoveryTest, InferClientReservoirSupplySurvivesKillRestart)
     }
     EXPECT_GE(client->reconnects(), 1u);
     EXPECT_LE(failed, 1u);
-    EXPECT_GE(completed, size_t(kRequests - 1));
+    EXPECT_GE(completed, reqs.size() - 1);
     client->close();
 }
 
@@ -629,28 +608,23 @@ TEST(ChaosRecoveryTest, RedialResendsWithinRenegotiatedWindow)
     // auto-commit; the backend restarts with depth bound 2, so the
     // redial's recv-ahead holds 4. Only the group whose Commit raced
     // the kill may fail: the rest resend within the new window.
-    const ppml::MlpModelSpec &spec = *ppml::findMlpModel("mlp-4x3x2");
     constexpr size_t kDepth = 8, kStreamed = 15;
+    const ServedCell cell{.depth = kDepth, .count = kStreamed + 1,
+                          .firstInput = 6100};
     auto protocolAborts = [] {
         return metrics::Registry::instance().counterValue(
             "infer_sessions_failed_protocol_total");
     };
     const uint64_t aborts_before = protocolAborts();
     auto stack = std::make_unique<ServedStack>();
-    InferClient::Options opt;
-    opt.modelId = spec.id;
-    opt.width = 16;
-    opt.depth = kDepth;
+    InferClient::Options opt = cell.options();
     opt.autoReconnect = true;
     opt.retry = fastRetry(10);
     auto client = stack->dial(opt);
 
-    std::vector<std::vector<int64_t>> reqs;
-    for (size_t r = 0; r <= kStreamed; ++r) {
-        reqs.push_back(ppml::sampleMlpInput(spec, 6100 + r, 1));
-        if (r < kStreamed)
-            client->submit(reqs[r]);
-    }
+    const std::vector<std::vector<int64_t>> reqs = cell.inputs();
+    for (size_t r = 0; r < kStreamed; ++r)
+        client->submit(reqs[r]);
     InferServer::Config narrow;
     narrow.maxDepth = 2;
     const uint16_t port = stack->port, cot_port = stack->cotPort;
@@ -662,7 +636,7 @@ TEST(ChaosRecoveryTest, RedialResendsWithinRenegotiatedWindow)
     ASSERT_EQ(results.size(), kStreamed + 1);
     EXPECT_GE(client->reconnects(), 1u);
     EXPECT_EQ(client->negotiatedDepth(), 2u);
-    const int64_t bound = ppml::mlpTruncationErrorBound(spec);
+    const int64_t bound = ppml::mlpTruncationErrorBound(cell.spec());
     for (size_t r = 0; r < results.size(); ++r) {
         EXPECT_EQ(results[r].tag, uint32_t(r + 1));
         if (!results[r].ok) {
@@ -672,7 +646,7 @@ TEST(ChaosRecoveryTest, RedialResendsWithinRenegotiatedWindow)
             continue;
         }
         const std::vector<int64_t> plain =
-            ppml::mlpPlainForward(spec, reqs[r]);
+            ppml::mlpPlainForward(cell.spec(), reqs[r]);
         ASSERT_EQ(results[r].outputs.size(), plain.size());
         for (size_t i = 0; i < plain.size(); ++i)
             EXPECT_LE(std::llabs(results[r].outputs[i] - plain[i]), bound)
@@ -696,17 +670,14 @@ TEST(ChaosRecoveryTest, RedialResendsWithinRenegotiatedWindow)
 
 TEST(ChaosRecoveryTest, InferClientFailsTypedWithoutBackend)
 {
-    const ppml::MlpModelSpec &spec = *ppml::findMlpModel("mlp-4x3x2");
     auto stack = std::make_unique<ServedStack>();
 
-    InferClient::Options opt;
-    opt.modelId = spec.id;
-    opt.width = 16;
+    const ServedCell cell{.firstInput = 321};
+    InferClient::Options opt = cell.options();
     opt.autoReconnect = true;
     opt.retry = fastRetry(3);
     auto client = stack->dial(opt);
-    const std::vector<int64_t> input =
-        ppml::sampleMlpInput(spec, 321, 1);
+    const std::vector<int64_t> input = cell.inputs()[0];
     client->infer(input); // healthy first
 
     stack.reset(); // no restart: the budget must expire

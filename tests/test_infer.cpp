@@ -3,21 +3,29 @@
  * Inference-service tests (src/infer + the operator-stock half of
  * src/svc):
  *
- *  - infer wire handshake round trips at its exact v4 size and
+ *  - infer wire handshake round trips at its exact v5 sizes and
  *    rejects structurally bad hellos (magic, version, model, width,
  *    batch, depth, session ids);
- *  - THE acceptance criterion: served inference over loopback TCP,
- *    reservoir-fed via the attached COT service, reconstructs outputs
- *    BIT-IDENTICAL to the in-process MlpRunner/FerretCotEngine path
- *    (ppml::runLocalMlpInference) for 2 model-zoo networks x 2
- *    bitwidths each — and within the truncation bound of the
- *    plaintext reference;
- *  - concurrent sessions all reconstruct correctly;
+ *  - THE acceptance criterion, as one bit-identity grid over
+ *    served_stack.h (DESIGN.md invariants 13, 14 and 16): served
+ *    inference over loopback TCP, reservoir-fed via the attached COT
+ *    service, reconstructs outputs BIT-IDENTICAL to the grouped
+ *    in-process MlpRunner/FerretCotEngine reference
+ *    (ppml::runLocalMlpInference) and within the truncation bound of
+ *    plaintext — across zoo models, widths 8-32, batches, depths 1, 2
+ *    and 8 (a partial group included), under one byte per chosen OT
+ *    on the packed wire, and with fuzzed wire trace ids;
+ *  - concurrent sessions all reconstruct correctly, and the server
+ *    clamps a requested depth to its bound;
  *  - a server without an operator stock refuses every hello typed and
  *    keeps accepting;
- *  - invariant 13 (DESIGN.md): serving a second wave of reservoir-fed
- *    sessions constructs no new OT engines — the COT service's warm
- *    pool covers session churn.
+ *  - hostile peers (malformed hellos, retired v1-v4 dialects, garbage
+ *    opcodes, truncated frames, window floods, bad commit counts) kill
+ *    their own session, never the server, which then serves
+ *    bit-exactly;
+ *  - invariant 13: serving a second wave of reservoir-fed sessions
+ *    constructs no new OT engines — the COT service's warm pool covers
+ *    session churn.
  *
  * The whole file runs over real sockets where it matters; it is also
  * part of the CI TSan target (server threads + reservoir refill
@@ -26,18 +34,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <memory>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "infer/infer_client.h"
 #include "infer/infer_server.h"
 #include "infer/wire.h"
 #include "net/channel.h"
+#include "net/socket_channel.h"
 #include "ppml/mlp_runner.h"
 #include "ppml/model_zoo.h"
 #include "served_stack.h"
+#include "svc/cot_client.h"
 #include "svc/cot_server.h"
 #include "svc/operator_stock.h"
 
@@ -147,110 +161,182 @@ TEST(InferWireTest, RejectsStructurallyBadHellos)
 }
 
 // ---------------------------------------------------------------------------
-// Served inference == in-process inference, bit for bit
+// The bit-identity grid: served inference == in-process inference
 // ---------------------------------------------------------------------------
 
-/** The model x width grid the acceptance criterion names. */
-struct GridPoint
-{
-    const char *model;
-    unsigned width;
-};
-constexpr GridPoint kGrid[] = {
-    {"mlp-16x8x4", 24},
-    {"mlp-16x8x4", 32},
-    {"mlp-12x6x3", 16},
-    {"mlp-12x6x3", 32},
-};
-
-constexpr uint64_t kShareSeed = 0x517a9e;
-constexpr uint64_t kSetupSeed = 777;
-// Enough requests that a w32 session's operator banks and reservoirs
-// each compact (ppml::CotBank) at least twice between pairing checks.
-constexpr int kRequests = 8;
-constexpr uint32_t kBatch = 3;
-
-std::vector<std::vector<int64_t>>
-gridRequests(const MlpModelSpec &spec)
-{
-    std::vector<std::vector<int64_t>> reqs;
-    for (int r = 0; r < kRequests; ++r)
-        reqs.push_back(
-            ppml::sampleMlpInput(spec, 9000 + r, kBatch));
-    return reqs;
-}
-
+/**
+ * Serve @p cell on @p stack, submitting every input before collecting,
+ * and hold each reply to the cell's grouped local reference bit for bit
+ * and to plaintext within the truncation bound, with the window, the
+ * packed wire and the client counters as they must be.
+ */
 void
-expectServedMatchesLocal(InferClient &client, const MlpModelSpec &spec,
-                         unsigned width)
+expectServesCell(const ServedStack &stack, const ServedCell &cell)
 {
-    const std::vector<std::vector<int64_t>> reqs = gridRequests(spec);
-    const ppml::LocalMlpResult local = ppml::runLocalMlpInference(
-        spec, width, reqs, kShareSeed, kSetupSeed,
-        ot::tinyTestParams());
+    const MlpModelSpec &spec = cell.spec();
+    const std::vector<std::vector<int64_t>> inputs = cell.inputs();
+    const std::vector<std::vector<int64_t>> expect =
+        cell.reference(cell.depth);
     const int64_t bound = ppml::mlpTruncationErrorBound(spec);
 
-    for (int r = 0; r < kRequests; ++r) {
-        const std::vector<int64_t> served = client.infer(reqs[r]);
-        // Bit-identity with the in-process path: the GMW shares are
-        // deterministic given the input shares, so the correlation
-        // supply and transport must not change a single output bit.
-        ASSERT_EQ(served, local.outputs[r])
-            << spec.name << " w" << width << " request " << r;
-        // And sanity against plaintext, within the truncation bound.
-        const std::vector<int64_t> plain =
-            ppml::mlpPlainForward(spec, reqs[r]);
-        ASSERT_EQ(served.size(), plain.size());
-        for (size_t i = 0; i < served.size(); ++i)
-            ASSERT_LE(std::llabs(served[i] - plain[i]), bound)
-                << spec.name << " w" << width << " output " << i;
+    auto client = stack.dial(cell.options());
+    ASSERT_EQ(client->negotiatedDepth(), cell.depth);
+    EXPECT_EQ(client->traceNegotiated(), cell.traceWire);
+    const uint64_t base_bytes =
+        client->onlineBytesSent() + client->onlineBytesReceived();
+
+    // Up to 2x depth requests stay in flight: the submission that
+    // reaches 2x commits the oldest depth-sized group.
+    const size_t depth = cell.depth;
+    std::vector<uint32_t> tags;
+    size_t pending = 0;
+    bool committed = false;
+    for (const std::vector<int64_t> &in : inputs) {
+        tags.push_back(client->submit(in));
+        if (++pending == 2 * depth) {
+            pending -= depth;
+            committed = true;
+        }
+        ASSERT_EQ(client->inFlight(), pending);
     }
+    // With nothing answered yet, collect() commits the oldest group —
+    // a partial one when fewer than depth are pending.
+    std::vector<InferClient::Result> results{client->collect()};
+    if (!committed)
+        pending -= std::min(pending, depth);
+    EXPECT_EQ(client->inFlight(), pending);
+    for (InferClient::Result &res : client->drain())
+        results.push_back(std::move(res));
+
+    ASSERT_EQ(results.size(), inputs.size());
+    for (size_t r = 0; r < inputs.size(); ++r) {
+        EXPECT_EQ(results[r].tag, tags[r]);
+        // The GMW shares are a deterministic function of the input
+        // shares and the grouping, so neither the correlation supply
+        // nor the transport may change a single output bit.
+        ASSERT_EQ(results[r].outputs, expect[r]) << "request " << r;
+        const std::vector<int64_t> plain =
+            ppml::mlpPlainForward(spec, inputs[r]);
+        ASSERT_EQ(plain.size(), expect[r].size());
+        for (size_t i = 0; i < plain.size(); ++i)
+            ASSERT_LE(std::llabs(results[r].outputs[i] - plain[i]), bound)
+                << "request " << r << " output " << i;
+    }
+    // Packed bytes, not just packed-equal outputs: an image runs
+    // cotsPerImage chosen OTs in each direction. An AND-gate OT (the
+    // bulk) ships three bits and a MUX OT 2*width+1, so the packed
+    // wire stays under one byte per OT including the share tensors;
+    // the Block-wide codec ships 32. Correlations ride the COT
+    // sessions, so the inference channel carries online bytes only.
+    const double bytes_per_image =
+        double(client->onlineBytesSent() + client->onlineBytesReceived() -
+               base_bytes) /
+        double(cell.count * cell.batch);
+    EXPECT_LE(bytes_per_image, 2.0 * double(spec.cotsPerImage(cell.width)));
+    EXPECT_EQ(client->requestsRun(), uint64_t(cell.count));
+    EXPECT_GT(client->cotsConsumed(), 0u);
+    EXPECT_GT(client->preprocBytesSent(), 0u);
+    client->close();
 }
 
-TEST(InferServiceTest, ReservoirSupplyBitIdenticalToLocal)
+constexpr uint64_t kGridShareSeed = 0x517a9e;
+constexpr uint64_t kPackShareSeed = 0x9a11ad;
+
+const ServedCell kGrid[] = {
+    // The acceptance grid: 2 zoo models x 2 widths, batch 3, enough
+    // requests that a w32 session's operator banks and reservoirs each
+    // compact (ppml::CotBank) at least twice between pairing checks.
+    {.model = "mlp-16x8x4", .width = 24, .batch = 3, .count = 8,
+     .setupSeed = 777, .shareSeed = kGridShareSeed, .firstInput = 9000},
+    {.model = "mlp-16x8x4", .width = 32, .batch = 3, .count = 8,
+     .setupSeed = 777, .shareSeed = kGridShareSeed, .firstInput = 9000},
+    {.model = "mlp-12x6x3", .width = 16, .batch = 3, .count = 8,
+     .setupSeed = 777, .shareSeed = kGridShareSeed, .firstInput = 9000},
+    {.model = "mlp-12x6x3", .width = 32, .batch = 3, .count = 8,
+     .setupSeed = 777, .shareSeed = kGridShareSeed, .firstInput = 9000},
+    // The packed wire's narrow end (width 8 exists only on the
+    // fracBits-0 toy) and the acceptance-grid widths.
+    {.model = "mlp-4x3x2", .width = 8, .batch = 2, .count = 2,
+     .setupSeed = 1234, .shareSeed = kPackShareSeed, .firstInput = 7100},
+    {.model = "mlp-12x6x3", .width = 16, .batch = 2, .count = 2,
+     .setupSeed = 1234, .shareSeed = kPackShareSeed, .firstInput = 7100},
+    {.model = "mlp-16x8x4", .width = 32, .batch = 2, .count = 2,
+     .setupSeed = 1234, .shareSeed = kPackShareSeed, .firstInput = 7100},
+    // One depth-8 group (the fracBits-0 toy is exact against plaintext
+    // too), and a partial group that collect() flushes.
+    {.model = "mlp-4x3x2", .width = 8, .depth = 8, .count = 8,
+     .setupSeed = 1234, .shareSeed = kPackShareSeed, .firstInput = 7100},
+    {.model = "mlp-16x8x4", .width = 32, .depth = 8, .count = 8,
+     .setupSeed = 1234, .shareSeed = kPackShareSeed, .firstInput = 7100},
+    {.model = "mlp-4x3x2", .width = 8, .depth = 8, .count = 3,
+     .setupSeed = 1234, .shareSeed = kPackShareSeed, .firstInput = 7100},
+    // Streaming at depth 2: groups {0,1} and {2,3} commit at the 4th
+    // and 6th submission, {4,5} at collect().
+    {.model = "mlp-16x8x4", .width = 32, .depth = 2, .count = 6,
+     .setupSeed = 4321, .shareSeed = kPackShareSeed, .firstInput = 8200},
+    // Fuzzed trace ids: trace context is observability, never protocol
+    // input, so no id may change an output bit or kill the server.
+    {.model = "mlp-16x8x4", .width = 32, .batch = 2, .count = 2,
+     .setupSeed = 4242, .shareSeed = kGridShareSeed, .firstInput = 9000,
+     .traceWire = true, .traceId = 0, .traceSampled = false},
+    {.model = "mlp-16x8x4", .width = 32, .batch = 2, .count = 2,
+     .setupSeed = 4242, .shareSeed = kGridShareSeed, .firstInput = 9000,
+     .traceWire = true, .traceId = ~uint64_t(0)},
+    {.model = "mlp-16x8x4", .width = 32, .batch = 2, .count = 2,
+     .setupSeed = 4242, .shareSeed = kGridShareSeed, .firstInput = 9000,
+     .traceWire = true, .traceId = 0x8000000000000000ULL,
+     .traceSampled = false},
+    {.model = "mlp-16x8x4", .width = 32, .batch = 2, .count = 2,
+     .setupSeed = 4242, .shareSeed = kGridShareSeed, .firstInput = 9000,
+     .traceWire = true, .traceId = 0xdb91f6e49c3a5512ULL,
+     .traceSampled = false},
+};
+
+class ServedGridTest : public testing::TestWithParam<ServedCell>
 {
+};
+
+TEST_P(ServedGridTest, BitIdenticalToGroupedLocalReference)
+{
+    const ServedCell &cell = GetParam();
     ServedStack stack;
-    for (const GridPoint &g : kGrid) {
-        const MlpModelSpec &spec = *ppml::findMlpModel(g.model);
-        InferClient::Options opt;
-        opt.modelId = spec.id;
-        opt.width = g.width;
-        opt.batch = kBatch;
-        opt.setupSeed = kSetupSeed + g.width; // distinct COT sessions
-        opt.shareSeed = kShareSeed;
-        auto client = stack.dial(opt);
-        expectServedMatchesLocal(*client, spec, g.width);
-        EXPECT_EQ(client->requestsRun(), uint64_t(kRequests));
-        EXPECT_GT(client->cotsConsumed(), 0u);
-        EXPECT_GT(client->preprocBytesSent(), 0u);
-        client->close();
-    }
+    expectServesCell(stack, cell);
     stack.stop();
-    EXPECT_EQ(stack.server.sessionsServed(),
-              sizeof(kGrid) / sizeof(kGrid[0]));
-    EXPECT_EQ(stack.server.imagesServed(),
-              uint64_t(kRequests) * kBatch *
-                  (sizeof(kGrid) / sizeof(kGrid[0])));
+    EXPECT_EQ(stack.server.sessionsServed(), 1u);
+    EXPECT_EQ(stack.server.requestsServed(), cell.count);
+    EXPECT_EQ(stack.server.imagesServed(), cell.count * cell.batch);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Cells, ServedGridTest, testing::ValuesIn(kGrid),
+    [](const testing::TestParamInfo<ServedCell> &info) {
+        const ServedCell &c = info.param;
+        std::string name = std::to_string(info.index) + "_" + c.model +
+                           "_w" + std::to_string(c.width) + "_b" +
+                           std::to_string(c.batch) + "_d" +
+                           std::to_string(c.depth) + "_n" +
+                           std::to_string(c.count);
+        if (c.traceWire)
+            name += "_trace";
+        std::replace(name.begin(), name.end(), '-', '_');
+        return name;
+    });
 
 TEST(InferServiceTest, ConcurrentReservoirSessions)
 {
     ServedStack stack;
-    const MlpModelSpec &spec = *ppml::findMlpModel("mlp-16x8x4");
     constexpr int kClients = 4;
     std::vector<std::thread> clients;
     std::vector<int> ok(kClients, 0); // int, not bool: bit-packing races
     for (int i = 0; i < kClients; ++i)
         clients.emplace_back([&, i] {
-            InferClient::Options opt;
-            opt.modelId = spec.id;
-            opt.width = 32;
-            opt.batch = 2;
-            opt.setupSeed = 4000 + i;
-            opt.shareSeed = 5000 + i;
-            auto client = stack.dial(opt);
-            const std::vector<int64_t> input =
-                ppml::sampleMlpInput(spec, 6000 + i, 2);
+            const ServedCell cell{.model = "mlp-16x8x4", .width = 32,
+                                  .batch = 2, .setupSeed = 4000u + i,
+                                  .shareSeed = 5000u + i,
+                                  .firstInput = 6000u + i};
+            const MlpModelSpec &spec = cell.spec();
+            auto client = stack.dial(cell.options());
+            const std::vector<int64_t> input = cell.inputs()[0];
             const std::vector<int64_t> served = client->infer(input);
             const std::vector<int64_t> plain =
                 ppml::mlpPlainForward(spec, input);
@@ -347,6 +433,177 @@ TEST(InferServiceTest, ForeignOrBogusCotSessionsRejectedAtHandshake)
     EXPECT_EQ(stack.server.sessionsRejected(), 1u);
 }
 
+TEST(InferServiceTest, ServerClampsRequestedDepth)
+{
+    InferServer::Config cfg;
+    cfg.maxDepth = 2;
+    ServedStack stack(cfg);
+
+    const ServedCell cell{.model = "mlp-4x3x2", .width = 8, .depth = 8,
+                          .count = 5, .setupSeed = 1234,
+                          .shareSeed = 0x9a11ad, .firstInput = 7100};
+    auto client = stack.dial(cell.options());
+    EXPECT_EQ(client->negotiatedDepth(), 2);
+
+    // Five submissions through a depth-2 window: auto-commit keeps the
+    // session inside the negotiated bound without caller bookkeeping.
+    for (const auto &r : cell.inputs())
+        client->submit(r);
+    EXPECT_EQ(client->drain().size(), 5u);
+    client->close();
+    stack.stop();
+    EXPECT_EQ(stack.server.requestsServed(), 5u);
+}
+
+/** A hand-rolled inference connection and the COT sessions it names. */
+struct RawSession
+{
+    std::unique_ptr<svc::CotClient> sendCot, recvCot;
+    std::unique_ptr<net::SocketChannel> ch;
+};
+
+TEST(InferServiceTest, HostilePeersKillTheirSessionNotTheServer)
+{
+    InferServer::Config cfg;
+    cfg.maxDepth = 2;
+    ServedStack stack(cfg);
+    const ServedCell survivor{.model = "mlp-4x3x2", .width = 8,
+                              .depth = 2, .count = 2, .setupSeed = 1234,
+                              .shareSeed = 0x9a11ad, .firstInput = 7100};
+    const MlpModelSpec &spec = survivor.spec();
+
+    // One raw session per probe. With `accepted` its hello names two
+    // live COT sessions of this peer — fresh ones, as a session end
+    // drops its sids from the stock — so the probe reaches the op loop
+    // (correlations ride the COT sessions, so the opcode parser is the
+    // first thing it meets). Otherwise the probe owns the handshake.
+    uint64_t cot_seed = survivor.setupSeed;
+    auto open = [&](bool accepted) {
+        RawSession s;
+        s.ch = net::tcpConnect("127.0.0.1", stack.port);
+        if (accepted) {
+            std::tie(s.sendCot, s.recvCot) =
+                stack.cotSessions(cot_seed += 2);
+            InferHello h;
+            h.modelId = spec.id;
+            h.width = 8;
+            h.sendSessionId = s.sendCot->sessionId();
+            h.recvSessionId = s.recvCot->sessionId();
+            h.depth = 2;
+            sendInferHello(*s.ch, h);
+            EXPECT_EQ(recvInferAccept(*s.ch).status, InferStatus::Ok);
+        }
+        return s;
+    };
+    auto handshake = [&](auto send) {
+        RawSession s = open(false);
+        send(*s.ch);
+        s.ch->flush();
+        return recvInferAccept(*s.ch).status;
+    };
+    // The server must drop a violating session WITHOUT answering: the
+    // next read sees a dead session, never a response tag.
+    auto expectDied = [](RawSession &s, const char *what) {
+        try {
+            s.ch->flush();
+            (void)recvInferTag(*s.ch);
+            ADD_FAILURE() << what << ": server answered";
+        } catch (const std::exception &) {
+        }
+    };
+    const std::vector<uint64_t> x(spec.inputDim(), 1);
+    auto sendFrame = [&](net::SocketChannel &ch, uint32_t tag) {
+        sendInferOp(ch, InferOp::Infer);
+        sendInferTag(ch, tag);
+        sendShareVectorPacked(ch, x.data(), x.size(), 8);
+    };
+
+    // Handshake: a truncated hello gets no reply (both ends would block
+    // reading), so just hang up; the rest are refused typed before any
+    // online byte — a stale peer would run the Block-wide wire (v1),
+    // negotiate packing per session (v2), ask for an engine on this
+    // channel (v3) or send a count-less barrier Commit (v4).
+    {
+        RawSession s = open(false);
+        const uint8_t prefix[3] = {0x46, 0x49, 0x52};
+        s.ch->sendBytes(prefix, sizeof(prefix));
+        s.ch->flush();
+    }
+    EXPECT_EQ(handshake([](net::SocketChannel &ch) {
+                  const uint8_t junk[128] = {1, 2, 3, 4};
+                  ch.sendBytes(junk, sizeof(junk));
+              }),
+              InferStatus::BadMagic);
+    auto hello = [&](uint16_t version, uint16_t depth) {
+        return [=, &spec](net::SocketChannel &ch) {
+            InferHello h;
+            h.version = version;
+            h.modelId = spec.id;
+            h.width = 8;
+            h.sendSessionId = 1;
+            h.recvSessionId = 2;
+            h.depth = depth;
+            sendInferHello(ch, h);
+        };
+    };
+    for (const uint16_t version : {1, 2, 3, 4, 9})
+        EXPECT_EQ(handshake(hello(version, 2)), InferStatus::BadVersion)
+            << "version " << version;
+    EXPECT_EQ(handshake(hello(kInferWireVersion, 0)), InferStatus::BadDepth);
+
+    // After the accept: each violation kills its session.
+    {
+        RawSession s = open(true);
+        const uint8_t op = 0xEE;
+        s.ch->sendBytes(&op, 1);
+        expectDied(s, "garbage opcode");
+    }
+    (void)open(true); // abrupt close right after the accept
+    {
+        RawSession s = open(true);
+        sendInferOp(*s.ch, InferOp::Infer);
+        sendInferTag(*s.ch, 1);
+        const uint8_t half[4] = {};
+        s.ch->sendBytes(half, sizeof(half));
+        s.ch->flush(); // truncated shares, then close
+    }
+    {
+        // Infer frames past the 2x-depth recv-ahead window: the server
+        // hangs up at the fifth without evaluating, maybe mid-flood.
+        RawSession s = open(true);
+        try {
+            for (uint32_t r = 0; r < 5; ++r)
+                sendFrame(*s.ch, r);
+        } catch (const std::exception &) {
+        }
+        expectDied(s, "window flood");
+    }
+    {
+        // Commit count 0 is meaningless: nothing-pending is expressed
+        // by not committing.
+        RawSession s = open(true);
+        sendInferOp(*s.ch, InferOp::Commit);
+        sendCommitCount(*s.ch, 0);
+        expectDied(s, "count zero");
+    }
+    {
+        RawSession s = open(true);
+        sendFrame(*s.ch, 1);
+        sendInferOp(*s.ch, InferOp::Commit);
+        sendCommitCount(*s.ch, 2);
+        expectDied(s, "count beyond pending");
+    }
+
+    // The server still serves a well-formed streaming session bit-exactly.
+    expectServesCell(stack, survivor);
+    stack.stop();
+    // Bad magic, the five versions and zero depth reject at the
+    // handshake; the truncated hello and the post-accept violations
+    // abort without counting either way.
+    EXPECT_GE(stack.server.sessionsRejected(), 7u);
+    EXPECT_GE(stack.server.sessionsServed(), 1u);
+}
+
 TEST(OperatorStockTest, SessionEndFreesUnclaimedResidue)
 {
     // A COT session nobody's inference session ever consumes (e.g. a
@@ -402,7 +659,6 @@ TEST(InferServiceTest, ReservoirSessionChurnReusesWarmEngines)
     ServedStack stack;
     svc::CotServer &cot = stack.cot;
     InferServer &server = stack.server;
-    const MlpModelSpec &spec = *ppml::findMlpModel("mlp-12x6x3");
     // A session's engine returns to the pool when its (asynchronous)
     // server-side epilogue runs; the next wave may only start once the
     // previous wave's COT sessions fully unwound, or it correctly
@@ -420,13 +676,10 @@ TEST(InferServiceTest, ReservoirSessionChurnReusesWarmEngines)
         }
     };
     auto run_session = [&](uint64_t seed) {
-        InferClient::Options opt;
-        opt.modelId = spec.id;
-        opt.width = 16;
-        opt.batch = 1;
-        opt.setupSeed = seed;
-        auto client = stack.dial(opt);
-        (void)client->infer(ppml::sampleMlpInput(spec, seed, 1));
+        const ServedCell cell{.model = "mlp-12x6x3", .setupSeed = seed,
+                              .firstInput = seed};
+        auto client = stack.dial(cell.options());
+        (void)client->infer(cell.inputs()[0]);
         client->close();
     };
 

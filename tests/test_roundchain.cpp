@@ -1,7 +1,6 @@
 /**
  * @file
- * Round-chain guarantees: the Kogge-Stone comparison ladder and
- * streaming commits.
+ * Round-chain guarantees of the Kogge-Stone comparison ladder.
  *
  *  - The ladder DReLU reconstructs the plaintext sign bit across
  *    power-of-two, non-power-of-two, and degenerate widths, and local
@@ -10,12 +9,11 @@
  *  - MlpLayerStat reports MEASURED rounds that match the cost model:
  *    ceil(log2(width-1))+2 per ReLU layer (<= 8 at width 32, the
  *    acceptance bound).
- *  - Streaming commits evaluate depth-sized groups of the oldest
- *    pending requests, so served outputs equal the grouped local
- *    reference bit for bit.
- *  - Malformed streaming commits (count 0, count > pending, frame
- *    floods past the 2x-depth window) kill the session, not the
- *    server.
+ *
+ * Served streaming commits (depth-sized groups of the oldest pending
+ * requests, bit-identical to the grouped local reference) are cells of
+ * test_infer's bit-identity grid; malformed commits are probes of its
+ * hostile-peer test.
  */
 
 #include <gtest/gtest.h>
@@ -23,16 +21,9 @@
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
-#include <memory>
-#include <string>
-#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
-#include "infer/infer_client.h"
-#include "infer/infer_server.h"
-#include "infer/wire.h"
-#include "net/socket_channel.h"
 #include "net/two_party.h"
 #include "ot/ferret_params.h"
 #include "ppml/cot_engine.h"
@@ -48,25 +39,6 @@ using ppml::MlpModelSpec;
 
 constexpr uint64_t kShareSeed = 0x9a11ad;
 constexpr uint64_t kSetupSeed = 4321;
-
-std::vector<std::vector<int64_t>>
-makeRequests(const MlpModelSpec &spec, uint32_t batch, int count)
-{
-    std::vector<std::vector<int64_t>> reqs;
-    for (int r = 0; r < count; ++r)
-        reqs.push_back(ppml::sampleMlpInput(spec, 8200 + r, batch));
-    return reqs;
-}
-
-std::vector<int64_t>
-concatRequests(const std::vector<std::vector<int64_t>> &reqs,
-               size_t first, size_t count)
-{
-    std::vector<int64_t> cat;
-    for (size_t r = first; r < first + count; ++r)
-        cat.insert(cat.end(), reqs[r].begin(), reqs[r].end());
-    return cat;
-}
 
 /** Two in-process GMW parties at an arbitrary width. */
 void
@@ -143,8 +115,10 @@ TEST(RoundChainTest, LocalForwardsMatchPlainAndCotModel)
                                {"mlp-16x8x4", 32},
                                {"mlp-16x16x16x8", 24}};
     for (const Case &c : kCases) {
-        const MlpModelSpec &spec = *ppml::findMlpModel(c.model);
-        const auto reqs = makeRequests(spec, 2, 2);
+        const ServedCell cell{.model = c.model, .batch = 2, .count = 2,
+                              .firstInput = 8200};
+        const MlpModelSpec &spec = cell.spec();
+        const auto reqs = cell.inputs();
         const ppml::LocalMlpResult local = ppml::runLocalMlpInference(
             spec, c.width, reqs, kShareSeed, kSetupSeed,
             ot::tinyTestParams());
@@ -200,174 +174,6 @@ TEST(RoundChainTest, MeasuredRoundsMatchCostModel)
     EXPECT_TRUE(saw_relu);
     // The acceptance bound: width-32 DReLU+MUX in <= 8 rounds.
     EXPECT_LE(ppml::reluRounds(kWidth), 8u);
-}
-
-// ---------------------------------------------------------------------------
-// Streaming commits: bit-identity + window mechanics
-// ---------------------------------------------------------------------------
-
-TEST(RoundChainTest, StreamingServedMatchesGroupedReference)
-{
-    ServedStack stack;
-
-    const MlpModelSpec &spec = *ppml::findMlpModel("mlp-16x8x4");
-    constexpr unsigned kWidth = 32;
-    constexpr uint16_t kDepth = 2;
-    constexpr int kCount = 6;
-    const auto reqs = makeRequests(spec, 1, kCount);
-
-    // Depth 2 commits groups {0,1}, {2,3}, {4,5}, so the reference is
-    // one local session evaluating those three grouped requests in
-    // order.
-    std::vector<std::vector<int64_t>> grouped_reqs;
-    for (int g = 0; g < kCount; g += kDepth)
-        grouped_reqs.push_back(concatRequests(reqs, g, kDepth));
-    const ppml::LocalMlpResult grouped = ppml::runLocalMlpInference(
-        spec, kWidth, grouped_reqs, kShareSeed, kSetupSeed,
-        ot::tinyTestParams());
-    const size_t req_out = spec.outputDim();
-
-    InferClient::Options opt;
-    opt.modelId = spec.id;
-    opt.width = kWidth;
-    opt.batch = 1;
-    opt.setupSeed = kSetupSeed;
-    opt.shareSeed = kShareSeed;
-    opt.depth = kDepth;
-    auto client = stack.dial(opt);
-    ASSERT_EQ(client->negotiatedDepth(), kDepth);
-
-    std::vector<uint32_t> tags;
-    for (int r = 0; r < kCount; ++r)
-        tags.push_back(client->submit(reqs[r]));
-    // Submissions stream AHEAD of the window: after 6 submissions two
-    // groups committed ({0,1} at the 4th, {2,3} at the 6th) and {4,5}
-    // is still pending.
-    EXPECT_EQ(client->inFlight(), size_t(kDepth));
-
-    const auto results = client->drain();
-    ASSERT_EQ(results.size(), size_t(kCount));
-    for (int r = 0; r < kCount; ++r) {
-        EXPECT_EQ(results[r].tag, tags[r]);
-        const auto &group_out = grouped.outputs[r / kDepth];
-        const size_t off = size_t(r % kDepth) * req_out;
-        EXPECT_EQ(results[r].outputs,
-                  std::vector<int64_t>(group_out.begin() + off,
-                                       group_out.begin() + off + req_out))
-            << "streaming request " << r;
-    }
-    client->close();
-}
-
-// ---------------------------------------------------------------------------
-// Malformed streaming commits
-// ---------------------------------------------------------------------------
-
-TEST(RoundChainTest, MalformedStreamingCommitsKillSessionNotServer)
-{
-    InferServer::Config cfg;
-    cfg.maxDepth = 2;
-    ServedStack stack(cfg);
-    const MlpModelSpec &spec = *ppml::findMlpModel("mlp-4x3x2");
-
-    // A hand-rolled streaming session that reaches the op loop: a
-    // hello naming two live COT sessions of this peer, then misbehave.
-    // Fresh COT sessions per raw session: a session end drops its
-    // sids from the stock.
-    struct RawSession
-    {
-        std::unique_ptr<svc::CotClient> sendCot, recvCot;
-        std::unique_ptr<net::SocketChannel> ch;
-    };
-    uint64_t cot_seed = kSetupSeed;
-    auto openStreaming = [&]() {
-        RawSession s;
-        std::tie(s.sendCot, s.recvCot) = stack.cotSessions(cot_seed += 2);
-        s.ch = net::tcpConnect("127.0.0.1", stack.port);
-        InferHello h;
-        h.modelId = spec.id;
-        h.width = 8;
-        h.batch = 1;
-        h.sendSessionId = s.sendCot->sessionId();
-        h.recvSessionId = s.recvCot->sessionId();
-        h.depth = 2;
-        sendInferHello(*s.ch, h);
-        const InferAccept a = recvInferAccept(*s.ch);
-        EXPECT_EQ(a.status, InferStatus::Ok);
-        return s;
-    };
-    const std::vector<uint64_t> x(spec.inputDim(), 1);
-    auto sendFrame = [&](net::SocketChannel &ch, uint32_t tag) {
-        sendInferOp(ch, InferOp::Infer);
-        sendInferTag(ch, tag);
-        sendShareVectorPacked(ch, x.data(), x.size(), 8);
-    };
-    // The server must reject WITHOUT answering: the next read sees a
-    // dead session, never a response tag.
-    auto expectSessionDied = [](RawSession &s, const char *what) {
-        try {
-            s.ch->flush();
-            (void)recvInferTag(*s.ch);
-            ADD_FAILURE() << what << ": server answered a bad commit";
-        } catch (const std::exception &) {
-            // Dropped, as required.
-        }
-    };
-
-    {
-        // Commit count 0: meaningless — nothing-pending is expressed
-        // by not committing.
-        RawSession s = openStreaming();
-        sendInferOp(*s.ch, InferOp::Commit);
-        sendCommitCount(*s.ch, 0);
-        expectSessionDied(s, "count zero");
-    }
-    {
-        // Commit count beyond what was enqueued.
-        RawSession s = openStreaming();
-        sendFrame(*s.ch, 1);
-        sendInferOp(*s.ch, InferOp::Commit);
-        sendCommitCount(*s.ch, 2);
-        expectSessionDied(s, "count beyond pending");
-    }
-    {
-        // Frame flood past the streaming window (2 x depth = 4).
-        RawSession s = openStreaming();
-        try {
-            for (uint32_t r = 0; r < 5; ++r)
-                sendFrame(*s.ch, r);
-        } catch (const std::exception &) {
-            // The server may hang up mid-flood; also a pass.
-        }
-        expectSessionDied(s, "window flood");
-    }
-
-    // The server still serves a well-formed streaming session.
-    InferClient::Options opt;
-    opt.modelId = spec.id;
-    opt.width = 8;
-    opt.batch = 1;
-    opt.setupSeed = kSetupSeed;
-    opt.shareSeed = kShareSeed;
-    opt.depth = 2;
-    auto client = stack.dial(opt);
-    const auto reqs = makeRequests(spec, 1, 2);
-    const ppml::LocalMlpResult grouped = ppml::runLocalMlpInference(
-        spec, 8, {concatRequests(reqs, 0, 2)}, kShareSeed, kSetupSeed,
-        ot::tinyTestParams());
-    client->submit(reqs[0]);
-    client->submit(reqs[1]);
-    const auto results = client->drain();
-    ASSERT_EQ(results.size(), 2u);
-    const size_t out = spec.outputDim();
-    for (size_t r = 0; r < 2; ++r)
-        EXPECT_EQ(results[r].outputs,
-                  std::vector<int64_t>(
-                      grouped.outputs[0].begin() + r * out,
-                      grouped.outputs[0].begin() + (r + 1) * out));
-    client->close();
-    stack.stop();
-    EXPECT_GE(stack.server.sessionsServed(), 1u);
 }
 
 } // namespace

@@ -407,12 +407,13 @@ TEST(ThreadPoolTest, ResizeAfterUseDoesNotReplayStaleJob)
  * One async job, joined at once: every index visited exactly once in
  * non-empty ranges, ids in [0, threads()), id 0 only on the calling
  * thread and only inside wait() (threads() == 1 runs inline in
- * runAsync instead).
+ * runAsync instead). Each chunk adds its rows to @p rows_done if given.
  * Returns whether the caller ran every chunk itself.
  */
 bool
 runAsyncJob(common::ThreadPool &pool, size_t count,
-            std::vector<uint8_t> &hits)
+            std::vector<uint8_t> &hits,
+            std::atomic<size_t> *rows_done = nullptr)
 {
     hits.assign(count, 0);
     const int threads = pool.threads();
@@ -430,6 +431,8 @@ runAsyncJob(common::ThreadPool &pool, size_t count,
             by_workers.fetch_add(hi - lo, std::memory_order_relaxed);
         for (size_t i = lo; i < hi; ++i)
             hits[i]++;
+        if (rows_done)
+            rows_done->fetch_add(hi - lo, std::memory_order_release);
     };
     pool.parallelForAsync(count, job);
     in_wait = true;
@@ -474,13 +477,16 @@ TEST(ThreadPoolTest, AsyncJobVisitsEveryIndexOnceAndCallerJoinsInWait)
 TEST(ThreadPoolTest, CallerDrainsAsyncJobAlone)
 {
     // Hold the workers off until the caller has claimed every chunk:
-    // they share the caller's one CPU at SCHED_IDLE, which never
-    // preempts a normal thread, so they run only once the caller
-    // blocks in wait(). The late workers must then find the cursor
-    // spent and still check in before wait() returns. A thread of
-    // another process that preempts the caller can still let a worker
-    // in, so the drained-alone case is required at least once, and
-    // every job's contract always.
+    // they run at SCHED_IDLE, which never preempts a normal thread, on
+    // a CPU of their own that a normal-priority spinner holds until
+    // every row of the job is done. The caller, pinned elsewhere,
+    // drains the job in wait(); the late workers must then find the
+    // cursor spent and still check in before wait() returns. Another
+    // process preempting the caller cannot let a worker in, as the
+    // spinner still holds the workers' CPU. With a one-CPU mask the
+    // workers share the caller's CPU and no spinner runs; there a
+    // preempted caller can let a worker in, so the drained-alone case
+    // is required at least once, and every job's contract always.
     cpu_set_t saved;
     ASSERT_EQ(sched_getaffinity(0, sizeof saved, &saved), 0);
     struct RestoreAffinity
@@ -488,9 +494,16 @@ TEST(ThreadPoolTest, CallerDrainsAsyncJobAlone)
         const cpu_set_t &mask;
         ~RestoreAffinity() { sched_setaffinity(0, sizeof mask, &mask); }
     } restore{saved};
-    cpu_set_t one;
-    CPU_ZERO(&one);
-    CPU_SET(sched_getcpu(), &one);
+    const int caller_cpu = sched_getcpu();
+    int worker_cpu = caller_cpu;
+    for (int c = 0; c < CPU_SETSIZE && worker_cpu == caller_cpu; ++c)
+        if (c != caller_cpu && CPU_ISSET(c, &saved))
+            worker_cpu = c;
+    cpu_set_t caller_set, worker_set;
+    CPU_ZERO(&caller_set);
+    CPU_SET(caller_cpu, &caller_set);
+    CPU_ZERO(&worker_set);
+    CPU_SET(worker_cpu, &worker_set);
 
     common::ThreadPool pool(4);
     std::vector<pid_t> tids(size_t(pool.threads()));
@@ -498,11 +511,11 @@ TEST(ThreadPoolTest, CallerDrainsAsyncJobAlone)
         tids[size_t(worker)] = pid_t(syscall(SYS_gettid));
     });
     const sched_param idle{};
-    for (size_t w = 0; w < tids.size(); ++w) {
-        ASSERT_EQ(sched_setaffinity(tids[w], sizeof one, &one), 0);
-        if (w > 0) {
-            ASSERT_EQ(sched_setscheduler(tids[w], SCHED_IDLE, &idle), 0);
-        }
+    ASSERT_EQ(sched_setaffinity(tids[0], sizeof caller_set, &caller_set), 0);
+    for (size_t w = 1; w < tids.size(); ++w) {
+        ASSERT_EQ(sched_setaffinity(tids[w], sizeof worker_set, &worker_set),
+                  0);
+        ASSERT_EQ(sched_setscheduler(tids[w], SCHED_IDLE, &idle), 0);
     }
 
     std::vector<uint8_t> hits;
@@ -512,8 +525,25 @@ TEST(ThreadPoolTest, CallerDrainsAsyncJobAlone)
             // A fresh time slice, so no tick preempts the caller
             // mid-claim.
             std::this_thread::sleep_for(std::chrono::microseconds(500));
-            alone += runAsyncJob(pool, count, hits);
+            std::atomic<size_t> rows{0};
+            std::atomic<bool> holding{false};
+            std::thread spinner;
+            if (worker_cpu != caller_cpu) {
+                spinner = std::thread([&] {
+                    EXPECT_EQ(sched_setaffinity(0, sizeof worker_set,
+                                                &worker_set),
+                              0);
+                    holding.store(true, std::memory_order_release);
+                    while (rows.load(std::memory_order_acquire) < count) {
+                    }
+                });
+                while (!holding.load(std::memory_order_acquire))
+                    std::this_thread::yield();
+            }
+            alone += runAsyncJob(pool, count, hits, &rows);
             ++jobs;
+            if (spinner.joinable())
+                spinner.join();
         }
     EXPECT_GT(alone, 0) << "of " << jobs << " jobs";
 }
