@@ -2,7 +2,8 @@
  * @file
  * Per-stage breakdown of the FERRET steady-state hot path:
  *
- *   SPCOT expand — t GGM tree expansions (PRG-bound),
+ *   SPCOT expand — t GGM tree expansions, each pruned to the w leaves
+ *                  its bucket reads (PRG-bound),
  *   CRHF         — every MMO hash of one extension (chosen-OT pads,
  *                  unmask pads, mini-leaf pads), batched vs scalar,
  *   LPN          — the n-row gather-XOR, fused streaming (indices
@@ -112,6 +113,7 @@ struct E2e
 {
     double otsPerSec = 0;
     uint64_t wireBytes = 0;
+    uint64_t senderPrgOpsPerExt = 0; ///< spcot_prg_ops per transcript
 };
 
 /**
@@ -127,6 +129,7 @@ endToEnd(const FerretParams &p, int iters, bool *ok)
     auto [bs, br] = dealBaseCots(dealer, delta, p.reservedCots());
 
     double seconds = 0;
+    uint64_t sender_prg_ops = 0;
     std::vector<Block> q(p.usableOts());
     net::MemoryDuplex duplex;
     std::thread sender_thread([&] {
@@ -137,6 +140,7 @@ endToEnd(const FerretParams &p, int iters, bool *ok)
         for (int it = 0; it < iters; ++it)
             sender.extendInto(rng, q.data());
         seconds = timer.seconds();
+        sender_prg_ops = sender.stats().get("spcot_prg_ops");
     });
     FerretCotReceiver receiver(duplex.b(), p, std::move(br.choice),
                                std::move(br.t));
@@ -159,6 +163,7 @@ endToEnd(const FerretParams &p, int iters, bool *ok)
     // iters + 1 calls moved iters + 2 SPCOT transcripts: the cold
     // first call exchanges its own plus the prefetch of the next.
     e.wireBytes = duplex.totalBytes() / uint64_t(iters + 2);
+    e.senderPrgOpsPerExt = sender_prg_ops / uint64_t(iters + 2);
     return e;
 }
 
@@ -174,22 +179,25 @@ main()
     const bool fast = bench::fastMode();
     const FerretParams p =
         fast ? tinyTestParams() : bench::ironmanParams(20);
-    const SpcotConfig cfg{p.treeLeaves(), p.arity, p.prg};
+    // The engine's shape: each tree of l leaves expands only its first
+    // w; GGM cycles per leaf are per expanded leaf.
+    SpcotShape shape;
+    shape.prepare(spcotConfigOf(p));
     const double tps = ticksPerSecond();
-    std::printf("param set %s: n=%zu k=%zu t=%zu l=%zu (%.2f GHz "
+    std::printf("param set %s: n=%zu k=%zu t=%zu l=%zu w=%zu (%.2f GHz "
                 "TSC)\n\n",
                 p.name.c_str(), p.n, p.k, p.t, p.treeLeaves(),
-                tps / 1e9);
+                shape.leaves, tps / 1e9);
 
-    // -- stage 1: SPCOT expansion (t GGM trees) ------------------------
+    // -- stage 1: SPCOT expansion (t GGM trees, pruned to w leaves) ----
     {
-        GgmSumLayout layout =
-            GgmSumLayout::of(treeArities(p.treeLeaves(), p.arity));
+        const GgmSumLayout &layout = shape.layout;
+        const double expanded = double(p.t * layout.width);
 
         // Per-tree reference path (one expander call per tree level).
         auto prg = crypto::makeTreeExpander(p.prg, p.arity);
         GgmScratch scratch;
-        std::vector<Block> leaves(layout.leaves);
+        std::vector<Block> leaves(layout.width);
         std::vector<Block> sums(layout.total);
         Block leaf_sum;
         double per_tree = measureCycles(3, [&] {
@@ -207,7 +215,7 @@ main()
         std::vector<Block> seeds(kChunk);
         for (size_t i = 0; i < kChunk; ++i)
             seeds[i] = Block::fromUint64(i);
-        std::vector<Block> batch_leaves(kChunk * layout.leaves);
+        std::vector<Block> batch_leaves(kChunk * layout.width);
         std::vector<Block> batch_sums(kChunk * layout.total);
         std::vector<Block> batch_leaf_sums(kChunk);
         double cross = measureCycles(3, [&] {
@@ -215,15 +223,15 @@ main()
                 const size_t cnt = std::min(kChunk, p.t - tr0);
                 ggmExpandBatchInto(*batch_prg, seeds.data(), cnt, layout,
                                    batch_scratch, batch_leaves.data(),
-                                   layout.leaves, batch_sums.data(),
+                                   layout.width, batch_sums.data(),
                                    layout.total, batch_leaf_sums.data());
             }
         });
 
-        printRow({"GGM expand, per-tree", per_tree,
-                  per_tree / double(p.t * p.treeLeaves()), "leaf"});
-        printRow({"GGM expand, cross-tree", cross,
-                  cross / double(p.t * p.treeLeaves()), "leaf"});
+        printRow({"GGM expand, per-tree", per_tree, per_tree / expanded,
+                  "leaf"});
+        printRow({"GGM expand, cross-tree", cross, cross / expanded,
+                  "leaf"});
         std::printf("    -> level-synchronous speedup %.2fx over t=%zu "
                     "trees\n",
                     per_tree / cross, p.t);
@@ -231,8 +239,6 @@ main()
 
     // -- stage 2: CRHF (all hashes of one extension) -------------------
     {
-        SpcotShape shape;
-        shape.prepare(cfg);
         // Sender-side hash volume per extension: 2 pads per chosen OT
         // + the per-tree mini-leaf pads. (The receiver's unmask adds
         // one more pad per OT instance.)
@@ -351,10 +357,24 @@ main()
                     "%.2fx (acceptance: >= 1.2x)\n",
                     e2e.otsPerSec / 5.9e6);
 
-    // Regression sentinel for the CI bench-smoke step: a broken
-    // correlation or an implausibly slow hot path fails the run.
+    // Regression sentinels for the CI bench-smoke step: a broken
+    // correlation, an implausibly slow hot path, or trees regrown past
+    // their bucket width (more PRG work per transcript) fails the run.
+    // The pinned counts are t x (kept main-tree parents + mini-tree
+    // expansions): 20 x (214 + 15) for the tiny set, 480 x (851 + 18)
+    // at 2^20 (full trees: 7120 and 663,840).
     if (e2e.otsPerSec < 1e5)
         ok = false;
+    const uint64_t pruned_ops = fast ? 4580 : 417120;
+    std::printf("  sender spcot_prg_ops/ext  %8llu (pruned to w: %llu)\n",
+                (unsigned long long)e2e.senderPrgOpsPerExt,
+                (unsigned long long)pruned_ops);
+    if (e2e.senderPrgOpsPerExt != pruned_ops) {
+        std::printf("SPCOT PRG OPS %llu != pruned count %llu\n",
+                    (unsigned long long)e2e.senderPrgOpsPerExt,
+                    (unsigned long long)pruned_ops);
+        ok = false;
+    }
 
     // Machine-readable mirror of the table above, for the CI perf
     // trajectory (cat/archive BENCH_*.json).

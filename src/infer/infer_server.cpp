@@ -243,10 +243,10 @@ InferServer::runSession(net::SocketChannel &ch, uint64_t sid,
     };
 
     // Tagged requests enqueue up to twice the negotiated depth; Commit
-    // names how many of the OLDEST pending requests form its group and
-    // evaluates them as ONE forward (effective batch = group * batch —
-    // same lockstep call the client makes), then answers per request
-    // in submission order. The doubled recv-ahead lets the NEXT
+    // names how many of the OLDEST pending requests (at most depth)
+    // form its group and evaluates them as ONE forward (effective
+    // batch = group * batch — same lockstep call the client makes),
+    // then answers per request in submission order. The doubled recv-ahead lets the NEXT
     // group's Infer frames cross the wire (and enqueue here) while the
     // current group's forward evaluates — overlap the
     // PipeliningSimulator occupancy model says a fill/drain loop
@@ -273,7 +273,7 @@ InferServer::runSession(net::SocketChannel &ch, uint64_t sid,
             trace::note("infer", tags.back(), req_in * sizeof(uint64_t));
         } else if (op == InferOp::Commit) {
             const size_t group = recvCommitCount(ch);
-            if (group == 0 || group > tags.size())
+            if (group == 0 || group > tags.size() || group > hello.depth)
                 throw net::WireError(net::WireFault::Protocol,
                                      "infer session: bad commit count");
             const uint64_t t0_us = metrics::nowUs();

@@ -159,7 +159,10 @@ InferOp recvInferOp(net::Channel &ch);
 void sendInferTag(net::Channel &ch, uint32_t tag);
 uint32_t recvInferTag(net::Channel &ch);
 
-/** Commit group count (follows every InferOp::Commit). */
+/**
+ * Commit group count (follows every InferOp::Commit): 1 to the
+ * negotiated depth, and no more than the requests pending.
+ */
 void sendCommitCount(net::Channel &ch, uint16_t count);
 uint16_t recvCommitCount(net::Channel &ch);
 

@@ -51,16 +51,6 @@ lpnParamsOf(const FerretParams &p)
     return lp;
 }
 
-SpcotConfig
-spcotConfigOf(const FerretParams &p)
-{
-    SpcotConfig cfg;
-    cfg.numLeaves = p.treeLeaves();
-    cfg.arity = p.arity;
-    cfg.prg = p.prg;
-    return cfg;
-}
-
 /**
  * Encode rows [row0, row0+count) through the tape when one is built,
  * else through the fused streaming encoder (2^23+ sets, above the
@@ -77,16 +67,17 @@ encodeRange(const LpnEncoder &enc, OtWorkspace &ws, const Block *in,
 }
 
 /**
- * Copy rows [lo, hi) of the SPCOT output from the tree leaves @p leaf
- * (bucket b of the rows is the first b.width leaves of tree b) to
- * @p dst, which receives row lo.
+ * Copy rows [lo, hi) of the SPCOT output from the leaf slot of @p ws
+ * (bucket b of the rows is the first b.width leaves of tree b, at the
+ * stride SPCOT expanded them with) to @p dst, which receives row lo.
  */
 void
-scatterRows(const FerretParams &p, const Block *leaf, Block *dst,
+scatterRows(const FerretParams &p, const OtWorkspace &ws, Block *dst,
             size_t lo, size_t hi)
 {
     const size_t bucket = p.bucketSize();
-    const size_t leaves = p.treeLeaves();
+    const size_t leaves = ws.spcot.shape.leaves;
+    const Block *leaf = ws.leaf.data();
     while (lo < hi) {
         const size_t tr = lo / bucket;
         const size_t width = std::min((tr + 1) * bucket, hi) - lo;
@@ -234,16 +225,15 @@ FerretCotSender::extendInto(Rng &rng, Block *out)
     // empties the leaf slot for the next transcript (lpn_prefix_us
     // includes that scatter).
     phase.reset();
-    const Block *leaf = ws.leaf.data();
     const Block *lpn_r = baseQ.data();
     baseNext.resize(reserved);
     Block *z = baseNext.data();
     ws.pool.parallelFor(reserved, [&](int worker, size_t lo, size_t hi) {
-        scatterRows(p, leaf, z + lo, lo, hi);
+        scatterRows(p, ws, z + lo, lo, hi);
         encodeRange(encoder, ws, lpn_r, z + lo, lo, hi - lo, worker);
     });
     ws.pool.parallelFor(p.n - reserved, [&](int, size_t lo, size_t hi) {
-        scatterRows(p, leaf, out + lo, reserved + lo, reserved + hi);
+        scatterRows(p, ws, out + lo, reserved + lo, reserved + hi);
     });
     const uint64_t lpn_prefix_us = uint64_t(phase.seconds() * 1e6);
     stats_.add("lpn_prefix_us", lpn_prefix_us);
@@ -412,11 +402,10 @@ FerretCotReceiver::extendInto(Rng &rng, BitVec &choice_out, Block *t_out)
                          tweak, ws.spcot, *next_slot);
 
     phase.reset();
-    const Block *leaf = ws.leaf.data();
     const Block *lpn_s = baseT.data();
     baseTNext.resize(reserved);
     auto encode_part = [&](int worker, size_t lo, size_t hi, Block *y) {
-        scatterRows(p, leaf, y, lo, hi);
+        scatterRows(p, ws, y, lo, hi);
         encodeRecvRange(encoder, ws, lpn_s, y, lo, hi, split, worker);
     };
     auto encode_rows = [&](int worker, size_t lo, size_t hi) {

@@ -9,6 +9,15 @@
  * ceil(n/t) > 8192 — we keep the paper's (n, k, t) and grow the tree
  * to 16384 so every bucket is fully covered by its tree (documented in
  * EXPERIMENTS.md; noise weight and security are unchanged).
+ *
+ * l fixes the tree's shape — its levels, arities and the log2(l) base
+ * COTs each tree consumes — but not the work: the engines ask SPCOT
+ * for bucketSize() leaves per tree (spcotConfigOf), so each tree is
+ * expanded only over its first w leaves, the bucket rounded up to the
+ * last level's arity (8224 of 16384 at 2^24, 2548 of 4096 at 2^20).
+ * Those are all the leaves a bucket's rows read. The punctured PRF is
+ * only ever evaluated on the bucket's domain, as in FERRET's
+ * bootstrap, so the outputs equal those of full trees.
  */
 
 #ifndef IRONMAN_OT_FERRET_PARAMS_H
@@ -66,7 +75,8 @@ std::vector<FerretParams> allPaperParamSets();
 /**
  * A small set for unit tests and examples: n = 12800, k = 1024,
  * t = 20 (NOT cryptographically sized — protocol-correctness only).
- * bucketSize() (640) != treeLeaves() (1024), like every Table-4 set.
+ * bucketSize() (640) != treeLeaves() (1024), like every Table-4 set;
+ * each tree expands its 640 bucket leaves.
  */
 FerretParams tinyTestParams();
 

@@ -27,6 +27,13 @@ treeArities(size_t leaves, unsigned m)
     return arities;
 }
 
+size_t
+alignedTreeWidth(size_t width, size_t leaves, unsigned m)
+{
+    const size_t m_last = std::min<size_t>(m, leaves);
+    return (width + m_last - 1) / m_last * m_last;
+}
+
 void
 alphaDigitsInto(size_t alpha, const std::vector<unsigned> &arities,
                 unsigned *digits)
@@ -51,7 +58,7 @@ alphaDigits(size_t alpha, const std::vector<unsigned> &arities)
 }
 
 GgmSumLayout
-GgmSumLayout::of(const std::vector<unsigned> &arities)
+GgmSumLayout::of(const std::vector<unsigned> &arities, size_t width)
 {
     GgmSumLayout layout;
     layout.arities = arities;
@@ -62,23 +69,105 @@ GgmSumLayout::of(const std::vector<unsigned> &arities)
         layout.total += m;
         layout.leaves *= m;
     }
+    layout.width = width ? width : layout.leaves;
+    IRONMAN_CHECK(layout.width <= layout.leaves,
+                  "tree width exceeds its leaf count");
+
+    // Depth d keeps every node with a kept leaf below it.
+    layout.nodes.resize(arities.size() + 1);
+    size_t below = layout.leaves;
+    for (size_t d = 0; d <= arities.size(); ++d) {
+        layout.nodes[d] = (layout.width + below - 1) / below;
+        if (d < arities.size())
+            below /= arities[d];
+    }
     return layout;
 }
 
-void
-GgmScratch::reserve(size_t leaves, unsigned max_arity)
+size_t
+GgmSumLayout::expansions() const
 {
-    // Intermediate levels hold at most leaves/2 nodes (the last level
-    // is written straight into the caller's span), but reconstruction
-    // packs up to a full level of children.
-    if (ping.size() < leaves)
-        ping.resize(leaves);
-    if (pong.size() < leaves)
-        pong.resize(leaves);
-    if (parents.size() < leaves)
-        parents.resize(leaves);
-    if (children.size() < leaves)
-        children.resize(leaves);
+    size_t total = 0;
+    for (size_t d = 0; d < arities.size(); ++d)
+        total += nodes[d];
+    return total;
+}
+
+namespace {
+
+/** Children level @p lvl expands per tree (before pruning). */
+size_t
+bornAt(const GgmSumLayout &layout, size_t lvl)
+{
+    return layout.nodes[lvl] * layout.arities[lvl];
+}
+
+/** Widest level one tree's expansion writes, over levels [0, upto). */
+size_t
+widestLevel(const GgmSumLayout &layout, size_t upto)
+{
+    size_t widest = 1;
+    for (size_t lvl = 0; lvl < upto; ++lvl)
+        widest = std::max(widest, bornAt(layout, lvl));
+    return widest;
+}
+
+/**
+ * Whether the last level can be expanded straight into a caller span
+ * of stride @p leaf_stride: it must produce exactly the kept leaves.
+ */
+bool
+directFinalLevel(const GgmSumLayout &layout, size_t leaf_stride)
+{
+    return leaf_stride == layout.width &&
+           bornAt(layout, layout.arities.size() - 1) == layout.width;
+}
+
+/** XOR of the last level's slot sums: every expanded leaf. */
+Block
+lastLevelXor(const GgmSumLayout &layout, const Block *level_sums)
+{
+    const size_t last = layout.arities.size() - 1;
+    const Block *sums = level_sums + layout.offset[last];
+    Block total = Block::zero();
+    for (unsigned c = 0; c < layout.arities[last]; ++c)
+        total ^= sums[c];
+    return total;
+}
+
+/**
+ * Move each tree's first @p keep of @p born nodes down to stride
+ * @p keep, in place (tree 0 is already there; every destination lies
+ * below its source, so a forward copy never reads a moved node).
+ */
+void
+compactTrees(Block *matrix, size_t num_trees, size_t born, size_t keep)
+{
+    if (keep == born)
+        return;
+    for (size_t tr = 1; tr < num_trees; ++tr)
+        std::copy(matrix + tr * born, matrix + tr * born + keep,
+                  matrix + tr * keep);
+}
+
+} // namespace
+
+void
+GgmScratch::reserve(const GgmSumLayout &layout)
+{
+    // Every level, the staged last one included, fits the widest;
+    // reconstruction packs up to a full level of parents/children.
+    const size_t cap = widestLevel(layout, layout.arities.size());
+    const unsigned max_arity = *std::max_element(layout.arities.begin(),
+                                                 layout.arities.end());
+    if (ping.size() < cap)
+        ping.resize(cap);
+    if (pong.size() < cap)
+        pong.resize(cap);
+    if (parents.size() < cap)
+        parents.resize(cap);
+    if (children.size() < cap)
+        children.resize(cap);
     if (acc.size() < max_arity)
         acc.resize(max_arity);
 }
@@ -90,17 +179,16 @@ ggmExpandInto(crypto::SeedExpander &prg, const Block &seed,
 {
     const size_t num_levels = layout.arities.size();
     IRONMAN_CHECK(num_levels >= 1);
-    unsigned max_arity = *std::max_element(layout.arities.begin(),
-                                           layout.arities.end());
-    scratch.reserve(layout.leaves, max_arity);
+    scratch.reserve(layout);
 
     Block *cur = scratch.ping.data();
     cur[0] = seed;
-    size_t count = 1;
 
     for (size_t lvl = 0; lvl < num_levels; ++lvl) {
         const unsigned m = layout.arities[lvl];
-        Block *next = lvl + 1 == num_levels
+        const size_t count = layout.nodes[lvl];
+        Block *next = lvl + 1 == num_levels &&
+                              directFinalLevel(layout, layout.width)
                           ? leaves
                           : (cur == scratch.ping.data()
                                  ? scratch.pong.data()
@@ -114,13 +202,11 @@ ggmExpandInto(crypto::SeedExpander &prg, const Block &seed,
                 sums[c] ^= next[j * m + c];
 
         cur = next;
-        count *= m;
     }
 
-    Block total = Block::zero();
-    for (size_t j = 0; j < layout.leaves; ++j)
-        total ^= leaves[j];
-    *leaf_sum = total;
+    if (cur != leaves)
+        std::copy_n(cur, layout.width, leaves);
+    *leaf_sum = lastLevelXor(layout, level_sums);
 }
 
 void
@@ -128,12 +214,10 @@ GgmBatchScratch::reserve(size_t trees, const GgmSumLayout &layout,
                          bool staged_leaves)
 {
     const size_t num_levels = layout.arities.size();
-    // Non-final levels hold at most leaves/last_arity nodes per tree;
-    // a staged final level additionally ping-pongs the full leaf set.
-    size_t cap = num_levels >= 2 ? layout.leaves / layout.arities.back()
-                                 : 1;
-    if (staged_leaves)
-        cap = std::max(cap, layout.leaves);
+    // Non-final levels ping-pong through the matrices; a staged final
+    // level does too.
+    const size_t cap =
+        widestLevel(layout, staged_leaves ? num_levels : num_levels - 1);
     const unsigned max_arity = *std::max_element(layout.arities.begin(),
                                                  layout.arities.end());
     if (ping.size() < trees * cap)
@@ -159,17 +243,18 @@ ggmExpandBatchInto(crypto::SeedExpander &prg, const Block *seeds,
 {
     const size_t num_levels = layout.arities.size();
     IRONMAN_CHECK(num_levels >= 1 && num_trees >= 1);
-    const bool staged = leaf_stride != layout.leaves;
+    const bool staged = !directFinalLevel(layout, leaf_stride);
     scratch.reserve(num_trees, layout, staged);
 
     std::copy(seeds, seeds + num_trees, scratch.seeds.data());
     const Block *cur = scratch.seeds.data();
     Block *pa = scratch.ping.data();
     Block *pb = scratch.pong.data();
-    size_t count = 1;
 
     for (size_t lvl = 0; lvl < num_levels; ++lvl) {
         const unsigned m = layout.arities[lvl];
+        const size_t count = layout.nodes[lvl];
+        const size_t born = count * m;
         const bool final_lvl = lvl + 1 == num_levels;
         Block *next = final_lvl && !staged ? leaves
                                            : (cur == pa ? pb : pa);
@@ -181,35 +266,26 @@ ggmExpandBatchInto(crypto::SeedExpander &prg, const Block *seeds,
         for (size_t tr = 0; tr < num_trees; ++tr) {
             Block *sums =
                 level_sums + tr * sums_stride + layout.offset[lvl];
-            const Block *kids = next + tr * count * m;
+            const Block *kids = next + tr * born;
             std::fill(sums, sums + m, Block::zero());
             for (size_t j = 0; j < count; ++j)
                 for (unsigned c = 0; c < m; ++c)
                     sums[c] ^= kids[j * m + c];
         }
 
+        compactTrees(next, num_trees, born, layout.nodes[lvl + 1]);
         cur = next;
-        count *= m;
     }
 
     if (staged)
         for (size_t tr = 0; tr < num_trees; ++tr)
-            std::copy_n(cur + tr * layout.leaves, layout.leaves,
+            std::copy_n(cur + tr * layout.width, layout.width,
                         leaves + tr * leaf_stride);
 
-    // XOR of a tree's leaves == XOR of its final-level slot sums.
-    if (leaf_sums) {
-        const size_t last = num_levels - 1;
-        const unsigned m = layout.arities[last];
-        for (size_t tr = 0; tr < num_trees; ++tr) {
-            const Block *sums =
-                level_sums + tr * sums_stride + layout.offset[last];
-            Block total = Block::zero();
-            for (unsigned c = 0; c < m; ++c)
-                total ^= sums[c];
-            leaf_sums[tr] = total;
-        }
-    }
+    if (leaf_sums)
+        for (size_t tr = 0; tr < num_trees; ++tr)
+            leaf_sums[tr] =
+                lastLevelXor(layout, level_sums + tr * sums_stride);
 }
 
 void
@@ -221,11 +297,11 @@ ggmReconstructBatchInto(crypto::SeedExpander &prg, const size_t *alphas,
 {
     const size_t num_levels = layout.arities.size();
     IRONMAN_CHECK(num_levels >= 1 && num_trees >= 1);
-    const bool staged = leaf_stride != layout.leaves;
+    const bool staged = !directFinalLevel(layout, leaf_stride);
     scratch.reserve(num_trees, layout, staged);
 
     for (size_t tr = 0; tr < num_trees; ++tr) {
-        IRONMAN_CHECK(alphas[tr] < layout.leaves);
+        IRONMAN_CHECK(alphas[tr] < layout.width);
         alphaDigitsInto(alphas[tr], layout.arities,
                         scratch.digits.data() + tr * num_levels);
         scratch.holes[tr] = 0;
@@ -241,10 +317,11 @@ ggmReconstructBatchInto(crypto::SeedExpander &prg, const size_t *alphas,
     Block *pa = scratch.ping.data();
     Block *pb = scratch.pong.data();
     Block *acc = scratch.acc.data();
-    size_t count = 1;
 
     for (size_t lvl = 0; lvl < num_levels; ++lvl) {
         const unsigned m = layout.arities[lvl];
+        const size_t count = layout.nodes[lvl];
+        const size_t born = count * m;
         const bool final_lvl = lvl + 1 == num_levels;
         Block *next = final_lvl && !staged ? leaves
                                            : (cur == pa ? pb : pa);
@@ -254,7 +331,7 @@ ggmReconstructBatchInto(crypto::SeedExpander &prg, const size_t *alphas,
             const unsigned digit =
                 scratch.digits[tr * num_levels + lvl];
             const size_t hole = scratch.holes[tr];
-            Block *kids = next + tr * count * m;
+            Block *kids = next + tr * born;
 
             std::fill(acc, acc + m, Block::zero());
             for (size_t j = 0; j < count; ++j) {
@@ -275,13 +352,13 @@ ggmReconstructBatchInto(crypto::SeedExpander &prg, const size_t *alphas,
             scratch.holes[tr] = hole * m + digit;
         }
 
+        compactTrees(next, num_trees, born, layout.nodes[lvl + 1]);
         cur = next;
-        count *= m;
     }
 
     if (staged)
         for (size_t tr = 0; tr < num_trees; ++tr)
-            std::copy_n(cur + tr * layout.leaves, layout.leaves,
+            std::copy_n(cur + tr * layout.width, layout.width,
                         leaves + tr * leaf_stride);
 }
 
@@ -291,26 +368,26 @@ ggmReconstructInto(crypto::SeedExpander &prg, size_t alpha,
                    GgmScratch &scratch, Block *leaves)
 {
     const size_t num_levels = layout.arities.size();
-    IRONMAN_CHECK(num_levels >= 1 && alpha < layout.leaves);
+    IRONMAN_CHECK(num_levels >= 1 && alpha < layout.width);
     constexpr size_t kMaxLevels = 64;
     IRONMAN_CHECK(num_levels <= kMaxLevels);
     unsigned digits[kMaxLevels];
     alphaDigitsInto(alpha, layout.arities, digits);
-    unsigned max_arity = *std::max_element(layout.arities.begin(),
-                                           layout.arities.end());
-    scratch.reserve(layout.leaves, max_arity);
+    scratch.reserve(layout);
 
-    // cur holds all nodes of the current level; the entry at the path
-    // index `hole` is unknown (kept zero and never read as a parent).
+    // cur holds the kept nodes of the current level; the entry at the
+    // path index `hole` is unknown (kept zero and never read as a
+    // parent).
     Block *cur = scratch.ping.data();
     cur[0] = Block::zero();
-    size_t count = 1;
     size_t hole = 0;
 
     for (size_t lvl = 0; lvl < num_levels; ++lvl) {
         const unsigned m = layout.arities[lvl];
         const unsigned digit = digits[lvl];
-        Block *next = lvl + 1 == num_levels
+        const size_t count = layout.nodes[lvl];
+        Block *next = lvl + 1 == num_levels &&
+                              directFinalLevel(layout, layout.width)
                           ? leaves
                           : (cur == scratch.ping.data()
                                  ? scratch.pong.data()
@@ -349,10 +426,11 @@ ggmReconstructInto(crypto::SeedExpander &prg, size_t alpha,
 
         hole = hole * m + digit;
         cur = next;
-        count *= m;
     }
 
     IRONMAN_CHECK(hole == alpha);
+    if (cur != leaves)
+        std::copy_n(cur, layout.width, leaves);
 }
 
 } // namespace ironman::ot

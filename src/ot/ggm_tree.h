@@ -13,6 +13,17 @@
  * 4 becomes level arities [2, 4, 4, 4, 4, 4, 4]. This is how the
  * paper's Table 4 trees (l = 8192, 4-ary) are realizable.
  *
+ * Trees are pruned to a leaf prefix: a layout of width w expands only
+ * the nodes with a leaf in [0, w) below them — level i keeps the first
+ * ceil(w / leaves-below-a-level-i-node) nodes — so the FERRET engines
+ * pay for the ceil(n/t) leaves a regular-noise bucket reads, not for
+ * the bit_ceil tree around it. Every child of a kept parent is
+ * expanded and enters the level's slot sums (at most m-1 per level lie
+ * past the prefix and are dropped after summing), so the receiver,
+ * whose punctured path stays inside the prefix (alpha < w), derives
+ * the same sums. A full tree is the case w == leaves. The leaves
+ * [0, w) equal the full tree's; the slot sums do not.
+ *
  * The entry points are span-based and allocation-free: callers
  * provide the output leaf span, a flattened level-sum span described
  * by GgmSumLayout, and a reusable GgmScratch.
@@ -37,6 +48,13 @@ namespace ironman::ot {
  */
 std::vector<unsigned> treeArities(size_t leaves, unsigned m);
 
+/**
+ * @p width rounded up to the last level's arity of treeArities(@p
+ * leaves, @p m), min(m, leaves): the narrowest prefix of at least
+ * @p width leaves whose last level a pruned expansion writes exactly.
+ */
+size_t alignedTreeWidth(size_t width, size_t leaves, unsigned m);
+
 /** Digits of @p alpha in the mixed radix of @p arities (MSD first). */
 std::vector<unsigned> alphaDigits(size_t alpha,
                                   const std::vector<unsigned> &arities);
@@ -46,8 +64,9 @@ void alphaDigitsInto(size_t alpha, const std::vector<unsigned> &arities,
                      unsigned *digits);
 
 /**
- * Flattened storage layout of the per-level slot sums: level i's
- * arities[i] sums live at [offset[i], offset[i] + arities[i]).
+ * Shape of one (pruned) tree plus the flattened storage layout of its
+ * per-level slot sums: level i's arities[i] sums live at
+ * [offset[i], offset[i] + arities[i]).
  */
 struct GgmSumLayout
 {
@@ -55,8 +74,17 @@ struct GgmSumLayout
     std::vector<uint32_t> offset;  ///< per-level start into the flat span
     size_t leaves = 0;             ///< product of arities
     size_t total = 0;              ///< flat span length (sum of arities)
+    size_t width = 0;              ///< leaves kept: the prefix [0, width)
+    /// Kept nodes per depth (levels + 1 entries, nodes[0] == 1 root,
+    /// nodes.back() == width); level i expands nodes[i] parents.
+    std::vector<size_t> nodes;
 
-    static GgmSumLayout of(const std::vector<unsigned> &arities);
+    /** Layout over the first @p width leaves (0: every leaf). */
+    static GgmSumLayout of(const std::vector<unsigned> &arities,
+                           size_t width = 0);
+
+    /** Parent expansions per tree: the sum of nodes[0 .. levels). */
+    size_t expansions() const;
 };
 
 /**
@@ -72,24 +100,26 @@ struct GgmScratch
     std::vector<Block> children; ///< reconstruction: their children
     std::vector<Block> acc;      ///< reconstruction: per-slot partial sums
 
-    /** Pre-size every buffer for trees up to @p leaves leaves. */
-    void reserve(size_t leaves, unsigned max_arity);
+    /** Pre-size every buffer for one tree of @p layout. */
+    void reserve(const GgmSumLayout &layout);
 };
 
 /**
  * Expand @p seed through the levels of @p layout.
  *
- * @param leaves Receives layout.leaves blocks (the tree leaves).
+ * @param leaves Receives layout.width blocks (the kept leaves).
  * @param level_sums Receives layout.total blocks (the flattened K keys).
- * @param leaf_sum Receives the XOR of all leaves.
+ * @param leaf_sum Receives the XOR of every expanded last-level child
+ *        (the XOR of the kept leaves when layout.width is a multiple
+ *        of the last arity, as SPCOT's stride always is).
  */
 void ggmExpandInto(crypto::SeedExpander &prg, const Block &seed,
                    const GgmSumLayout &layout, GgmScratch &scratch,
                    Block *leaves, Block *level_sums, Block *leaf_sum);
 
 /**
- * Reconstruct all leaves except @p alpha into @p leaves
- * (layout.leaves blocks; the entry at alpha is set to zero).
+ * Reconstruct all kept leaves except @p alpha < layout.width into
+ * @p leaves (layout.width blocks; the entry at alpha is set to zero).
  *
  * @param known_sums Flat span per @p layout; the entry at level i's
  *        punctured digit is ignored.
@@ -102,7 +132,9 @@ void ggmReconstructInto(crypto::SeedExpander &prg, size_t alpha,
  * Reusable scratch of the level-synchronous cross-tree batch path:
  * ping-pong matrices holding ALL trees' level-i nodes lane-contiguous
  * (tree-major), so each level of the whole batch is ONE SeedExpander
- * call. Grow-only; one instance per thread.
+ * call. A pruned level is compacted in place (each tree's kept prefix
+ * moved down to stride nodes[i+1]) before the next level expands it.
+ * Grow-only; one instance per thread.
  */
 struct GgmBatchScratch
 {
@@ -116,8 +148,8 @@ struct GgmBatchScratch
     /**
      * Pre-size for @p trees trees of @p layout. @p staged_leaves must
      * be true when the final level cannot be written straight into the
-     * caller's span (leaf_stride != layout.leaves), which stages the
-     * last level in the ping-pong matrices too.
+     * caller's span (see ggmExpandBatchInto), which stages the last
+     * level in the ping-pong matrices too.
      */
     void reserve(size_t trees, const GgmSumLayout &layout,
                  bool staged_leaves);
@@ -131,13 +163,15 @@ struct GgmBatchScratch
  * tree-major stays tree-major). Bit-identical to ggmExpandInto() per
  * tree.
  *
- * When @p leaf_stride == layout.leaves the final level is expanded
- * DIRECTLY into @p leaves (tree tr at leaves + tr*leaf_stride), as
- * the FERRET engines' leaf slot does; otherwise the last level is
- * staged and copied per tree.
+ * When @p leaf_stride == layout.width and the last level expands
+ * exactly width children (width a multiple of the last arity), the
+ * final level is expanded DIRECTLY into @p leaves (tree tr at
+ * leaves + tr*leaf_stride), as the FERRET engines' leaf slot does;
+ * otherwise the last level is staged and its kept prefix copied per
+ * tree.
  *
- * @param leaf_sums Receives each tree's XOR-of-leaves (num_trees
- *        entries); may be nullptr.
+ * @param leaf_sums Receives each tree's leaf sum as ggmExpandInto()
+ *        defines it (num_trees entries); may be nullptr.
  */
 void ggmExpandBatchInto(crypto::SeedExpander &prg, const Block *seeds,
                         size_t num_trees, const GgmSumLayout &layout,
@@ -152,9 +186,9 @@ void ggmExpandBatchInto(crypto::SeedExpander &prg, const Block *seeds,
  * children are discarded and recovered from the known sums, so no
  * parent packing/unpacking pass is needed). Bit-identical leaf output
  * to ggmReconstructInto() per tree; tree tr's known sums are read at
- * known_sums + tr*sums_stride, its leaves written at
- * leaves + tr*leaf_stride (direct final-level expansion when
- * leaf_stride == layout.leaves, staged otherwise).
+ * known_sums + tr*sums_stride, its layout.width leaves written at
+ * leaves + tr*leaf_stride (direct or staged final level, by the same
+ * rule as ggmExpandBatchInto).
  */
 void ggmReconstructBatchInto(crypto::SeedExpander &prg,
                              const size_t *alphas, size_t num_trees,

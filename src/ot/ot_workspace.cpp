@@ -17,6 +17,16 @@ sameShape(const FerretParams &a, const FerretParams &b)
 
 } // namespace
 
+SpcotConfig
+spcotConfigOf(const FerretParams &p)
+{
+    SpcotConfig cfg;
+    cfg.numLeaves = p.bucketSize();
+    cfg.arity = p.arity;
+    cfg.prg = p.prg;
+    return cfg;
+}
+
 void
 OtWorkspace::prepare(const FerretParams &p, int threads)
 {
@@ -25,7 +35,9 @@ OtWorkspace::prepare(const FerretParams &p, int threads)
         return;
 
     pool.resize(threads);
-    leaf.resize(p.t * p.treeLeaves());
+    SpcotShape shape;
+    shape.prepare(spcotConfigOf(p));
+    leaf.resize(p.t * shape.leaves);
 
     // The SPCOT workspace sizes itself per role on the first
     // spcotSend*/spcotRecv* call (still warm-up, and it avoids

@@ -16,12 +16,14 @@
  * deterministic range partitions, so multi-threaded output is
  * bit-identical to single-threaded.
  *
- * There are no LPN staging rows: each engine scatters the t x l SPCOT
- * leaves straight to where its rows end up — rows [0, reservedCots())
- * into the engine's next base reserve, the rest into the caller's
- * output buffer — and LPN-encodes them in place there. Both parties
- * need one leaf slot: the sender empties it (every row scattered)
- * before its next transcript expands into it (DESIGN.md invariant 11).
+ * There are no LPN staging rows: each engine scatters the t x w SPCOT
+ * leaves (w = SpcotShape::leaves of spcotConfigOf(p): every tree
+ * pruned to its bucket, rounded up to the last arity) straight to
+ * where its rows end up — rows [0, reservedCots()) into the engine's
+ * next base reserve, the rest into the caller's output buffer — and
+ * LPN-encodes them in place there. Both parties need one leaf slot:
+ * the sender empties it (every row scattered) before its next
+ * transcript expands into it (DESIGN.md invariant 11).
  *
  * The workspace additionally holds the engine's reference to its set's
  * LPN index tape. The matrix is fixed by the public seed, so one
@@ -50,6 +52,12 @@
 
 namespace ironman::ot {
 
+/**
+ * The SPCOT shape of @p p's trees: each yields the bucketSize() leaves
+ * its bucket's rows read (a bit_ceil tree pruned to them).
+ */
+SpcotConfig spcotConfigOf(const FerretParams &p);
+
 /** All per-engine mutable state of one OTE endpoint. */
 struct OtWorkspace
 {
@@ -64,7 +72,7 @@ struct OtWorkspace
     void prepare(const FerretParams &p, int threads);
 
     common::ThreadPool pool{1};
-    /// t x treeLeaves() SPCOT leaves, tree-major.
+    /// t x w SPCOT leaves, tree-major at stride w = spcot.shape.leaves.
     std::vector<Block> leaf;
 
     SpcotWorkspace spcot;

@@ -10,7 +10,7 @@ namespace ironman::ot {
 size_t
 SpcotConfig::cotsPerTree() const
 {
-    return std::countr_zero(numLeaves);
+    return std::countr_zero(std::bit_ceil(numLeaves));
 }
 
 namespace {
@@ -28,9 +28,13 @@ void
 SpcotShape::prepare(const SpcotConfig &config)
 {
     cfg = config;
-    arities = treeArities(config.numLeaves, config.arity);
-    layout = GgmSumLayout::of(arities);
-    leaves = layout.leaves;
+    const size_t l = std::bit_ceil(config.numLeaves);
+    arities = treeArities(l, config.arity);
+    // Aligned so the final level expands straight into the stride-W
+    // leaf span and the leaf sum covers exactly the W outputs.
+    layout = GgmSumLayout::of(
+        arities, alignedTreeWidth(config.numLeaves, l, config.arity));
+    leaves = layout.width;
 
     const size_t num_levels = arities.size();
     instOffset.assign(num_levels, 0);
@@ -285,6 +289,8 @@ spcotRecvSendChoices(net::Channel &ch, const SpcotConfig &cfg,
     // Choice bits in traversal order: !digit for arity-2 levels,
     // !digit-bit for each mini level of wider ones.
     for (size_t tr = 0; tr < num_trees; ++tr) {
+        IRONMAN_CHECK(alphas[tr] < sh.leaves,
+                      "alpha outside the tree width");
         unsigned *dg = slot.digits.data() + tr * num_levels;
         alphaDigitsInto(alphas[tr], sh.arities, dg);
         const size_t inst_base = tr * sh.cotsPerTree;

@@ -3,9 +3,18 @@
  * Batched SPCOT (single-point correlated OT), Sec. 2.3.1 and 4 of the
  * paper.
  *
- * One SPCOT instance over a tree with l leaves gives:
- *   sender:   w_0..w_{l-1}  (the GGM leaves) and its global Delta
- *   receiver: alpha, v_0..v_{l-1}  with  w_j = v_j ^ (j==alpha)*Delta
+ * SpcotConfig::numLeaves asks each tree for N leaves. The tree has
+ * l = bit_ceil(N) leaves and is pruned to its first W (see
+ * ggm_tree.h), N rounded up to the last level's arity. One SPCOT
+ * instance gives for every j < W:
+ *   sender:   w_j  (the kept GGM leaves) and its global Delta
+ *   receiver: alpha < W, v_j  with  w_j = v_j ^ (j==alpha)*Delta
+ * W (SpcotShape::leaves) is also the leaf stride: the final level
+ * expands straight into the caller's stride-W span, and the leaf sum
+ * the recovery block carries covers exactly the W outputs. Pruning
+ * changes neither the OT count (log2 l per tree) nor the transcript
+ * size. A power-of-two N is a full tree (W == l); the FERRET engines
+ * ask for their bucket ceil(n/t).
  *
  * Per tree level of arity m the receiver obtains all child-slot sums
  * except the one at its path digit:
@@ -66,7 +75,7 @@ namespace ironman::ot {
 /** Shape of every tree in a batched SPCOT execution. */
 struct SpcotConfig
 {
-    size_t numLeaves = 4096;                      ///< l (power of two)
+    size_t numLeaves = 4096; ///< N: leaves each tree yields (l = bit_ceil)
     unsigned arity = 4;                           ///< m (power of two)
     crypto::PrgKind prg = crypto::PrgKind::ChaCha8;
 
@@ -77,7 +86,7 @@ struct SpcotConfig
                prg == o.prg;
     }
 
-    /** Base COTs consumed per tree: log2(numLeaves). */
+    /** Base COTs consumed per tree: log2(bit_ceil(numLeaves)). */
     size_t cotsPerTree() const;
 };
 
@@ -92,8 +101,8 @@ struct SpcotShape
 {
     SpcotConfig cfg;
     std::vector<unsigned> arities;
-    GgmSumLayout layout;              ///< main-tree level sums
-    size_t leaves = 0;
+    GgmSumLayout layout;              ///< main-tree shape and level sums
+    size_t leaves = 0;                ///< expanded width W = leaf stride
     size_t cotsPerTree = 0;           ///< OT instances per tree
     size_t sumsPerTree = 0;           ///< masked sums (= tweaks) per tree
     size_t extraPerTree = 0;          ///< extra blocks per tree (sums + 1)
@@ -195,7 +204,7 @@ struct SpcotWorkspace
 
 /**
  * Sender side of a batched SPCOT over @p num_trees trees, writing tree
- * tr's leaves to w[tr*cfg.numLeaves ...] and pushing the whole
+ * tr's leaves to w[tr*ws.shape.leaves ...] and pushing the whole
  * transcript. Zero heap allocation once @p ws is warm.
  *
  * @param q Base-COT sender strings, num_trees*cotsPerTree() entries,
@@ -234,7 +243,7 @@ void spcotRecvRecvTranscript(net::Channel &ch, const SpcotConfig &cfg,
  * Receiver stage 3: unmask the chosen-OT outputs with the base-COT
  * strings @p t (num_trees*cotsPerTree() entries), reconstruct every
  * punctured tree, and write tree tr's leaf vector to
- * v[tr*cfg.numLeaves ...].
+ * v[tr*ws.shape.leaves ...] (every alpha must be below it).
  */
 void spcotRecvFinish(const SpcotConfig &cfg, size_t num_trees,
                      const Block *t, common::ThreadPool &pool,

@@ -115,6 +115,30 @@ TEST(FerretTest, ThreeIterationsBootstrapCorrectly)
     expectValidCots(run, p.usableOts());
 }
 
+/** Leaves each engine tree of @p p expands (SPCOT's leaf stride). */
+size_t
+expandedLeaves(const FerretParams &p)
+{
+    SpcotShape shape;
+    shape.prepare(spcotConfigOf(p));
+    return shape.leaves;
+}
+
+TEST(FerretTest, TreesExpandOnlyTheBucketWidth)
+{
+    // tinyTestParams: t = 20 trees of l = 1024 (arities 4^5), each
+    // pruned to its w = 640 bucket leaves: 1 + 3 + 10 + 40 + 160 = 214
+    // main-tree expansions plus 5 wide levels x 3 mini-tree ones, so
+    // 20 x 229 = 4580 PRG ops per transcript (full trees: 7120). Three
+    // extensions send four transcripts (the first call's own plus one
+    // prefetch per call).
+    FerretParams p = tinyTestParams();
+    ASSERT_EQ(expandedLeaves(p), 640u);
+    FerretRun run = runFerret(p, 3, 2500);
+    expectValidCots(run, p.usableOts());
+    EXPECT_EQ(run.sender_spcot_ops, 4u * 4580u);
+}
+
 TEST(FerretTest, OutputsDifferAcrossIterations)
 {
     FerretParams p = tinyTestParams();
@@ -263,8 +287,12 @@ TEST(FerretParamsTest, Table4SelfConsistency)
     auto sets = allPaperParamSets();
     for (size_t i = 0; i < sets.size(); ++i) {
         const FerretParams &p = sets[i];
-        // Trees cover every bucket.
-        EXPECT_GE(p.treeLeaves(), p.bucketSize()) << p.name;
+        // Trees cover every bucket, and expand no more than it needs
+        // rounded up to the last arity.
+        const size_t w = expandedLeaves(p);
+        EXPECT_GE(p.treeLeaves(), w) << p.name;
+        EXPECT_GE(w, p.bucketSize()) << p.name;
+        EXPECT_LT(w, p.bucketSize() + p.arity) << p.name;
         EXPECT_GE(p.t * p.bucketSize(), p.n) << p.name;
         // The extension is productive.
         EXPECT_GT(p.usableOts(), 0u) << p.name;
@@ -282,6 +310,9 @@ TEST(FerretParamsTest, TreeSizesMatchPaperWhereCoverable)
     // 2^23/2^24: bucket > 8192, we grow to 16384 (see EXPERIMENTS.md).
     EXPECT_EQ(paperParamSet(23).treeLeaves(), 16384u);
     EXPECT_EQ(paperParamSet(24).treeLeaves(), 16384u);
+    // Each tree expands its bucket, rounded up to the last arity.
+    EXPECT_EQ(expandedLeaves(paperParamSet(20)), 2548u);
+    EXPECT_EQ(expandedLeaves(paperParamSet(24)), 8224u);
 }
 
 TEST(LpnSecurityTest, Table4SetsNear128Bit)

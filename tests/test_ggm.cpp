@@ -2,8 +2,9 @@
  * @file
  * GGM tree tests: the punctured reconstruction must agree with the
  * sender's expansion on every leaf except alpha, across arities, PRGs
- * and tree sizes (invariant 3 of DESIGN.md). Exercises the span-based
- * workspace API (ggmExpandInto / ggmReconstructInto) directly.
+ * and tree sizes, full and pruned to a leaf prefix (invariant 3 of
+ * DESIGN.md). Exercises the span-based workspace API (ggmExpandInto /
+ * ggmReconstructInto) directly.
  */
 
 #include <gtest/gtest.h>
@@ -195,6 +196,103 @@ INSTANTIATE_TEST_SUITE_P(
                std::to_string(info.param.arity) + "_l" +
                std::to_string(info.param.leaves);
     });
+
+struct PrunedCase
+{
+    unsigned arity;
+    size_t leaves;
+    const char *name;
+};
+
+class PrunedGgmTest : public ::testing::TestWithParam<PrunedCase>
+{};
+
+TEST_P(PrunedGgmTest, PrefixMatchesFullTreeAndReconstructs)
+{
+    const auto [arity, leaves, name] = GetParam();
+    const auto arities = treeArities(leaves, arity);
+    const GgmSumLayout full = GgmSumLayout::of(arities);
+    Rng rng(4321);
+    const Block seed = rng.nextBlock();
+
+    auto prg = crypto::makeTreeExpander(PrgKind::ChaCha8, arity);
+    GgmScratch scratch;
+    std::vector<Block> full_leaves(leaves), full_sums(full.total);
+    Block full_sum;
+    ggmExpandInto(*prg, seed, full, scratch, full_leaves.data(),
+                  full_sums.data(), &full_sum);
+
+    for (size_t width : {size_t(1), size_t(arity - 1), size_t(arity + 1),
+                         leaves / 2 + 1, leaves - 1, leaves}) {
+        const GgmSumLayout layout = GgmSumLayout::of(arities, width);
+        ASSERT_EQ(layout.width, width);
+        ASSERT_EQ(layout.nodes.front(), 1u);
+        ASSERT_EQ(layout.nodes.back(), width);
+
+        // (a) The kept leaves are the full tree's prefix, at exactly
+        // the layout's expansion count.
+        auto sender_prg =
+            crypto::makeTreeExpander(PrgKind::ChaCha8, arity);
+        std::vector<Block> w(width), sums(layout.total);
+        Block leaf_sum;
+        ggmExpandInto(*sender_prg, seed, layout, scratch, w.data(),
+                      sums.data(), &leaf_sum);
+        for (size_t j = 0; j < width; ++j)
+            ASSERT_EQ(w[j], full_leaves[j])
+                << name << " width " << width << " leaf " << j;
+        EXPECT_EQ(sender_prg->ops(),
+                  layout.expansions() * ((arity + 3) / 4))
+            << name << " width " << width;
+        if (width == leaves) {
+            EXPECT_EQ(sums, full_sums);
+            EXPECT_EQ(leaf_sum, full_sum);
+        }
+
+        // (b) Reconstruction matches the sender on every kept leaf
+        // but alpha; the punctured sums are zeroed to prove they are
+        // not read.
+        for (size_t alpha : {size_t(0), width - 1, rng.nextBelow(width)}) {
+            std::vector<Block> known = sums;
+            const auto digits = alphaDigits(alpha, arities);
+            for (size_t lvl = 0; lvl < arities.size(); ++lvl)
+                known[layout.offset[lvl] + digits[lvl]] = Block::zero();
+            auto receiver_prg =
+                crypto::makeTreeExpander(PrgKind::ChaCha8, arity);
+            GgmScratch rscratch;
+            std::vector<Block> v(width, Block::ones());
+            ggmReconstructInto(*receiver_prg, alpha, layout, known.data(),
+                               rscratch, v.data());
+            for (size_t j = 0; j < width; ++j)
+                ASSERT_EQ(v[j], j == alpha ? Block::zero() : w[j])
+                    << name << " width " << width << " alpha " << alpha
+                    << " leaf " << j;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, PrunedGgmTest,
+    ::testing::Values(PrunedCase{2, 64, "m2_l64"},
+                      PrunedCase{4, 8192, "m4_l8192"}, // [2, 4^6]
+                      PrunedCase{8, 512, "m8_l512"}),
+    [](const auto &info) { return std::string(info.param.name); });
+
+TEST(PrunedLayoutTest, TableFourBucketWidths)
+{
+    // 2^24: bucket 8221 rounds to w = 8224 of l = 16384; the kept
+    // nodes per depth are ceil(8224 / leaves below).
+    EXPECT_EQ(alignedTreeWidth(8221, 16384, 4), 8224u);
+    EXPECT_EQ(alignedTreeWidth(2545, 4096, 4), 2548u);
+    EXPECT_EQ(alignedTreeWidth(1, 2, 4), 2u); // one binary level
+    GgmSumLayout l24 = GgmSumLayout::of(treeArities(16384, 4), 8224);
+    EXPECT_EQ(l24.nodes,
+              (std::vector<size_t>{1, 3, 9, 33, 129, 514, 2056, 8224}));
+    EXPECT_EQ(l24.expansions(), 2745u);
+    EXPECT_EQ(GgmSumLayout::of(treeArities(16384, 4)).expansions(), 5461u);
+    // 2^20: bucket 2545 rounds to w = 2548 of l = 4096.
+    EXPECT_EQ(GgmSumLayout::of(treeArities(4096, 4), 2548).expansions(),
+              1 + 3 + 10 + 40 + 160 + 637u);
+}
 
 TEST(GgmOpsTest, OperationCountsMatchFig7Model)
 {

@@ -5,7 +5,7 @@
  * reference path (ggmExpandInto / ggmReconstructInto) across the
  * Table-4 tree shapes — including the mixed-radix ones — PRGs, batch
  * sizes, and both the direct (leaf_stride == leaves) and staged
- * (strided destination) final-level write.
+ * (strided destination) final-level write, on full and pruned trees.
  */
 
 #include <gtest/gtest.h>
@@ -171,6 +171,101 @@ INSTANTIATE_TEST_SUITE_P(
         BatchCase{PrgKind::Aes, 2, 64, 13, "aes_binary"},
         BatchCase{PrgKind::Aes, 4, 256, 1, "aes_single_tree"},
         BatchCase{PrgKind::ChaCha20, 8, 512, 6, "cc20_m8"}),
+    [](const auto &info) { return std::string(info.param.name); });
+
+struct PrunedBatchCase
+{
+    unsigned arity;
+    size_t leaves;
+    const char *name;
+};
+
+class GgmPrunedBatchTest : public ::testing::TestWithParam<PrunedBatchCase>
+{};
+
+/**
+ * Pruned trees (only the leaf prefix [0, width) expanded): the batch
+ * paths, compacting the cross-tree matrix after every cut level, equal
+ * the per-tree paths for widths on and off the last arity, through
+ * both the direct (stride == width) and the staged final level.
+ */
+TEST_P(GgmPrunedBatchTest, BatchMatchesPerTree)
+{
+    const auto [m, leaves, name] = GetParam();
+    const auto arities = treeArities(leaves, m);
+    const size_t trees = 5;
+    Rng rng(3000);
+    const std::vector<Block> seeds = rng.nextBlocks(trees);
+
+    for (size_t width : {size_t(1), size_t(m - 1), size_t(m + 1),
+                         leaves / 2 + 1, leaves - 1, leaves}) {
+        const GgmSumLayout layout = GgmSumLayout::of(arities, width);
+        std::vector<size_t> alphas(trees);
+        for (size_t tr = 0; tr < trees; ++tr)
+            alphas[tr] = rng.nextBelow(width);
+        alphas[0] = 0;
+        alphas[trees - 1] = width - 1;
+
+        // Per-tree reference expansion and reconstruction.
+        auto ref_prg = crypto::makeTreeExpander(PrgKind::ChaCha8, m);
+        GgmScratch ref_scratch;
+        std::vector<Block> ref_w(trees * width), ref_v(trees * width);
+        std::vector<Block> ref_sums(trees * layout.total);
+        std::vector<Block> ref_leaf_sums(trees);
+        for (size_t tr = 0; tr < trees; ++tr)
+            ggmExpandInto(*ref_prg, seeds[tr], layout, ref_scratch,
+                          ref_w.data() + tr * width,
+                          ref_sums.data() + tr * layout.total,
+                          &ref_leaf_sums[tr]);
+        std::vector<Block> known = ref_sums;
+        for (size_t tr = 0; tr < trees; ++tr) {
+            const auto digits = alphaDigits(alphas[tr], arities);
+            for (size_t lvl = 0; lvl < arities.size(); ++lvl)
+                known[tr * layout.total + layout.offset[lvl] +
+                      digits[lvl]] = Block::zero();
+            ggmReconstructInto(*ref_prg, alphas[tr], layout,
+                               known.data() + tr * layout.total,
+                               ref_scratch, ref_v.data() + tr * width);
+        }
+
+        for (size_t stride : {width, width + 3}) {
+            auto prg = crypto::makeTreeExpander(PrgKind::ChaCha8, m);
+            GgmBatchScratch scratch;
+            std::vector<Block> w(trees * stride, Block::ones());
+            std::vector<Block> sums(trees * layout.total);
+            std::vector<Block> leaf_sums(trees);
+            ggmExpandBatchInto(*prg, seeds.data(), trees, layout, scratch,
+                               w.data(), stride, sums.data(),
+                               layout.total, leaf_sums.data());
+            EXPECT_EQ(sums, ref_sums) << name << " width " << width;
+            EXPECT_EQ(leaf_sums, ref_leaf_sums)
+                << name << " width " << width;
+            EXPECT_EQ(prg->ops(), trees * layout.expansions() *
+                                      ((m + 3) / 4))
+                << name << " width " << width;
+
+            std::vector<Block> v(trees * stride, Block::ones());
+            ggmReconstructBatchInto(*prg, alphas.data(), trees, layout,
+                                    known.data(), layout.total, scratch,
+                                    v.data(), stride);
+            for (size_t tr = 0; tr < trees; ++tr)
+                for (size_t j = 0; j < width; ++j) {
+                    ASSERT_EQ(w[tr * stride + j], ref_w[tr * width + j])
+                        << name << " width " << width << " stride "
+                        << stride << " tree " << tr << " leaf " << j;
+                    ASSERT_EQ(v[tr * stride + j], ref_v[tr * width + j])
+                        << name << " width " << width << " stride "
+                        << stride << " tree " << tr << " leaf " << j;
+                }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, GgmPrunedBatchTest,
+    ::testing::Values(PrunedBatchCase{2, 64, "m2_l64"},
+                      PrunedBatchCase{4, 8192, "m4_l8192"}, // [2, 4^6]
+                      PrunedBatchCase{8, 512, "m8_l512"}),
     [](const auto &info) { return std::string(info.param.name); });
 
 } // namespace

@@ -48,6 +48,7 @@
 #include "infer/wire.h"
 #include "net/channel.h"
 #include "net/socket_channel.h"
+#include "net/wire_error.h"
 #include "ppml/mlp_runner.h"
 #include "ppml/model_zoo.h"
 #include "served_stack.h"
@@ -592,6 +593,30 @@ TEST(InferServiceTest, HostilePeersKillTheirSessionNotTheServer)
         sendInferOp(*s.ch, InferOp::Commit);
         sendCommitCount(*s.ch, 2);
         expectDied(s, "count beyond pending");
+    }
+    {
+        // A Commit group above the negotiated depth, though every
+        // request is pending within the 2x-depth recv-ahead: one
+        // forward may not evaluate more than the window the session
+        // negotiated. The server hangs up at once; a server that took
+        // the group would sit in its forward waiting for this peer's
+        // half, which the read deadline turns into a failure.
+        const uint64_t served_before = stack.server.requestsServed();
+        RawSession s = open(true);
+        for (uint32_t r = 0; r < 4; ++r)
+            sendFrame(*s.ch, r);
+        sendInferOp(*s.ch, InferOp::Commit);
+        sendCommitCount(*s.ch, 4);
+        s.ch->flush();
+        s.ch->setRecvTimeout(10000);
+        try {
+            (void)recvInferTag(*s.ch);
+            ADD_FAILURE() << "count beyond depth: server answered";
+        } catch (const net::WireError &e) {
+            EXPECT_EQ(e.fault(), net::WireFault::PeerClosed)
+                << "count beyond depth: session left running";
+        }
+        EXPECT_EQ(stack.server.requestsServed(), served_before);
     }
 
     // The server still serves a well-formed streaming session bit-exactly.

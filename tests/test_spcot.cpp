@@ -39,7 +39,8 @@ runSend(net::Channel &ch, const SpcotConfig &cfg, size_t trees,
     common::ThreadPool pool(1);
     SpcotWorkspace ws;
     FlatSend out;
-    out.w.resize(trees * cfg.numLeaves);
+    ws.prepare(cfg, trees, pool.threads(), /*for_sender=*/true);
+    out.w.resize(trees * ws.shape.leaves);
     spcotSendTranscript(ch, cfg, trees, delta, q, rng, tweak, pool, ws,
                         out.w.data(), &out.prgOps);
     return out;
@@ -53,9 +54,9 @@ runRecv(net::Channel &ch, const SpcotConfig &cfg,
     common::ThreadPool pool(1);
     SpcotWorkspace ws;
     FlatRecv out;
-    out.v.resize(alphas.size() * cfg.numLeaves);
     const size_t trees = alphas.size();
     ws.prepare(cfg, trees, pool.threads(), /*for_sender=*/false);
+    out.v.resize(trees * ws.shape.leaves);
     SpcotRecvSlot &slot = ws.slots[0];
     spcotRecvSendChoices(ch, cfg, trees, alphas.data(), b, b_offset, tweak,
                          ws, slot);
@@ -143,6 +144,61 @@ INSTANTIATE_TEST_SUITE_P(
                std::to_string(info.param.leaves) + "_t" +
                std::to_string(info.param.trees);
     });
+
+TEST(SpcotTest, PrunedWidthOffTheArityCorrelationHolds)
+{
+    // 641 leaves is not a multiple of m = 4: each tree of l = 1024
+    // expands its first 644 leaves (the stride), and invariant 2 holds
+    // on all of them, at the prefix's edges too. The transcript is the
+    // full tree's size: pruning drops PRG work, not OTs.
+    SpcotConfig cfg;
+    cfg.numLeaves = 641;
+    cfg.arity = 4;
+    const size_t stride = 644, trees = 3;
+    SpcotShape shape;
+    shape.prepare(cfg);
+    ASSERT_EQ(shape.leaves, stride);
+
+    Rng dealer(500);
+    const Block delta = dealer.nextBlock();
+    auto [cot_s, cot_r] =
+        dealBaseCots(dealer, delta, trees * cfg.cotsPerTree());
+    const std::vector<size_t> alphas{0, stride - 1, 640};
+
+    auto run = [&](const SpcotConfig &c, FlatSend &sout, FlatRecv &rout) {
+        return net::runTwoParty(
+            [&](net::Channel &ch) {
+                Rng rng(501);
+                uint64_t tweak = 1;
+                sout = runSend(ch, c, trees, delta, cot_s.q.data(), rng,
+                               tweak);
+            },
+            [&](net::Channel &ch) {
+                uint64_t tweak = 1;
+                rout = runRecv(ch, c, alphas, cot_r.choice, 0,
+                               cot_r.t.data(), tweak);
+            });
+    };
+    FlatSend sout, full_sout;
+    FlatRecv rout, full_rout;
+    const auto wire = run(cfg, sout, rout);
+    SpcotConfig full = cfg;
+    full.numLeaves = 1024;
+    const auto full_wire = run(full, full_sout, full_rout);
+
+    for (size_t tr = 0; tr < trees; ++tr)
+        for (size_t j = 0; j < stride; ++j) {
+            const Block w = sout.w[tr * stride + j];
+            ASSERT_EQ(rout.v[tr * stride + j],
+                      j == alphas[tr] ? w ^ delta : w)
+                << "tree=" << tr << " leaf=" << j;
+            ASSERT_EQ(w, full_sout.w[tr * full.numLeaves + j])
+                << "pruned leaves are the full tree's prefix";
+        }
+    EXPECT_EQ(wire.totalBytes, full_wire.totalBytes);
+    EXPECT_EQ(wire.turns, 2u);
+    EXPECT_LT(sout.prgOps, full_sout.prgOps);
+}
 
 TEST(SpcotTest, AlphaAtEveryPosition)
 {

@@ -317,8 +317,9 @@ TEST(WorkspaceEngineTest, LeafSlotSizedOnceFromParams)
     FerretParams p = tinyTestParams();
     OtWorkspace ws;
     ws.prepare(p, 2);
-    EXPECT_EQ(ws.leaf.size(), p.t * p.treeLeaves())
-        << "one t x l leaf slot, no staging rows";
+    // Each tree expands only its bucket's leaves: w = 640 of l = 1024.
+    EXPECT_EQ(ws.leaf.size(), p.t * 640)
+        << "one t x w leaf slot, no staging rows";
 
     // prepare() is idempotent: same params, same buffer.
     const Block *leaf = ws.leaf.data();
