@@ -110,6 +110,10 @@ main(int argc, char **argv)
 
     svc::CotServer::Config cfg;
     cfg.engineThreads = engine_threads;
+    // A silent peer must not pin a session thread forever.
+    cfg.sessionRecvTimeoutMs = net::kDaemonSessionTimeoutMs;
+    cfg.sessionSendTimeoutMs = net::kDaemonSessionTimeoutMs;
+    cfg.idleTimeoutMs = net::kDaemonSessionTimeoutMs;
     svc::CotServer server(cfg);
 
     if (use_tcp) {

@@ -141,14 +141,23 @@ main(int argc, char **argv)
 
     // The embedded COT service + the operator's retained halves.
     svc::OperatorStock stock;
+    // Containment: a silent peer must not pin a session thread (nor,
+    // eight of them, every inference slot) forever.
     svc::CotServer::Config cot_cfg;
     cot_cfg.engineThreads = engine_threads;
     cot_cfg.paramsAllowlist = allowed;
+    cot_cfg.sessionRecvTimeoutMs = net::kDaemonSessionTimeoutMs;
+    cot_cfg.sessionSendTimeoutMs = net::kDaemonSessionTimeoutMs;
+    cot_cfg.idleTimeoutMs = net::kDaemonSessionTimeoutMs;
     svc::CotServer cot(cot_cfg);
     stock.attach(cot);
     const uint16_t bound_cot = cot.listenTcp(cot_port);
 
-    infer::InferServer server;
+    infer::InferServer::Config infer_cfg;
+    infer_cfg.sessionRecvTimeoutMs = net::kDaemonSessionTimeoutMs;
+    infer_cfg.sessionSendTimeoutMs = net::kDaemonSessionTimeoutMs;
+    infer_cfg.idleTimeoutMs = net::kDaemonSessionTimeoutMs;
+    infer::InferServer server(infer_cfg);
     server.attachOperatorStock(stock);
     const uint16_t bound = server.listenTcp(infer_port);
 

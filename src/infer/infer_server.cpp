@@ -116,75 +116,58 @@ InferServer::activeSessions() const
 void
 InferServer::serveSession(net::SocketChannel &ch, uint64_t sid)
 {
-    try {
-        if (cfg_.simulatedBandwidthBps > 0)
-            ch.setSimulatedBandwidth(cfg_.simulatedBandwidthBps);
-        InferHello hello;
-        InferStatus st = recvInferHello(ch, &hello);
-        trace::note("hello", uint32_t(st));
-        // Policy on top of the structural checks.
-        if (st == InferStatus::Ok && hello.batch > cfg_.maxBatch)
-            st = InferStatus::BadBatch;
-        if (st == InferStatus::Ok && !stock_)
-            st = InferStatus::BadSupply;
-        if (st == InferStatus::Ok) {
-            // The named COT sessions must exist, be live, and belong
-            // to the peer making this request — a foreign sid would
-            // let one client consume (and on exit drop) another's
-            // correlations. Address-level granularity, like the
-            // quotas; recorded before the owner could read its
-            // Accept, so a race cannot admit a thief first.
-            const std::string peer = ch.peerAddress();
-            if (stock_->peerOf(hello.sendSessionId) != peer ||
-                stock_->peerOf(hello.recvSessionId) != peer)
-                st = InferStatus::ForeignSession;
-        }
-        // Negotiate: clamp the requested depth to this server's bound
-        // and echo the honored flags (recvInferHello already dropped
-        // unknown bits). hello carries the NEGOTIATED values from
-        // here on.
-        const uint16_t bound =
-            cfg_.maxDepth > 0 ? cfg_.maxDepth : uint16_t(1);
-        if (hello.depth > bound)
-            hello.depth = bound;
-        InferAccept accept;
-        accept.status = st;
-        accept.sessionId = sid;
-        accept.depth = hello.depth;
-        accept.flags = hello.flags;
-        if (hello.flags & kInferFlagTrace) {
-            // Adopt the wire context for every span this session
-            // thread records, and stamp the accept with our clock so
-            // the client can estimate the cross-party offset from the
-            // RTT midpoint it measures anyway.
-            trace::setContext(hello.traceId, hello.traceSampled != 0);
-            trace::setThreadLabel("infer-session");
-            accept.serverClockUs = trace::nowUs();
-        }
-        sendInferAccept(ch, accept);
-        ch.flush();
-        trace::note("accept", uint32_t(st));
-        if (st == InferStatus::Ok) {
-            runSession(ch, sid, hello);
-            served.fetch_add(1, std::memory_order_relaxed);
-        } else {
-            rejected.fetch_add(1, std::memory_order_relaxed);
-        }
-    } catch (const net::WireError &e) {
-        // A dying client must not take the server down. Classify the
-        // fault here (the skeleton never sees this exception) and dump
-        // the flight ring — the last opcodes before the unwind are the
-        // forensic record a chaos run asserts on.
-        server_.metrics().noteFailure(e.fault());
-        trace::dumpSession(net::wireFaultName(e.fault()));
-        IRONMAN_WARN("infer session %llu aborted (%s): %s",
-                     (unsigned long long)sid,
-                     net::wireFaultName(e.fault()), e.what());
-    } catch (const std::exception &e) {
-        server_.metrics().noteFailure(net::WireFault::Fatal);
-        trace::dumpSession("exception");
-        IRONMAN_WARN("infer session %llu aborted: %s",
-                     (unsigned long long)sid, e.what());
+    if (cfg_.simulatedBandwidthBps > 0)
+        ch.setSimulatedBandwidth(cfg_.simulatedBandwidthBps);
+    InferHello hello;
+    InferStatus st = recvInferHello(ch, &hello);
+    trace::note("hello", uint32_t(st));
+    // Policy on top of the structural checks.
+    if (st == InferStatus::Ok && hello.batch > cfg_.maxBatch)
+        st = InferStatus::BadBatch;
+    if (st == InferStatus::Ok && !stock_)
+        st = InferStatus::BadSupply;
+    if (st == InferStatus::Ok) {
+        // The named COT sessions must exist, be live, and belong
+        // to the peer making this request — a foreign sid would
+        // let one client consume (and on exit drop) another's
+        // correlations. Address-level granularity, like the
+        // quotas; recorded before the owner could read its
+        // Accept, so a race cannot admit a thief first.
+        const std::string peer = ch.peerAddress();
+        if (stock_->peerOf(hello.sendSessionId) != peer ||
+            stock_->peerOf(hello.recvSessionId) != peer)
+            st = InferStatus::ForeignSession;
+    }
+    // Negotiate: clamp the requested depth to this server's bound
+    // and echo the honored flags (recvInferHello already dropped
+    // unknown bits). hello carries the NEGOTIATED values from
+    // here on.
+    const uint16_t bound =
+        cfg_.maxDepth > 0 ? cfg_.maxDepth : uint16_t(1);
+    if (hello.depth > bound)
+        hello.depth = bound;
+    InferAccept accept;
+    accept.status = st;
+    accept.sessionId = sid;
+    accept.depth = hello.depth;
+    accept.flags = hello.flags;
+    if (hello.flags & kInferFlagTrace) {
+        // Adopt the wire context for every span this session
+        // thread records, and stamp the accept with our clock so
+        // the client can estimate the cross-party offset from the
+        // RTT midpoint it measures anyway.
+        trace::setContext(hello.traceId, hello.traceSampled != 0);
+        trace::setThreadLabel("infer-session");
+        accept.serverClockUs = trace::nowUs();
+    }
+    sendInferAccept(ch, accept);
+    ch.flush();
+    trace::note("accept", uint32_t(st));
+    if (st == InferStatus::Ok) {
+        runSession(ch, sid, hello);
+        served.fetch_add(1, std::memory_order_relaxed);
+    } else {
+        rejected.fetch_add(1, std::memory_order_relaxed);
     }
 }
 

@@ -124,19 +124,23 @@ SessionServer::acceptLoop()
                 trace::setThreadLabel("session");
                 trace::Span session_span("session_thread", "svc",
                                          uint32_t(sid));
+                // The one failure layer: a dying client must not take
+                // the server down. Classify, dump the flight ring (the
+                // last opcodes before the unwind) and warn.
                 try {
                     handler(*sess_ch, sid);
                 } catch (const WireError &e) {
-                    // A handler that lets the typed unwind escape left
-                    // classification to the skeleton.
                     metrics_.noteFailure(e.fault());
-                    IRONMAN_WARN("session %llu aborted: %s",
-                                 (unsigned long long)sid, e.what());
+                    trace::dumpSession(wireFaultName(e.fault()));
+                    IRONMAN_WARN("%s session %llu aborted (%s): %s",
+                                 name.c_str(), (unsigned long long)sid,
+                                 wireFaultName(e.fault()), e.what());
                 } catch (const std::exception &e) {
-                    // A dying client must not take the server down.
                     metrics_.noteFailure(WireFault::Fatal);
-                    IRONMAN_WARN("session %llu aborted: %s",
-                                 (unsigned long long)sid, e.what());
+                    trace::dumpSession("exception");
+                    IRONMAN_WARN("%s session %llu aborted: %s",
+                                 name.c_str(), (unsigned long long)sid,
+                                 e.what());
                 }
                 metrics_.noteFinished(metrics::nowUs() - t0_us);
                 {

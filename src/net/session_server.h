@@ -41,7 +41,8 @@
  * The handler runs on the session thread and OWNS the protocol loop;
  * it must not outlive the channel reference it is given. Exceptions
  * it throws are the normal way a session ends on a dead peer — the
- * skeleton catches them after the handler's unwind.
+ * skeleton catches them after the handler's unwind, classifies them
+ * (SessionMetrics), dumps the session's flight ring and warns.
  */
 
 #ifndef IRONMAN_NET_SESSION_SERVER_H
@@ -65,6 +66,13 @@
 namespace ironman::net {
 
 /**
+ * The daemons' session deadlines and idle window, and the bound
+ * svc::OperatorStock puts on a take: a stalled or silent peer holds a
+ * session thread at most this long.
+ */
+inline constexpr uint64_t kDaemonSessionTimeoutMs = 120000;
+
+/**
  * Session telemetry for one daemon, registered under a name prefix
  * ("cot", "infer") so both daemons in one process stay separable.
  * Handles are registered once in init() (allocating, cold); every
@@ -72,10 +80,8 @@ namespace ironman::net {
  * note*() calls are no-ops, so a bare SessionServer (tests) pays one
  * null check per event.
  *
- * noteFailure() is public on purpose: the daemons catch their own
- * session exceptions (the skeleton's wrapper only sees what escapes),
- * so whichever layer handles the unwind classifies it — exactly one
- * layer sees each failure.
+ * The skeleton's handler wrapper is the one layer that sees a failed
+ * session's exception, so it alone calls noteFailure().
  */
 class SessionMetrics
 {
@@ -140,8 +146,8 @@ class SessionServer
   public:
     /**
      * Serve one session; sid is unique for the server's lifetime.
-     * Runs on a dedicated thread; may throw (logged by the owner's
-     * wrapper or swallowed here).
+     * Runs on a dedicated thread; may throw (classified, dumped and
+     * logged here).
      */
     using Handler = std::function<void(SocketChannel &ch, uint64_t sid)>;
 
@@ -156,16 +162,15 @@ class SessionServer
 
     /**
      * Register session telemetry under @p prefix (e.g. "cot",
-     * "infer"). Call before listening; without it the server emits no
-     * metrics (bare skeletons in tests stay silent).
+     * "infer"), which also names the daemon in session warnings. Call
+     * before listening; without it the server emits no metrics (bare
+     * skeletons in tests stay silent).
      */
     void setMetricsPrefix(const std::string &prefix)
     {
+        name = prefix;
         metrics_.init(prefix);
     }
-
-    /** Telemetry handle — daemons classify session failures here. */
-    SessionMetrics &metrics() { return metrics_; }
 
     /**
      * Per-session channel deadlines, applied to every accepted
@@ -225,6 +230,7 @@ class SessionServer
     void finishSessions(bool force);
 
     Handler handler;
+    std::string name = "net"; ///< the metrics prefix, once set
     SessionMetrics metrics_;
     size_t maxSessions;
     uint64_t recvTimeoutMs = 0;

@@ -68,17 +68,15 @@ channelMetrics()
 
 } // namespace
 
-SocketChannel::SocketChannel(int fd, bool tcp_nodelay) : sock(fd)
+SocketChannel::SocketChannel(int fd) : sock(fd)
 {
     channelMetrics(); // register handles before any hot-path record
 
     if (sock < 0)
         throw WireError(WireFault::Fatal, "SocketChannel: bad fd");
-    if (tcp_nodelay) {
-        // Best effort: fails harmlessly on non-TCP sockets.
-        int one = 1;
-        ::setsockopt(sock, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    }
+    // Best effort: fails harmlessly on non-TCP sockets.
+    const int one = 1;
+    ::setsockopt(sock, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
     // Captured once: the quota key of per-client policy (port
     // excluded, so every connection from one host shares one bucket).

@@ -76,11 +76,8 @@ class SocketChannel final : public Channel
      */
     static constexpr uint32_t kMaxFrameBytes = uint32_t(1) << 30;
 
-    /**
-     * Adopt a connected socket. @p tcp_nodelay disables Nagle (ignored
-     * for non-TCP sockets).
-     */
-    explicit SocketChannel(int fd, bool tcp_nodelay = true);
+    /** Adopt a connected socket; Nagle is disabled on TCP ones. */
+    explicit SocketChannel(int fd);
     ~SocketChannel() override;
 
     SocketChannel(const SocketChannel &) = delete;

@@ -1,10 +1,7 @@
 #include "svc/cot_server.h"
 
-#include "common/logging.h"
-#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/trace.h"
-#include "net/wire_error.h"
 
 namespace ironman::svc {
 
@@ -90,50 +87,47 @@ CotServer::bytesServedTo(const std::string &client_addr) const
 void
 CotServer::serveSession(net::SocketChannel &ch, uint64_t sid)
 {
-    try {
-        Hello hello;
-        Status st = recvHello(ch, &hello);
-        trace::note("hello", uint32_t(st));
-        if (st == Status::Ok)
-            st = admitSession(ch.peerAddress(), hello);
-        // Before the Accept: the client can only quote this sid once
-        // it has read the Accept, so observers are already up to date.
-        if (st == Status::Ok && sessionStartSink)
-            sessionStartSink(sid, ch.peerAddress());
-        sendAccept(ch, Accept{st, sid});
-        ch.flush();
-        trace::note("accept", uint32_t(st));
-        if (st == Status::Ok) {
-            if (hello.role == Role::Receiver)
-                serveSenderSession(ch, sid, hello);
-            else
-                serveReceiverSession(ch, sid, hello);
-            served.fetch_add(1, std::memory_order_relaxed);
-        } else {
-            rejected.fetch_add(1, std::memory_order_relaxed);
+    // The epilogue runs on every exit, a failed session's unwind
+    // included; the skeleton's handler wrapper classifies the failure.
+    struct Epilogue
+    {
+        CotServer &server;
+        net::SocketChannel &ch;
+        uint64_t sid;
+
+        ~Epilogue()
+        {
+            const Config &cfg = server.cfg_;
+            if (cfg.maxSessionsPerClient > 0 || cfg.maxBytesPerClient > 0) {
+                std::lock_guard<std::mutex> lock(server.m);
+                server.clients[ch.peerAddress()].bytes += ch.bytesSent();
+            }
+            if (server.sessionEndSink)
+                server.sessionEndSink(sid);
         }
-    } catch (const net::WireError &e) {
-        // A dying client must not take the server down; the engine
-        // lease already unwound and the engine is back in the pool.
-        // Classify HERE — the skeleton's handler wrapper never sees
-        // this exception, so exactly one layer counts each failure.
-        server_.metrics().noteFailure(e.fault());
-        trace::dumpSession(net::wireFaultName(e.fault()));
-        IRONMAN_WARN("svc session %llu aborted (%s): %s",
-                     (unsigned long long)sid,
-                     net::wireFaultName(e.fault()), e.what());
-    } catch (const std::exception &e) {
-        server_.metrics().noteFailure(net::WireFault::Fatal);
-        trace::dumpSession("exception");
-        IRONMAN_WARN("svc session %llu aborted: %s",
-                     (unsigned long long)sid, e.what());
+    } epilogue{*this, ch, sid};
+
+    Hello hello;
+    Status st = recvHello(ch, &hello);
+    trace::note("hello", uint32_t(st));
+    if (st == Status::Ok)
+        st = admitSession(ch.peerAddress(), hello);
+    // Before the Accept: the client can only quote this sid once
+    // it has read the Accept, so observers are already up to date.
+    if (st == Status::Ok && sessionStartSink)
+        sessionStartSink(sid, ch.peerAddress());
+    sendAccept(ch, Accept{st, sid});
+    ch.flush();
+    trace::note("accept", uint32_t(st));
+    if (st == Status::Ok) {
+        if (hello.role == Role::Receiver)
+            serveSenderSession(ch, sid, hello);
+        else
+            serveReceiverSession(ch, sid, hello);
+        served.fetch_add(1, std::memory_order_relaxed);
+    } else {
+        rejected.fetch_add(1, std::memory_order_relaxed);
     }
-    if (cfg_.maxSessionsPerClient > 0 || cfg_.maxBytesPerClient > 0) {
-        std::lock_guard<std::mutex> lock(m);
-        clients[ch.peerAddress()].bytes += ch.bytesSent();
-    }
-    if (sessionEndSink)
-        sessionEndSink(sid);
 }
 
 void

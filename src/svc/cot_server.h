@@ -53,7 +53,8 @@ class CotServer
         // -- containment (see net::SessionServer) ----------------------
         // Per-session socket deadlines plus an idle reaper, so one
         // stalled or dead peer cannot pin a session thread forever.
-        // 0 = off (trusted-bench default; the daemons set these).
+        // 0 = off (trusted-bench default); the example daemons set
+        // net::kDaemonSessionTimeoutMs.
         uint64_t sessionRecvTimeoutMs = 0; ///< blocked-read deadline
         uint64_t sessionSendTimeoutMs = 0; ///< blocked-write deadline
         uint64_t idleTimeoutMs = 0;        ///< no-traffic reap window

@@ -147,7 +147,7 @@ class OperatorStock
     std::condition_variable cv;
     std::map<uint64_t, SessionStock> sessions;
     bool stopped = false;
-    std::chrono::milliseconds waitTimeout{120000};
+    std::chrono::milliseconds waitTimeout{net::kDaemonSessionTimeoutMs};
 };
 
 /**

@@ -19,66 +19,22 @@
 
 #include <gtest/gtest.h>
 
-#include <thread>
-#include <vector>
-
-#include "common/rng.h"
+#include "ferret_pair.h"
 #include "net/channel.h"
-#include "ot/base_cot.h"
-#include "ot/ferret.h"
-#include "ot/ferret_params.h"
-#include "svc/wire.h"
 
 namespace ironman::ot {
 namespace {
 
-struct SessionHalves
+/** A COT service session's pair of setup seed @p seed. */
+FerretPair
+sessionPair(const FerretParams &p, uint64_t seed, int iters = 1,
+            int threads = 1)
 {
-    CotSenderBatch senderBase;
-    CotReceiverBatch receiverBase;
-    Block delta;
-};
-
-SessionHalves
-deal(const FerretParams &p, uint64_t seed)
-{
-    SessionHalves h;
-    svc::dealSessionBase(p, seed, &h.senderBase, &h.receiverBase,
-                         &h.delta);
-    return h;
-}
-
-/** Reference outputs of a fresh engine pair over @p iters extensions. */
-void
-runFresh(const FerretParams &p, uint64_t seed, int iters, int threads,
-         std::vector<Block> *q, BitVec *choice, std::vector<Block> *t)
-{
-    SessionHalves h = deal(p, seed);
-    const size_t usable = p.usableOts();
-    q->assign(size_t(iters) * usable, Block{});
-    t->assign(size_t(iters) * usable, Block{});
-    *choice = BitVec();
-
-    net::MemoryDuplex duplex;
-    std::thread sender_thread([&] {
-        FerretCotSender sender(duplex.a(), p, h.delta,
-                               std::move(h.senderBase.q));
-        sender.setThreads(threads);
-        Rng rng(svc::senderRngSeed(seed));
-        for (int it = 0; it < iters; ++it)
-            sender.extendInto(rng, q->data() + size_t(it) * usable);
-    });
-    FerretCotReceiver receiver(duplex.b(), p,
-                               std::move(h.receiverBase.choice),
-                               std::move(h.receiverBase.t));
-    receiver.setThreads(threads);
-    Rng rng(svc::receiverRngSeed(seed));
-    BitVec c;
-    for (int it = 0; it < iters; ++it) {
-        receiver.extendInto(rng, c, t->data() + size_t(it) * usable);
-        choice->appendRange(c, 0, c.size());
-    }
-    sender_thread.join();
+    return {.params = p,
+            .seed = seed,
+            .iterations = iters,
+            .threads = threads,
+            .seeding = Seeding::Service};
 }
 
 TEST(EngineTeardownTest, DestroyWithPendingTranscript)
@@ -89,18 +45,12 @@ TEST(EngineTeardownTest, DestroyWithPendingTranscript)
          {tinyTestParams(), tinyAlignedParams()}) {
         for (int iters : {1, 2, 3}) {
             for (int threads : {1, 3}) {
-                std::vector<Block> q, t;
-                BitVec choice;
-                runFresh(p, 0xdead0 + iters, iters, threads, &q,
-                         &choice, &t);
                 // Sanity: the outputs produced right before teardown
                 // still correlate.
-                SessionHalves h = deal(p, 0xdead0 + iters);
-                for (size_t i = 0; i < q.size(); ++i)
-                    ASSERT_EQ(t[i],
-                              q[i] ^ scalarMul(choice.get(i), h.delta))
-                        << p.name << " iters " << iters << " threads "
-                        << threads << " index " << i;
+                EXPECT_TRUE(correlated(
+                    sessionPair(p, 0xdead0 + iters, iters, threads).run()))
+                    << p.name << " iters " << iters << " threads "
+                    << threads;
             }
         }
     }
@@ -109,14 +59,13 @@ TEST(EngineTeardownTest, DestroyWithPendingTranscript)
 TEST(EngineTeardownTest, DestroyWithoutRunning)
 {
     const FerretParams p = tinyTestParams();
-    SessionHalves h = deal(p, 31337);
+    auto [base_s, base_r] = sessionPair(p, 31337).deal();
     net::MemoryDuplex duplex;
     {
-        FerretCotSender sender(duplex.a(), p, h.delta,
-                               std::move(h.senderBase.q));
-        FerretCotReceiver receiver(duplex.b(), p,
-                                   std::move(h.receiverBase.choice),
-                                   std::move(h.receiverBase.t));
+        FerretCotSender sender(duplex.a(), p, base_s.delta,
+                               std::move(base_s.q));
+        FerretCotReceiver receiver(duplex.b(), p, std::move(base_r.choice),
+                                   std::move(base_r.t));
         sender.setThreads(2);
         receiver.setThreads(2);
         // Construction only; destroyed with no extension run.
@@ -133,66 +82,23 @@ TEST(EngineTeardownTest, DestroyWithoutRunning)
 TEST(EngineTeardownTest, MidSessionResetWithPendingTranscript)
 {
     const FerretParams p = tinyTestParams();
-    const uint64_t seed_a = 41001, seed_b = 41002;
-    constexpr int kItersB = 2;
-    const size_t usable = p.usableOts();
+    const FerretPair session_b = sessionPair(p, 41002, 2, 2);
 
     // What a FRESH pair produces for session B: the rebound engines
     // must match bit for bit.
-    std::vector<Block> want_q, want_t;
-    BitVec want_choice;
-    runFresh(p, seed_b, kItersB, 2, &want_q, &want_choice, &want_t);
+    const FerretPairRun want = session_b.run();
 
     for (int iters_a : {1, 2}) { // pending transcript in either slot
-        SessionHalves ha = deal(p, seed_a);
-        SessionHalves hb = deal(p, seed_b);
-
-        net::MemoryDuplex duplex_a, duplex_b;
-        std::vector<Block> q(size_t(kItersB) * usable);
-        std::vector<Block> t(size_t(kItersB) * usable);
-        BitVec choice;
-
-        std::thread sender_thread([&] {
-            FerretCotSender sender(duplex_a.a(), p, ha.delta,
-                                   std::move(ha.senderBase.q));
-            sender.setThreads(2);
-            Rng rng_a(svc::senderRngSeed(seed_a));
-            std::vector<Block> scratch(usable);
-            for (int it = 0; it < iters_a; ++it)
-                sender.extendInto(rng_a, scratch.data());
-            // Reset with session A's prefetched transcript pending.
-            sender.resetSession(duplex_b.a(), hb.delta,
-                                hb.senderBase.q.data(),
-                                hb.senderBase.q.size());
-            Rng rng_b(svc::senderRngSeed(seed_b));
-            for (int it = 0; it < kItersB; ++it)
-                sender.extendInto(rng_b,
-                                  q.data() + size_t(it) * usable);
-        });
-
-        FerretCotReceiver receiver(duplex_a.b(), p,
-                                   std::move(ha.receiverBase.choice),
-                                   std::move(ha.receiverBase.t));
-        receiver.setThreads(2);
-        Rng rng_a(svc::receiverRngSeed(seed_a));
-        BitVec c;
-        std::vector<Block> scratch(usable);
-        for (int it = 0; it < iters_a; ++it)
-            receiver.extendInto(rng_a, c, scratch.data());
-        receiver.resetSession(duplex_b.b(), hb.receiverBase.choice,
-                              hb.receiverBase.t.data(),
-                              hb.receiverBase.t.size());
-        Rng rng_b(svc::receiverRngSeed(seed_b));
-        for (int it = 0; it < kItersB; ++it) {
-            receiver.extendInto(rng_b, c,
-                                t.data() + size_t(it) * usable);
-            choice.appendRange(c, 0, c.size());
-        }
-        sender_thread.join();
-
-        EXPECT_EQ(q, want_q) << "iters_a " << iters_a;
-        EXPECT_EQ(choice, want_choice) << "iters_a " << iters_a;
-        EXPECT_EQ(t, want_t) << "iters_a " << iters_a;
+        FerretCotSender sender(p);
+        FerretCotReceiver receiver(p);
+        const FerretPair session_a = sessionPair(p, 41001, iters_a, 2);
+        session_a.run(session_a.deal(), &sender, &receiver);
+        // Reset with session A's prefetched transcript pending.
+        const FerretPairRun got =
+            session_b.run(session_b.deal(), &sender, &receiver);
+        EXPECT_EQ(got.q, want.q) << "iters_a " << iters_a;
+        EXPECT_EQ(got.choice, want.choice) << "iters_a " << iters_a;
+        EXPECT_EQ(got.t, want.t) << "iters_a " << iters_a;
     }
 }
 

@@ -1,119 +1,26 @@
 /**
  * @file
- * End-to-end Ferret OTE tests: output correlations hold, bootstrapping
- * works across iterations, concurrently prewarmed engines share one
- * LPN index tape, and the parameter sets are self-consistent
- * (invariants 1 and 7 of DESIGN.md).
+ * End-to-end Ferret OTE tests: output correlations hold across
+ * iterations (bootstrap included), arities, PRGs, the streaming LPN
+ * set and a randomized parameter sweep, and are independent of the
+ * worker count (FerretPairGrid over tests/ferret_pair.h);
+ * concurrently prewarmed engines share one LPN index tape; and the
+ * parameter sets are self-consistent (invariants 1, 7 and 9 of
+ * DESIGN.md).
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <thread>
+#include <vector>
 
-#include "common/rng.h"
-#include "net/two_party.h"
-#include "ot/base_cot.h"
-#include "ot/ferret.h"
-#include "ot/ferret_params.h"
+#include "ferret_pair.h"
 #include "ot/security.h"
 
 namespace ironman::ot {
 namespace {
-
-/** Receiver output of one extension (test-local). */
-struct RecvOut
-{
-    BitVec choice;
-    std::vector<Block> t;
-};
-
-/** Run one or more extensions and return all outputs. */
-struct FerretRun
-{
-    Block delta;
-    std::vector<std::vector<Block>> sender_out;
-    std::vector<RecvOut> receiver_out;
-    net::WireStats wire;
-    uint64_t sender_spcot_ops = 0;
-};
-
-FerretRun
-runFerret(const FerretParams &p, int iterations, uint64_t seed,
-          unsigned arity = 4,
-          crypto::PrgKind kind = crypto::PrgKind::ChaCha8,
-          int threads = 1)
-{
-    FerretParams params = p;
-    params.arity = arity;
-    params.prg = kind;
-
-    Rng dealer(seed);
-    FerretRun run;
-    run.delta = dealer.nextBlock();
-    auto [base_s, base_r] =
-        dealBaseCots(dealer, run.delta, params.reservedCots());
-
-    run.wire = net::runTwoParty(
-        [&](net::Channel &ch) {
-            FerretCotSender sender(ch, params, run.delta,
-                                   std::move(base_s.q));
-            sender.setThreads(threads);
-            Rng rng(seed + 1);
-            for (int it = 0; it < iterations; ++it) {
-                std::vector<Block> out(params.usableOts());
-                sender.extendInto(rng, out.data());
-                run.sender_out.push_back(std::move(out));
-            }
-            run.sender_spcot_ops = sender.stats().get("spcot_prg_ops");
-        },
-        [&](net::Channel &ch) {
-            FerretCotReceiver receiver(ch, params,
-                                       std::move(base_r.choice),
-                                       std::move(base_r.t));
-            receiver.setThreads(threads);
-            Rng rng(seed + 2);
-            for (int it = 0; it < iterations; ++it) {
-                RecvOut out;
-                out.t.resize(params.usableOts());
-                receiver.extendInto(rng, out.choice, out.t.data());
-                run.receiver_out.push_back(std::move(out));
-            }
-        });
-    return run;
-}
-
-void
-expectValidCots(const FerretRun &run, size_t expect_size)
-{
-    ASSERT_EQ(run.sender_out.size(), run.receiver_out.size());
-    for (size_t it = 0; it < run.sender_out.size(); ++it) {
-        const auto &q = run.sender_out[it];
-        const auto &out = run.receiver_out[it];
-        ASSERT_EQ(q.size(), expect_size) << "iteration " << it;
-        ASSERT_EQ(out.t.size(), expect_size);
-        ASSERT_EQ(out.choice.size(), expect_size);
-        for (size_t i = 0; i < q.size(); ++i) {
-            ASSERT_EQ(out.t[i],
-                      q[i] ^ scalarMul(out.choice.get(i), run.delta))
-                << "iteration " << it << " index " << i;
-        }
-    }
-}
-
-TEST(FerretTest, SingleExtensionCorrelation)
-{
-    FerretParams p = tinyTestParams();
-    FerretRun run = runFerret(p, 1, 1000);
-    expectValidCots(run, p.usableOts());
-}
-
-TEST(FerretTest, ThreeIterationsBootstrapCorrectly)
-{
-    FerretParams p = tinyTestParams();
-    FerretRun run = runFerret(p, 3, 2000);
-    expectValidCots(run, p.usableOts());
-}
 
 /** Leaves each engine tree of @p p expands (SPCOT's leaf stride). */
 size_t
@@ -123,6 +30,124 @@ expandedLeaves(const FerretParams &p)
     shape.prepare(spcotConfigOf(p));
     return shape.leaves;
 }
+
+/** @p p with its GGM arity and PRG replaced. */
+FerretParams
+withTrees(FerretParams p, unsigned arity, crypto::PrgKind prg)
+{
+    p.arity = arity;
+    p.prg = prg;
+    return p;
+}
+
+/**
+ * One engine pair of the correlation grid, and the thread counts
+ * (besides the pair's own) that must reproduce its outputs bit for
+ * bit.
+ */
+struct FerretCell
+{
+    std::string name;
+    FerretPair pair;
+    std::vector<int> alsoAt = {};
+};
+
+void
+PrintTo(const FerretCell &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+std::vector<FerretCell>
+ferretCells()
+{
+    using crypto::PrgKind;
+    const FerretParams tiny = tinyTestParams();
+    std::vector<FerretCell> cells = {
+        {"tiny", {.params = tiny, .seed = 1000}},
+        // Bootstrapping: each extension runs on the reserve the
+        // previous one produced.
+        {"tiny_3_iterations",
+         {.params = tiny, .seed = 2000, .iterations = 3}},
+        {"tiny_aes_2ary",
+         {.params = withTrees(tiny, 2, PrgKind::Aes), .seed = 5000}},
+        {"tiny_chacha8_8ary",
+         {.params = withTrees(tiny, 8, PrgKind::ChaCha8), .seed = 6000}},
+        {"tiny_4_threads", {.params = tiny, .seed = 8000, .threads = 4}},
+        // Invariant 9: the pooled SPCOT and LPN paths at 2 and 4
+        // workers reproduce the single-threaded outputs.
+        {"tiny_1_2_4_threads",
+         {.params = tiny, .seed = 7100, .iterations = 2},
+         {2, 4}},
+        // 2^23 is the smallest Table-4 set whose index tape is over the
+        // cap, so its engines run the fused streaming LPN encoder; the
+        // second extension encodes from the reserve the first one
+        // bootstrapped.
+        {"stream_2e23",
+         {.params = paperParamSet(23), .seed = 9000, .iterations = 2,
+          .threads = 2}},
+    };
+    // Randomized sweep: the correlation holds for arbitrary (n, k, t,
+    // arity, prg), not just the published sets.
+    struct Sweep
+    {
+        size_t n, k, t;
+        unsigned arity;
+        PrgKind prg;
+    };
+    const Sweep sweeps[] = {
+        {5000, 512, 8, 4, PrgKind::ChaCha8},
+        {5000, 512, 8, 2, PrgKind::Aes},
+        {9001, 777, 13, 4, PrgKind::ChaCha8},
+        {9001, 777, 13, 8, PrgKind::ChaCha8},
+        {20000, 2048, 31, 4, PrgKind::ChaCha20},
+        {16384, 1000, 16, 16, PrgKind::ChaCha8},
+        {33000, 4096, 64, 4, PrgKind::ChaCha8},
+        {12345, 999, 7, 2, PrgKind::ChaCha8},
+    };
+    uint64_t seed = 1;
+    for (const Sweep &s : sweeps) {
+        FerretParams p;
+        p.name = "sweep";
+        p.n = s.n;
+        p.k = s.k;
+        p.t = s.t;
+        p.lpnSeed = seed;
+        cells.push_back(
+            {"n" + std::to_string(s.n) + "_k" + std::to_string(s.k) +
+                 "_t" + std::to_string(s.t) + "_m" +
+                 std::to_string(s.arity) + "_" +
+                 crypto::prgKindName(s.prg),
+             {.params = withTrees(p, s.arity, s.prg), .seed = seed++}});
+    }
+    return cells;
+}
+
+class FerretPairGrid : public testing::TestWithParam<FerretCell>
+{
+};
+
+TEST_P(FerretPairGrid, OutputsCorrelate)
+{
+    const FerretCell &cell = GetParam();
+    ASSERT_GT(cell.pair.params.usableOts(), 0u);
+    const FerretPairRun run = cell.pair.run();
+    EXPECT_TRUE(correlated(run));
+    for (int threads : cell.alsoAt) {
+        FerretPair at = cell.pair;
+        at.threads = threads;
+        const FerretPairRun other = at.run();
+        EXPECT_EQ(other.q, run.q) << threads << " threads";
+        EXPECT_EQ(other.t, run.t) << threads << " threads";
+        EXPECT_EQ(other.choice, run.choice) << threads << " threads";
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cells, FerretPairGrid, testing::ValuesIn(ferretCells()),
+    [](const testing::TestParamInfo<FerretCell> &info) {
+        return info.param.name;
+    });
 
 TEST(FerretTest, TreesExpandOnlyTheBucketWidth)
 {
@@ -134,101 +159,41 @@ TEST(FerretTest, TreesExpandOnlyTheBucketWidth)
     // prefetch per call).
     FerretParams p = tinyTestParams();
     ASSERT_EQ(expandedLeaves(p), 640u);
-    FerretRun run = runFerret(p, 3, 2500);
-    expectValidCots(run, p.usableOts());
-    EXPECT_EQ(run.sender_spcot_ops, 4u * 4580u);
+    FerretPairRun run =
+        FerretPair{.params = p, .seed = 2500, .iterations = 3}.run();
+    EXPECT_TRUE(correlated(run));
+    EXPECT_EQ(run.senderStats.get("spcot_prg_ops"), 4u * 4580u);
 }
 
 TEST(FerretTest, OutputsDifferAcrossIterations)
 {
     FerretParams p = tinyTestParams();
-    FerretRun run = runFerret(p, 2, 3000);
+    FerretPairRun run =
+        FerretPair{.params = p, .seed = 3000, .iterations = 2}.run();
     // Fresh correlations each round: overlapping values would mean the
     // bootstrap reused outputs.
     size_t same = 0;
     for (size_t i = 0; i < 100; ++i)
-        same += (run.sender_out[0][i] == run.sender_out[1][i]);
+        same += (run.q[i] == run.q[p.usableOts() + i]);
     EXPECT_EQ(same, 0u);
 }
 
 TEST(FerretTest, ChoiceBitsLookRandom)
 {
-    FerretParams p = tinyTestParams();
-    FerretRun run = runFerret(p, 1, 4000);
-    double frac = double(run.receiver_out[0].choice.popcount()) /
-                  run.receiver_out[0].choice.size();
+    FerretPairRun run =
+        FerretPair{.params = tinyTestParams(), .seed = 4000}.run();
+    double frac = double(run.choice.popcount()) / run.choice.size();
     EXPECT_NEAR(frac, 0.5, 0.05);
-}
-
-TEST(FerretTest, WorksWithAes2aryBaseline)
-{
-    FerretParams p = tinyTestParams();
-    FerretRun run = runFerret(p, 1, 5000, 2, crypto::PrgKind::Aes);
-    expectValidCots(run, p.usableOts());
-}
-
-TEST(FerretTest, WorksWith8aryChaCha)
-{
-    FerretParams p = tinyTestParams();
-    FerretRun run = runFerret(p, 1, 6000, 8, crypto::PrgKind::ChaCha8);
-    expectValidCots(run, p.usableOts());
 }
 
 TEST(FerretTest, CommunicationIsSublinear)
 {
     FerretParams p = tinyTestParams();
-    FerretRun run = runFerret(p, 1, 7000);
+    FerretPairRun run = FerretPair{.params = p, .seed = 7000}.run();
     // IKNP-style OTE moves >= 16 bytes per OT; PCG-style must be far
     // below that (sub-linear: only the SPCOT messages cross the wire).
     double bytes_per_ot = double(run.wire.totalBytes) / p.usableOts();
     EXPECT_LT(bytes_per_ot, 4.0);
-}
-
-TEST(FerretTest, MultiThreadedLpnMatches)
-{
-    FerretParams p = tinyTestParams();
-
-    Rng dealer(8000);
-    Block delta = dealer.nextBlock();
-    auto [base_s, base_r] = dealBaseCots(dealer, delta, p.reservedCots());
-
-    std::vector<Block> q_out(p.usableOts());
-    RecvOut r_out;
-    r_out.t.resize(p.usableOts());
-    net::runTwoParty(
-        [&](net::Channel &ch) {
-            FerretCotSender sender(ch, p, delta, std::move(base_s.q));
-            sender.setThreads(4);
-            Rng rng(8001);
-            sender.extendInto(rng, q_out.data());
-        },
-        [&](net::Channel &ch) {
-            FerretCotReceiver receiver(ch, p, std::move(base_r.choice),
-                                       std::move(base_r.t));
-            receiver.setThreads(4);
-            Rng rng(8002);
-            receiver.extendInto(rng, r_out.choice, r_out.t.data());
-        });
-
-    for (size_t i = 0; i < q_out.size(); ++i)
-        ASSERT_EQ(r_out.t[i],
-                  q_out[i] ^ scalarMul(r_out.choice.get(i), delta));
-}
-
-TEST(FerretTest, StreamingLpnSetBootstrapsCorrectly)
-{
-    // 2^23 is the smallest Table-4 set whose index tape is over the
-    // cap, so its engines run the fused streaming LPN encoder. Two
-    // extensions: the second one encodes from the reserve the first
-    // one bootstrapped.
-    const FerretParams p = paperParamSet(23);
-    ASSERT_GT(LpnIndexTape::bytesFor(p.n, p.lpnWeight),
-              OtWorkspace::kLpnTapeBytesCap);
-    const FerretParams below = paperParamSet(22);
-    ASSERT_LE(LpnIndexTape::bytesFor(below.n, below.lpnWeight),
-              OtWorkspace::kLpnTapeBytesCap);
-    FerretRun run = runFerret(p, 2, 9000, p.arity, p.prg, 2);
-    expectValidCots(run, p.usableOts());
 }
 
 /**
@@ -259,27 +224,8 @@ TEST(FerretTest, ConcurrentPrewarmSharesOneTape)
     LpnEncodeScratch scratch;
     EXPECT_EQ(sharedLpnTape(LpnEncoder(lp), pool, &scratch).use_count(), 3);
 
-    Rng dealer(9100);
-    const Block delta = dealer.nextBlock();
-    auto [base_s, base_r] = dealBaseCots(dealer, delta, p.reservedCots());
-    std::vector<Block> q_out(p.usableOts());
-    RecvOut r_out;
-    r_out.t.resize(p.usableOts());
-    net::runTwoParty(
-        [&](net::Channel &ch) {
-            sender.resetSession(ch, delta, base_s.q.data(), base_s.q.size());
-            Rng rng(9101);
-            sender.extendInto(rng, q_out.data());
-        },
-        [&](net::Channel &ch) {
-            receiver.resetSession(ch, base_r.choice, base_r.t.data(),
-                                  base_r.t.size());
-            Rng rng(9102);
-            receiver.extendInto(rng, r_out.choice, r_out.t.data());
-        });
-    for (size_t i = 0; i < q_out.size(); ++i)
-        ASSERT_EQ(r_out.t[i],
-                  q_out[i] ^ scalarMul(r_out.choice.get(i), delta));
+    const FerretPair pair{.params = p, .seed = 9100, .threads = 2};
+    EXPECT_TRUE(correlated(pair.run(pair.deal(), &sender, &receiver)));
 }
 
 TEST(FerretParamsTest, Table4SelfConsistency)
@@ -296,6 +242,11 @@ TEST(FerretParamsTest, Table4SelfConsistency)
         EXPECT_GE(p.t * p.bucketSize(), p.n) << p.name;
         // The extension is productive.
         EXPECT_GT(p.usableOts(), 0u) << p.name;
+        // Index tapes up to 2^22; 2^23 and up stream their LPN.
+        EXPECT_EQ(LpnIndexTape::bytesFor(p.n, p.lpnWeight) >
+                      OtWorkspace::kLpnTapeBytesCap,
+                  i >= 3)
+            << p.name;
         // Usable output is within 1% of the nominal 2^(20+i) target.
         double target = std::pow(2.0, 20.0 + double(i));
         EXPECT_NEAR(double(p.usableOts()) / target, 1.0, 0.01) << p.name;

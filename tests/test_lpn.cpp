@@ -1,10 +1,12 @@
 /**
  * @file
- * LPN encoder tests: recorded matrix digests, determinism, agreement
- * of the fused streaming and tape encoders with a dense GF(2)
- * reference under every kernel, parallel == serial, one shared index
- * tape per parameter set (sharedLpnTape), and preservation of the COT
- * correlation through the encoding (invariant 4 of DESIGN.md).
+ * LPN encoder tests: recorded matrix digests, determinism, every
+ * encode path (streaming and tape, block, bit and one-pass block + bit,
+ * under every kernel, whole, ranged and split over pool threads)
+ * against a dense GF(2) reference in one grid (LpnGridTest), one
+ * shared index tape per parameter set (sharedLpnTape), and
+ * preservation of the COT correlation through the encoding
+ * (invariant 4 of DESIGN.md).
  */
 
 #include <gtest/gtest.h>
@@ -37,19 +39,22 @@ smallParams()
 /**
  * Dense reference of the block encode: rows[j] ^= sum of in[c] over
  * the columns c that row j names an odd number of times (duplicate
- * indices cancel over GF(2)).
+ * indices cancel over GF(2)). The columns come from rowIndicesBatch,
+ * which BatchIndicesMatchSingle ties to the digest-pinned rowIndices.
  */
 std::vector<Block>
 denseEncode(const LpnEncoder &enc, const std::vector<Block> &in,
             std::vector<Block> rows)
 {
-    std::vector<uint32_t> idx(enc.params().d);
+    const size_t d = enc.params().d;
+    std::vector<uint32_t> all(rows.size() * d);
+    enc.rowIndicesBatch(0, rows.size(), all.data());
     for (size_t j = 0; j < rows.size(); ++j) {
-        enc.rowIndices(j, idx.data());
-        std::sort(idx.begin(), idx.end());
-        for (size_t i = 0; i < idx.size(); ++i) {
+        const auto idx = all.begin() + j * d;
+        std::sort(idx, idx + d);
+        for (size_t i = 0; i < d; ++i) {
             size_t run = 1;
-            while (i + 1 < idx.size() && idx[i + 1] == idx[i])
+            while (i + 1 < d && idx[i + 1] == idx[i])
                 ++i, ++run;
             if (run % 2)
                 rows[j] ^= in[idx[i]];
@@ -215,60 +220,11 @@ TEST(LpnTest, IndicesRoughlyUniformOverColumns)
     EXPECT_LT(extreme, p.k / 100); // <1% pathological columns
 }
 
-TEST(LpnTest, EncodeMatchesDenseReference)
-{
-    LpnParams p;
-    p.n = 256;
-    p.k = 64;
-    p.d = 10;
-    p.seed = 5;
-    LpnEncoder enc(p);
-
-    Rng rng(50);
-    std::vector<Block> in = rng.nextBlocks(p.k);
-    std::vector<Block> base = rng.nextBlocks(p.n); // SPCOT contribution
-
-    std::vector<Block> expect = denseEncode(enc, in, base);
-
-    std::vector<Block> got = base;
-    LpnEncodeScratch scratch;
-    enc.encodeBlocks(in.data(), got.data(), 0, p.n, scratch);
-    EXPECT_EQ(got, expect);
-}
-
-TEST(LpnTest, PartitionedEncodeMatchesSerial)
-{
-    // The engine splits the row range over pool workers; any split,
-    // each part with its own scratch, must be bit-identical to the
-    // serial encode.
-    LpnParams p = smallParams();
-    LpnEncoder enc(p);
-    Rng rng(51);
-    std::vector<Block> in = rng.nextBlocks(p.k);
-    std::vector<Block> serial = rng.nextBlocks(p.n);
-    std::vector<Block> parts = serial;
-
-    LpnEncodeScratch scratch;
-    enc.encodeBlocks(in.data(), serial.data(), 0, p.n, scratch);
-
-    const size_t cuts[] = {0, 1, p.n / 3, p.n / 3 + 7, p.n};
-    for (size_t c = 0; c + 1 < std::size(cuts); ++c) {
-        LpnEncodeScratch own;
-        enc.encodeBlocks(in.data(), parts.data() + cuts[c], cuts[c],
-                         cuts[c + 1] - cuts[c], own);
-    }
-    EXPECT_EQ(serial, parts);
-}
-
 // ---------------------------------------------------------------------------
-// Fused streaming kernel
+// Reference grid: every encode path against the dense reference
 // ---------------------------------------------------------------------------
 
-/** Every kernel setting the encoders can be pinned to. */
-constexpr LpnKernel kAllKernels[] = {LpnKernel::Auto, LpnKernel::Scalar,
-                                     LpnKernel::Sse2};
-
-/** n % 64 != 0, so the last 64-row block is partial. */
+/** n % 64 != 0, so the last 64-row word is partial. */
 LpnParams
 raggedParams()
 {
@@ -280,296 +236,228 @@ raggedParams()
     return p;
 }
 
-/**
- * The fused block encode generates whole 64-row mini-tapes and uses
- * part of them: unaligned heads, short counts and the ragged tail
- * must all match the dense reference under every kernel.
- */
-TEST(LpnFusedTest, UnalignedBlockRangesMatchDenseReference)
-{
-    const LpnParams p = raggedParams();
-    const LpnEncoder enc(p);
-    Rng rng(60);
-    const std::vector<Block> in = rng.nextBlocks(p.k);
-    const std::vector<Block> base = rng.nextBlocks(p.n);
-    const std::vector<Block> expect = denseEncode(enc, in, base);
+/** Every kernel setting the encoders can be pinned to. */
+constexpr LpnKernel kAllKernels[] = {LpnKernel::Auto, LpnKernel::Scalar,
+                                     LpnKernel::Sse2};
 
-    struct Range
-    {
-        size_t row0, count;
-    };
-    const Range ranges[] = {{0, p.n},   {3, 1},       {5, 7},
-                            {1, 63},    {61, 65},     {64, 65},
-                            {130, 7},   {p.n - 65, 65}, {p.n - 1, 1},
-                            {37, p.n - 37}};
-    LpnEncodeScratch scratch;
-    for (LpnKernel kernel : kAllKernels) {
-        LpnEncoder::setKernel(kernel);
-        for (const Range &r : ranges) {
-            std::vector<Block> got(base.begin() + r.row0,
-                                   base.begin() + r.row0 + r.count);
-            enc.encodeBlocks(in.data(), got.data(), r.row0, r.count,
-                             scratch);
-            for (size_t j = 0; j < r.count; ++j)
-                ASSERT_EQ(got[j], expect[r.row0 + j])
-                    << "kernel " << int(kernel) << " rows " << r.row0
-                    << "+" << r.count << " row " << r.row0 + j;
-        }
-    }
-    LpnEncoder::setKernel(LpnKernel::Auto);
+/**
+ * The encode entry points. The last three write bits, so their row0
+ * must sit on a 64-row word.
+ */
+enum class Entry
+{
+    Blocks,
+    BlocksTape,
+    Bits,
+    BitsTape,
+    BlocksAndBits,
+};
+
+constexpr Entry kAllEntries[] = {Entry::Blocks, Entry::BlocksTape,
+                                 Entry::Bits, Entry::BitsTape,
+                                 Entry::BlocksAndBits};
+
+constexpr const char *kEntryNames[] = {"encodeBlocks", "encodeBlocksTape",
+                                       "encodeBits", "encodeBitsTape",
+                                       "encodeBlocksAndBits"};
+
+bool
+writesBits(Entry e)
+{
+    return e >= Entry::Bits;
 }
 
-/**
- * Ranged bit encodes (row0 on a 64-row word) touch exactly their rows
- * and match the dense reference, streaming and tape, under every
- * kernel — including counts 1, 7, 63, 65 and the ragged last word.
- */
-TEST(LpnFusedTest, BitRangesMatchDenseReference)
+bool
+writesBlocks(Entry e)
 {
-    const LpnParams p = raggedParams();
-    const LpnEncoder enc(p);
-    Rng rng(61);
-    const BitVec in = rng.nextBits(p.k);
-    const BitVec base = rng.nextBits(p.n);
-    const BitVec expect = denseEncodeBits(enc, in, base);
-
-    common::ThreadPool pool(1);
-    LpnEncodeScratch scratch;
-    LpnIndexTape tape;
-    enc.buildTape(tape, p.n, pool, &scratch);
-
-    const size_t last = p.n - p.n % 64;
-    struct Range
-    {
-        size_t row0, count;
-    };
-    const Range ranges[] = {{0, p.n},   {0, 1},     {64, 7},
-                            {128, 63},  {192, 65},  {last, p.n - last},
-                            {last - 64, p.n - last + 64}};
-    for (LpnKernel kernel : kAllKernels) {
-        LpnEncoder::setKernel(kernel);
-        for (const Range &r : ranges)
-            for (bool use_tape : {false, true}) {
-                BitVec got = base;
-                if (use_tape)
-                    enc.encodeBitsTape(in, got, r.row0, r.count, tape);
-                else
-                    enc.encodeBits(in, got, r.row0, r.count);
-                for (size_t j = 0; j < p.n; ++j) {
-                    const bool inside =
-                        j >= r.row0 && j < r.row0 + r.count;
-                    ASSERT_EQ(got.get(j),
-                              inside ? expect.get(j) : base.get(j))
-                        << "kernel " << int(kernel) << " tape "
-                        << use_tape << " rows " << r.row0 << "+"
-                        << r.count << " row " << j;
-                }
-            }
-    }
-    LpnEncoder::setKernel(LpnKernel::Auto);
+    return e != Entry::Bits && e != Entry::BitsTape;
 }
 
-/**
- * encodeBlocksAndBits() — one mini-tape per 64-row block feeding both
- * kernels — equals separate encodeBlocks() + encodeBits() calls and
- * the dense references, touches only its rows, under every kernel:
- * word-aligned starts, short and long counts and the ragged last word.
- */
-TEST(LpnFusedTest, BlocksAndBitsMatchSeparateEncodes)
+/** One code shape and the seed of its inputs and base rows. */
+struct LpnCell
 {
+    std::string name;
     LpnParams p;
-    p.n = 1700; // n % 64 != 0
-    p.k = 300;
-    p.seed = 64;
-    const LpnEncoder enc(p);
-    Rng rng(65);
-    const std::vector<Block> in = rng.nextBlocks(p.k);
-    const std::vector<Block> base = rng.nextBlocks(p.n);
-    const BitVec bits_in = rng.nextBits(p.k);
-    const BitVec bits_base = rng.nextBits(p.n);
-    const std::vector<Block> dense = denseEncode(enc, in, base);
-    const BitVec dense_bits = denseEncodeBits(enc, bits_in, bits_base);
+    uint64_t dataSeed;
+};
 
-    struct Range
-    {
-        size_t row0, count;
-    };
-    std::vector<Range> ranges;
-    for (size_t row0 : {size_t(0), size_t(64), size_t(640)})
-        for (size_t count : {1, 63, 64, 65, 1000})
-            ranges.push_back({row0, count});
-    const size_t last = p.n - p.n % 64;
-    ranges.push_back({last, p.n - last});
-
-    LpnEncodeScratch scratch;
-    for (LpnKernel kernel : kAllKernels) {
-        LpnEncoder::setKernel(kernel);
-        for (const Range &r : ranges) {
-            SCOPED_TRACE(testing::Message()
-                         << "kernel " << int(kernel) << " rows " << r.row0
-                         << "+" << r.count);
-            std::vector<Block> sep(base.begin() + r.row0,
-                                   base.begin() + r.row0 + r.count);
-            BitVec sep_bits = bits_base;
-            enc.encodeBlocks(in.data(), sep.data(), r.row0, r.count,
-                             scratch);
-            enc.encodeBits(bits_in, sep_bits, r.row0, r.count);
-
-            std::vector<Block> got(base.begin() + r.row0,
-                                   base.begin() + r.row0 + r.count);
-            BitVec got_bits = bits_base;
-            enc.encodeBlocksAndBits(in.data(), got.data(), bits_in,
-                                    got_bits, r.row0, r.count);
-
-            ASSERT_EQ(got, sep);
-            ASSERT_EQ(got_bits, sep_bits);
-            for (size_t j = 0; j < r.count; ++j)
-                ASSERT_EQ(got[j], dense[r.row0 + j]) << "row " << r.row0 + j;
-            for (size_t j = 0; j < p.n; ++j) {
-                const bool inside = j >= r.row0 && j < r.row0 + r.count;
-                ASSERT_EQ(got_bits.get(j),
-                          inside ? dense_bits.get(j) : bits_base.get(j))
-                    << "bit row " << j;
-            }
-        }
-    }
-    LpnEncoder::setKernel(LpnKernel::Auto);
+void
+PrintTo(const LpnCell &c, std::ostream *os)
+{
+    *os << c.name;
 }
 
-/**
- * Invariant 9 for the receiver's bit-LPN: split on 64-row words over
- * pools of 1-4 threads, the ranged encode is bit-identical to the
- * whole-vector call, on both paths.
- */
-TEST(LpnFusedTest, PooledBitEncodeMatchesWholeVector)
+std::vector<LpnCell>
+lpnCells()
 {
-    LpnParams p;
-    p.n = 64 * 37 + 29;
-    p.k = 500;
-    p.seed = 62;
-    const LpnEncoder enc(p);
-    Rng rng(63);
-    const BitVec in = rng.nextBits(p.k);
-    const BitVec base = rng.nextBits(p.n);
-
-    LpnEncodeScratch scratch;
-    BitVec whole = base;
-    enc.encodeBits(in, whole);
-    EXPECT_EQ(whole, denseEncodeBits(enc, in, base));
-
-    common::ThreadPool build_pool(1);
-    LpnIndexTape tape;
-    enc.buildTape(tape, p.n, build_pool, &scratch);
-
-    for (int threads = 1; threads <= 4; ++threads) {
-        common::ThreadPool pool(threads);
-        for (bool use_tape : {false, true}) {
-            BitVec got = base;
-            pool.parallelFor((p.n + 63) / 64,
-                             [&](int, size_t wlo, size_t whi) {
-                const size_t row0 = wlo * 64;
-                const size_t count = std::min(whi * 64, p.n) - row0;
-                if (use_tape)
-                    enc.encodeBitsTape(in, got, row0, count, tape);
-                else
-                    enc.encodeBits(in, got, row0, count);
-            });
-            EXPECT_EQ(got, whole)
-                << threads << " threads, tape " << use_tape;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Tape + SIMD kernels
-// ---------------------------------------------------------------------------
-
-/**
- * The tape path (precomputed transposed indices + runtime-dispatched
- * SIMD gather-XOR) and the fused streaming encoder must both be
- * bit-identical to the dense reference under randomized seeds,
- * including with the SIMD kernel forced off (scalar tape walk), at
- * unaligned row offsets, and split into contiguous parts.
- */
-TEST(LpnTapeTest, TapeEncodeMatchesStreamingUnderRandomSeeds)
-{
-    Rng meta_rng(900);
-    common::ThreadPool pool(3);
-    for (int trial = 0; trial < 6; ++trial) {
+    std::vector<LpnCell> cells = {{"small", smallParams(), 50},
+                                  {"ragged", raggedParams(), 60}};
+    // Seeded-random n, k and d, n % 8 != 0 tails included.
+    Rng meta(900);
+    for (uint64_t i = 0; i < 6; ++i) {
         LpnParams p;
-        p.n = 1000 + meta_rng.nextBelow(3000);
-        p.k = 128 + meta_rng.nextBelow(900);
-        p.d = 4 + unsigned(meta_rng.nextBelow(8));
-        p.seed = meta_rng.nextUint64();
-        LpnEncoder enc(p);
-
-        Rng rng(901 + trial);
-        std::vector<Block> in = rng.nextBlocks(p.k);
-        std::vector<Block> base = rng.nextBlocks(p.n);
-
-        const std::vector<Block> expect = denseEncode(enc, in, base);
-        std::vector<Block> streamed = base;
-        LpnEncodeScratch scratch;
-        enc.encodeBlocks(in.data(), streamed.data(), 0, p.n, scratch);
-        EXPECT_EQ(streamed, expect) << "trial " << trial;
-
-        std::vector<LpnEncodeScratch> scratches(pool.threads());
-        LpnIndexTape tape;
-        enc.buildTape(tape, p.n, pool, scratches.data());
-
-        // SIMD kernel (whatever the CPU dispatches to).
-        std::vector<Block> simd = base;
-        enc.encodeBlocksTape(in.data(), simd.data(), 0, p.n, tape);
-        EXPECT_EQ(simd, expect) << "trial " << trial;
-
-        // Forced-scalar tape walk.
-        LpnEncoder::setKernel(LpnKernel::Scalar);
-        std::vector<Block> scalar = base;
-        enc.encodeBlocksTape(in.data(), scalar.data(), 0, p.n, tape);
-        LpnEncoder::setKernel(LpnKernel::Auto);
-        EXPECT_EQ(scalar, expect) << "trial " << trial;
-
-        // Pinned SSE2 (falls back off x86, which must still be
-        // bit-identical).
-        LpnEncoder::setKernel(LpnKernel::Sse2);
-        std::vector<Block> sse2 = base;
-        enc.encodeBlocksTape(in.data(), sse2.data(), 0, p.n, tape);
-        LpnEncoder::setKernel(LpnKernel::Auto);
-        EXPECT_EQ(sse2, expect) << "trial " << trial;
-
-        // Unaligned sub-range (exercises the head/tail handling).
-        size_t row0 = 1 + meta_rng.nextBelow(61);
-        size_t count = p.n - row0 - meta_rng.nextBelow(7);
-        std::vector<Block> sub(base.begin() + row0,
-                               base.begin() + row0 + count);
-        enc.encodeBlocksTape(in.data(), sub.data(), row0, count, tape);
-        for (size_t j = 0; j < count; ++j)
-            ASSERT_EQ(sub[j], expect[row0 + j])
-                << "trial " << trial << " row " << row0 + j;
-
-        // Split over contiguous parts, as the engine's workers do.
-        std::vector<Block> parts = base;
-        const size_t cut = meta_rng.nextBelow(p.n);
-        enc.encodeBlocksTape(in.data(), parts.data(), 0, cut, tape);
-        enc.encodeBlocksTape(in.data(), parts.data() + cut, cut,
-                             p.n - cut, tape);
-        EXPECT_EQ(parts, expect) << "trial " << trial;
+        p.n = 500 + meta.nextBelow(2000);
+        p.k = 64 + meta.nextBelow(900);
+        p.d = 4 + unsigned(meta.nextBelow(8));
+        p.seed = meta.nextUint64();
+        cells.push_back({"random_" + std::to_string(i), p, 901 + i});
     }
+    return cells;
 }
 
-TEST(LpnTapeTest, TapeBuildDeterministicAcrossThreadCounts)
+/**
+ * One cell's encoder, inputs and dense references, and its index tape
+ * built on one thread. The test runs every encode path on copies of
+ * the base rows.
+ */
+class LpnGridTest : public testing::TestWithParam<LpnCell>
 {
-    LpnParams p = smallParams();
-    LpnEncoder enc(p);
+  protected:
+    LpnGridTest() : p(GetParam().p), enc(p)
+    {
+        Rng rng(GetParam().dataSeed);
+        in = rng.nextBlocks(p.k);
+        base = rng.nextBlocks(p.n);
+        bitsIn = rng.nextBits(p.k);
+        bitsBase = rng.nextBits(p.n);
+        dense = denseEncode(enc, in, base);
+        denseBits = denseEncodeBits(enc, bitsIn, bitsBase);
+        common::ThreadPool pool(1);
+        LpnEncodeScratch scratch;
+        enc.buildTape(tape, p.n, pool, &scratch);
+    }
 
-    common::ThreadPool pool1(1), pool4(4);
-    std::vector<LpnEncodeScratch> s1(pool1.threads());
-    std::vector<LpnEncodeScratch> s4(pool4.threads());
-    LpnIndexTape t1, t4;
-    enc.buildTape(t1, p.n, pool1, s1.data());
-    enc.buildTape(t4, p.n, pool4, s4.data());
-    EXPECT_EQ(t1.idx, t4.idx);
+    ~LpnGridTest() override { LpnEncoder::setKernel(LpnKernel::Auto); }
+
+    /** Run @p e on rows [row0, row0 + count); @p rows is row row0. */
+    void
+    encode(Entry e, size_t row0, size_t count, Block *rows,
+           BitVec &bits) const
+    {
+        LpnEncodeScratch scratch;
+        switch (e) {
+          case Entry::Blocks:
+            enc.encodeBlocks(in.data(), rows, row0, count, scratch);
+            break;
+          case Entry::BlocksTape:
+            enc.encodeBlocksTape(in.data(), rows, row0, count, tape);
+            break;
+          case Entry::Bits:
+            enc.encodeBits(bitsIn, bits, row0, count);
+            break;
+          case Entry::BitsTape:
+            enc.encodeBitsTape(bitsIn, bits, row0, count, tape);
+            break;
+          case Entry::BlocksAndBits:
+            enc.encodeBlocksAndBits(in.data(), rows, bitsIn, bits, row0,
+                                    count);
+            break;
+        }
+    }
+
+    /**
+     * After @p e encoded rows [row0, row0 + count): the block rows it
+     * writes (@p rows is row row0) hold the dense reference, and so do
+     * the bits it writes, while every other bit keeps its base.
+     */
+    testing::AssertionResult
+    matchesDense(Entry e, size_t row0, size_t count, const Block *rows,
+                 const BitVec &bits) const
+    {
+        for (size_t j = row0; writesBlocks(e) && j < row0 + count; ++j)
+            if (rows[j - row0] != dense[j])
+                return testing::AssertionFailure() << "block row " << j;
+        for (size_t j = 0; writesBits(e) && j < p.n; ++j) {
+            const bool inside = j >= row0 && j < row0 + count;
+            if (bits.get(j) != (inside ? denseBits : bitsBase).get(j))
+                return testing::AssertionFailure() << "bit row " << j;
+        }
+        return testing::AssertionSuccess();
+    }
+
+    const LpnParams p;
+    const LpnEncoder enc;
+    std::vector<Block> in, base, dense;
+    BitVec bitsIn, bitsBase, denseBits;
+    LpnIndexTape tape;
+};
+
+TEST_P(LpnGridTest, EveryEncodePathMatchesDenseReference)
+{
+    // Ranges under every kernel: whole, unaligned heads and short
+    // counts, unaligned tails, and the last (ragged when n % 64 != 0)
+    // word. The fused streaming encoders generate whole 64-row
+    // mini-tapes and use part of them; the bit entry points take the
+    // word-aligned ranges.
+    const size_t n = p.n;
+    const size_t last = (n - 1) / 64 * 64;
+    struct Range
+    {
+        size_t row0, count;
+    };
+    const Range ranges[] = {
+        {0, n},      {3, 1},      {5, 7},           {1, 63},
+        {61, 65},    {130, 7},    {37, n - 37},     {n - 65, 65},
+        {n - 1, 1},  {0, 1},      {64, 7},          {128, 63},
+        {192, 65},   {last, n - last}, {last - 64, n - last + 64}};
+    for (LpnKernel kernel : kAllKernels) {
+        LpnEncoder::setKernel(kernel);
+        for (Entry e : kAllEntries)
+            for (const Range &r : ranges) {
+                if (writesBits(e) && r.row0 % 64 != 0)
+                    continue;
+                std::vector<Block> rows(base.begin() + r.row0,
+                                        base.begin() + r.row0 + r.count);
+                BitVec bits = bitsBase;
+                encode(e, r.row0, r.count, rows.data(), bits);
+                EXPECT_TRUE(matchesDense(e, r.row0, r.count, rows.data(),
+                                         bits))
+                    << "kernel " << int(kernel) << ", "
+                    << kEntryNames[int(e)] << ", rows " << r.row0 << "+"
+                    << r.count;
+            }
+    }
+    LpnEncoder::setKernel(LpnKernel::Auto);
+
+    // All n rows in contiguous parts cut at any row, one call each.
+    const size_t cuts[] = {0, 1, n / 3, n / 3 + 7, n};
+    for (Entry e : {Entry::Blocks, Entry::BlocksTape}) {
+        std::vector<Block> rows = base;
+        BitVec bits = bitsBase;
+        for (size_t c = 0; c + 1 < std::size(cuts); ++c)
+            encode(e, cuts[c], cuts[c + 1] - cuts[c], rows.data() + cuts[c],
+                   bits);
+        EXPECT_TRUE(matchesDense(e, 0, n, rows.data(), bits))
+            << kEntryNames[int(e)] << " in contiguous parts";
+    }
+
+    // Invariant 9 for the receiver's bit LPN: 64-row words split over
+    // pools of 1-4 threads and encoded concurrently. The tape built on
+    // 4 threads equals the one built on 1.
+    common::ThreadPool pool;
+    for (int threads = 1; threads <= 4; ++threads) {
+        pool.resize(threads);
+        for (Entry e : {Entry::Bits, Entry::BitsTape}) {
+            BitVec bits = bitsBase;
+            pool.parallelFor((n + 63) / 64, [&](int, size_t wlo, size_t whi) {
+                const size_t row0 = wlo * 64;
+                encode(e, row0, std::min(whi * 64, n) - row0, nullptr, bits);
+            });
+            EXPECT_TRUE(matchesDense(e, 0, n, nullptr, bits))
+                << kEntryNames[int(e)] << " over " << threads << " threads";
+        }
+    }
+    std::vector<LpnEncodeScratch> scratch(pool.threads());
+    LpnIndexTape four;
+    enc.buildTape(four, n, pool, scratch.data());
+    EXPECT_EQ(four.idx, tape.idx);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, LpnGridTest, testing::ValuesIn(lpnCells()),
+    [](const testing::TestParamInfo<LpnCell> &info) {
+        return info.param.name;
+    });
 
 /** sharedLpnTape() on its own pool, as an engine calls it. */
 std::shared_ptr<const LpnIndexTape>
@@ -672,106 +560,6 @@ TEST(LpnTapeTest, AutoKernelIsTheCpuidChoice)
     EXPECT_EQ(first, "scalar");
 #endif
     EXPECT_EQ(LpnEncoder::activeKernelName(), first);
-}
-
-TEST(LpnTapeTest, BitEncodeTapeMatchesStreaming)
-{
-    LpnParams p;
-    p.n = 2048;
-    p.k = 256;
-    p.seed = 21;
-    LpnEncoder enc(p);
-
-    Rng rng(55);
-    BitVec in = rng.nextBits(p.k);
-    BitVec base = rng.nextBits(p.n);
-
-    BitVec expect = base;
-    LpnEncodeScratch scratch;
-    enc.encodeBits(in, expect);
-
-    common::ThreadPool pool(1);
-    LpnIndexTape tape;
-    enc.buildTape(tape, p.n, pool, &scratch);
-    BitVec got = base;
-    enc.encodeBitsTape(in, got, tape);
-    EXPECT_EQ(got, expect);
-}
-
-/**
- * The SIMD bit kernels (word-at-a-time groups + AVX2 vpgatherdd) must
- * be bit-identical to the dense reference under random seeds and
- * sizes, including n % 8 != 0 tails and through every pinnable
- * kernel.
- */
-TEST(LpnTapeTest, BitEncodeSimdMatchesScalarUnderRandomSeeds)
-{
-    Rng meta_rng(910);
-    common::ThreadPool pool(2);
-    for (int trial = 0; trial < 6; ++trial) {
-        LpnParams p;
-        p.n = 500 + meta_rng.nextBelow(4000); // tails exercised
-        p.k = 64 + meta_rng.nextBelow(700);
-        p.d = 4 + unsigned(meta_rng.nextBelow(8));
-        p.seed = meta_rng.nextUint64();
-        LpnEncoder enc(p);
-
-        Rng rng(911 + trial);
-        BitVec in = rng.nextBits(p.k);
-        BitVec base = rng.nextBits(p.n);
-
-        const BitVec expect = denseEncodeBits(enc, in, base);
-        BitVec streamed = base;
-        LpnEncodeScratch scratch;
-        enc.encodeBits(in, streamed);
-        EXPECT_EQ(streamed, expect) << "trial " << trial;
-
-        std::vector<LpnEncodeScratch> scratches(pool.threads());
-        LpnIndexTape tape;
-        enc.buildTape(tape, p.n, pool, scratches.data());
-
-        BitVec simd = base;
-        enc.encodeBitsTape(in, simd, tape);
-        EXPECT_EQ(simd, expect) << "trial " << trial;
-
-        for (LpnKernel k : {LpnKernel::Scalar, LpnKernel::Sse2}) {
-            LpnEncoder::setKernel(k);
-            BitVec pinned = base;
-            enc.encodeBitsTape(in, pinned, tape);
-            LpnEncoder::setKernel(LpnKernel::Auto);
-            EXPECT_EQ(pinned, expect)
-                << "trial " << trial << " kernel " << int(k);
-        }
-    }
-}
-
-TEST(LpnTest, BitEncodeMatchesBlockEncodeOnLsb)
-{
-    // Encoding bits must be the GF(2) projection of encoding blocks.
-    LpnParams p;
-    p.n = 512;
-    p.k = 128;
-    p.seed = 9;
-    LpnEncoder enc(p);
-
-    Rng rng(52);
-    BitVec in_bits = rng.nextBits(p.k);
-    BitVec base_bits = rng.nextBits(p.n);
-
-    std::vector<Block> in_blocks(p.k), base_blocks(p.n);
-    for (size_t i = 0; i < p.k; ++i)
-        in_blocks[i] = Block::fromUint64(in_bits.get(i));
-    for (size_t j = 0; j < p.n; ++j)
-        base_blocks[j] = Block::fromUint64(base_bits.get(j));
-
-    BitVec got_bits = base_bits;
-    LpnEncodeScratch scratch;
-    enc.encodeBits(in_bits, got_bits);
-    enc.encodeBlocks(in_blocks.data(), base_blocks.data(), 0, p.n,
-                     scratch);
-
-    for (size_t j = 0; j < p.n; ++j)
-        EXPECT_EQ(got_bits.get(j), base_blocks[j].lsb()) << "row " << j;
 }
 
 TEST(LpnTest, EncodingPreservesCotCorrelation)

@@ -2,9 +2,6 @@
  * @file
  * Cross-module property tests and failure injection.
  *
- * - Randomized Ferret parameter sweep: the COT correlation must hold
- *   for arbitrary (n, k, t, arity, prg) combinations, not just the
- *   published sets.
  * - Failure injection: corrupting base COTs or tampering with wire
  *   bytes must break the output correlation (semi-honest protocols
  *   do not *detect* tampering, but the correlation check used by
@@ -16,9 +13,9 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "ferret_pair.h"
 #include "net/two_party.h"
 #include "ot/base_cot.h"
-#include "ot/ferret.h"
 #include "ot/ggm_tree.h"
 #include "ot/spcot.h"
 
@@ -26,116 +23,21 @@ namespace ironman::ot {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Randomized Ferret parameter sweep
-// ---------------------------------------------------------------------------
-
-struct SweepCase
-{
-    size_t n, k, t;
-    unsigned arity;
-    crypto::PrgKind prg;
-    uint64_t seed;
-};
-
-class FerretSweepTest : public ::testing::TestWithParam<SweepCase>
-{};
-
-TEST_P(FerretSweepTest, CorrelationHoldsForArbitraryParams)
-{
-    const SweepCase c = GetParam();
-    FerretParams p;
-    p.name = "sweep";
-    p.n = c.n;
-    p.k = c.k;
-    p.t = c.t;
-    p.arity = c.arity;
-    p.prg = c.prg;
-    p.lpnSeed = c.seed;
-    ASSERT_GT(p.usableOts(), 0u);
-
-    Rng dealer(c.seed);
-    Block delta = dealer.nextBlock();
-    auto [bs, br] = dealBaseCots(dealer, delta, p.reservedCots());
-
-    std::vector<Block> q(p.usableOts());
-    std::vector<Block> t(p.usableOts());
-    BitVec choice;
-    net::runTwoParty(
-        [&](net::Channel &ch) {
-            FerretCotSender sender(ch, p, delta, std::move(bs.q));
-            Rng rng(c.seed + 1);
-            sender.extendInto(rng, q.data());
-        },
-        [&](net::Channel &ch) {
-            FerretCotReceiver receiver(ch, p, std::move(br.choice),
-                                       std::move(br.t));
-            Rng rng(c.seed + 2);
-            receiver.extendInto(rng, choice, t.data());
-        });
-
-    ASSERT_EQ(choice.size(), p.usableOts());
-    for (size_t i = 0; i < q.size(); ++i)
-        ASSERT_EQ(t[i], q[i] ^ scalarMul(choice.get(i), delta))
-            << "i=" << i;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    RandomishGrid, FerretSweepTest,
-    ::testing::Values(
-        SweepCase{5000, 512, 8, 4, crypto::PrgKind::ChaCha8, 1},
-        SweepCase{5000, 512, 8, 2, crypto::PrgKind::Aes, 2},
-        SweepCase{9001, 777, 13, 4, crypto::PrgKind::ChaCha8, 3},
-        SweepCase{9001, 777, 13, 8, crypto::PrgKind::ChaCha8, 4},
-        SweepCase{20000, 2048, 31, 4, crypto::PrgKind::ChaCha20, 5},
-        SweepCase{16384, 1000, 16, 16, crypto::PrgKind::ChaCha8, 6},
-        SweepCase{33000, 4096, 64, 4, crypto::PrgKind::ChaCha8, 7},
-        SweepCase{12345, 999, 7, 2, crypto::PrgKind::ChaCha8, 8}),
-    [](const auto &info) {
-        const SweepCase &c = info.param;
-        return "n" + std::to_string(c.n) + "_k" + std::to_string(c.k) +
-               "_t" + std::to_string(c.t) + "_m" +
-               std::to_string(c.arity) + "_" +
-               crypto::prgKindName(c.prg);
-    });
-
-// ---------------------------------------------------------------------------
 // Failure injection
 // ---------------------------------------------------------------------------
 
 TEST(FailureInjectionTest, CorruptedBaseCotBreaksOutput)
 {
-    FerretParams p = tinyTestParams();
-    Rng dealer(500);
-    Block delta = dealer.nextBlock();
-    auto [bs, br] = dealBaseCots(dealer, delta, p.reservedCots());
+    const FerretPair pair{.params = tinyTestParams(), .seed = 500};
+    auto base = pair.deal();
 
     // Flip one bit in one of the receiver's *LPN-input* base COTs:
     // the encoder mixes it into ~n*d/k output rows, so corruption must
     // surface in the usable output (a flipped SPCOT base COT would
     // only poison its own bucket, which may fall entirely inside the
     // bootstrap reserve).
-    br.t[3].lo ^= 1ULL << 17;
-
-    std::vector<Block> q(p.usableOts());
-    std::vector<Block> t(p.usableOts());
-    BitVec choice;
-    net::runTwoParty(
-        [&](net::Channel &ch) {
-            FerretCotSender sender(ch, p, delta, std::move(bs.q));
-            Rng rng(501);
-            sender.extendInto(rng, q.data());
-        },
-        [&](net::Channel &ch) {
-            FerretCotReceiver receiver(ch, p, std::move(br.choice),
-                                       std::move(br.t));
-            Rng rng(502);
-            receiver.extendInto(rng, choice, t.data());
-        });
-
-    size_t bad = 0;
-    for (size_t i = 0; i < q.size(); ++i)
-        bad += (t[i] != (q[i] ^ scalarMul(choice.get(i), delta)));
-    EXPECT_GT(bad, 0u);
+    base.second.t[3].lo ^= 1ULL << 17;
+    EXPECT_FALSE(correlated(pair.run(std::move(base))));
 }
 
 /**

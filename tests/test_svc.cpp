@@ -30,10 +30,9 @@
 #include <unistd.h>
 
 #include "common/rng.h"
+#include "ferret_pair.h"
 #include "net/channel.h"
 #include "net/socket_channel.h"
-#include "ot/base_cot.h"
-#include "ot/ferret.h"
 #include "ot/ferret_params.h"
 #include "svc/cot_client.h"
 #include "svc/cot_server.h"
@@ -227,50 +226,18 @@ TEST(SocketChannelTest, LoopbackTcpConnect)
 // Multi-session bit-identity vs direct engines
 // ---------------------------------------------------------------------------
 
-struct SessionRef
-{
-    // Client-receiver view.
-    BitVec choice;
-    std::vector<Block> t;
-    // Server-sender view.
-    std::vector<Block> q;
-    Block delta;
-};
-
 /**
  * The ground truth a service session must reproduce: the same seeds
- * through a direct in-process engine pair over MemoryDuplex.
+ * through a direct in-process engine pair.
  */
-SessionRef
+ot::FerretPairRun
 runDirect(const FerretParams &p, uint64_t setup_seed, int iters)
 {
-    SessionRef ref;
-    ot::CotSenderBatch bs;
-    ot::CotReceiverBatch br;
-    dealSessionBase(p, setup_seed, &bs, &br, &ref.delta);
-
-    const size_t usable = p.usableOts();
-    ref.q.resize(usable * iters);
-    ref.t.resize(usable * iters);
-
-    net::MemoryDuplex duplex;
-    std::thread sender_thread([&] {
-        ot::FerretCotSender sender(duplex.a(), p, ref.delta,
-                                   std::move(bs.q));
-        Rng rng(senderRngSeed(setup_seed));
-        for (int it = 0; it < iters; ++it)
-            sender.extendInto(rng, ref.q.data() + it * usable);
-    });
-    ot::FerretCotReceiver receiver(duplex.b(), p, std::move(br.choice),
-                                   std::move(br.t));
-    Rng rng(receiverRngSeed(setup_seed));
-    BitVec c;
-    for (int it = 0; it < iters; ++it) {
-        receiver.extendInto(rng, c, ref.t.data() + it * usable);
-        ref.choice.appendRange(c, 0, c.size());
-    }
-    sender_thread.join();
-    return ref;
+    return ot::FerretPair{.params = p,
+                          .seed = setup_seed,
+                          .iterations = iters,
+                          .seeding = ot::Seeding::Service}
+        .run();
 }
 
 /** Poll @p pred (a few seconds max) — server-side effects are async. */
@@ -343,7 +310,7 @@ TEST(CotServiceTest, EightConcurrentSessionsBitIdenticalToDirect)
         const uint64_t seed_base = 5000 + 100 * set_index++;
 
         // Ground truth per session seed.
-        std::vector<SessionRef> refs;
+        std::vector<ot::FerretPairRun> refs;
         for (int i = 0; i < kSessions; ++i)
             refs.push_back(runDirect(p, seed_base + i, kIters));
 
@@ -404,7 +371,7 @@ TEST(CotServiceTest, SenderRoleClientMatchesDirect)
     const FerretParams p = ot::tinyTestParams();
     const uint64_t seed = 91001;
 
-    SessionRef ref = runDirect(p, seed, kIters);
+    ot::FerretPairRun ref = runDirect(p, seed, kIters);
 
     ServerRecorder rec; // before the server: sinks must outlive sessions
     CotServer server;
@@ -488,7 +455,7 @@ TEST(CotServiceTest, UnixDomainSessionWorks)
     rec.attach(server);
     server.listenUnix(path);
 
-    SessionRef ref = runDirect(p, 4242, 1);
+    ot::FerretPairRun ref = runDirect(p, 4242, 1);
     CotClient::Options opt;
     opt.setupSeed = 4242;
     auto client = CotClient::connectUnix(path, p, opt);
@@ -837,7 +804,7 @@ TEST(CotServiceFuzzTest, ExtensionPhaseSurvivesMalformedPeers)
 
     // ...and an honest session still gets bit-exact service.
     const uint64_t seed = 0x600d;
-    SessionRef ref = runDirect(p, seed, 1);
+    ot::FerretPairRun ref = runDirect(p, seed, 1);
     CotClient::Options opt;
     opt.setupSeed = seed;
     auto client = CotClient::connectTcp("127.0.0.1", port, p, opt);
@@ -867,7 +834,7 @@ TEST(CotServicePolicyTest, QuotaAdversaryCannotStarveHonestClient)
     // Honest client from 127.0.0.1, session open across the flood.
     const uint64_t seed = 0x40ae57;
     constexpr int kIters = 4; // one before, two during, one after
-    SessionRef ref = runDirect(p, seed, kIters);
+    ot::FerretPairRun ref = runDirect(p, seed, kIters);
     CotClient::Options opt;
     opt.setupSeed = seed;
     auto honest = CotClient::connectTcp("127.0.0.1", port, p, opt);

@@ -1,13 +1,13 @@
 /**
  * @file
- * Workspace-engine tests (invariants 8 and 9 of DESIGN.md):
+ * Workspace-engine tests (invariants 8 and 9 of DESIGN.md; the
+ * engines' thread-count independence is test_ferret's
+ * FerretPairGrid):
  *
  *  - a warm FerretCotSender/Receiver::extendInto() performs zero heap
  *    allocations on either party (asserted by a counting global
  *    allocator, including the in-memory wire), and so do the
  *    streaming LPN encoders;
- *  - the multi-threaded batch-SPCOT/LPN path is bit-identical to the
- *    single-threaded path for fixed RNG seeds;
  *  - the OtWorkspace leaf slot is sized once from FerretParams;
  *  - the persistent ppml::FerretCotEngine refills mid-protocol and
  *    engine-backed SecureCompute matches plain evaluation;
@@ -238,74 +238,6 @@ TEST(WorkspaceEngineTest, StreamingLpnEncodesAreAllocationFree)
     encode();
     EXPECT_EQ(g_allocCount.load() - before, 0u)
         << "warm streaming LPN encodes performed heap allocations";
-}
-
-// ---------------------------------------------------------------------------
-// Invariant 9: thread-count independence
-// ---------------------------------------------------------------------------
-
-struct RunOutput
-{
-    std::vector<Block> q;
-    std::vector<Block> t;
-    BitVec choice;
-    Block delta;
-};
-
-RunOutput
-runExtensions(int threads, int iterations, uint64_t seed)
-{
-    FerretParams p = tinyTestParams();
-    Rng dealer(seed);
-    RunOutput out;
-    out.delta = dealer.nextBlock();
-    auto [bs, br] = dealBaseCots(dealer, out.delta, p.reservedCots());
-
-    const size_t usable = p.usableOts();
-    out.q.resize(usable * iterations);
-    out.t.resize(usable * iterations);
-
-    net::runTwoParty(
-        [&](net::Channel &ch) {
-            FerretCotSender sender(ch, p, out.delta, std::move(bs.q));
-            sender.setThreads(threads);
-            Rng rng(seed + 1);
-            for (int it = 0; it < iterations; ++it)
-                sender.extendInto(rng, out.q.data() + it * usable);
-        },
-        [&](net::Channel &ch) {
-            FerretCotReceiver receiver(ch, p, std::move(br.choice),
-                                       std::move(br.t));
-            receiver.setThreads(threads);
-            Rng rng(seed + 2);
-            BitVec c;
-            for (int it = 0; it < iterations; ++it) {
-                receiver.extendInto(rng, c,
-                                    out.t.data() + it * usable);
-                for (size_t i = 0; i < c.size(); ++i)
-                    out.choice.pushBack(c.get(i));
-            }
-        });
-    return out;
-}
-
-TEST(WorkspaceEngineTest, MultiThreadedMatchesSingleThreaded)
-{
-    RunOutput serial = runExtensions(1, 2, 7100);
-    for (int threads : {2, 4}) {
-        RunOutput parallel = runExtensions(threads, 2, 7100);
-        ASSERT_EQ(serial.q.size(), parallel.q.size()) << threads;
-        EXPECT_EQ(serial.q, parallel.q) << threads;
-        EXPECT_EQ(serial.t, parallel.t) << threads;
-        EXPECT_EQ(serial.choice, parallel.choice) << threads;
-    }
-
-    // And the outputs are valid correlations.
-    for (size_t i = 0; i < serial.q.size(); ++i)
-        ASSERT_EQ(serial.t[i],
-                  serial.q[i] ^
-                      scalarMul(serial.choice.get(i), serial.delta))
-            << "index " << i;
 }
 
 // ---------------------------------------------------------------------------
