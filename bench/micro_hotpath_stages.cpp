@@ -39,6 +39,7 @@
 #include "ot/ferret_params.h"
 #include "ot/ggm_tree.h"
 #include "ot/lpn.h"
+#include "ot/ot_workspace.h"
 #include "ot/spcot.h"
 
 using namespace ironman;
@@ -266,32 +267,24 @@ main()
 
     // -- stage 3: LPN gather-XOR over n rows ---------------------------
     {
-        LpnParams lp;
-        lp.n = p.n;
-        lp.k = p.k;
-        lp.d = p.lpnWeight;
-        lp.seed = p.lpnSeed;
+        const LpnParams lp = lpnParamsOf(p);
         LpnEncoder enc(lp);
         Rng rng(8);
         std::vector<Block> in = rng.nextBlocks(lp.k);
         std::vector<Block> rows = rng.nextBlocks(lp.n);
-        LpnEncodeScratch scratch;
         common::ThreadPool pool(1);
         LpnIndexTape tape;
-        enc.buildTape(tape, lp.n, pool, &scratch);
+        enc.buildTape(tape, lp.n, pool);
+        auto blocks = [&](const LpnIndexTape *t) {
+            enc.encode(t, 0, lp.n, in.data(), rows.data(), nullptr,
+                       nullptr);
+        };
 
-        double streaming = measureCycles(3, [&] {
-            enc.encodeBlocks(in.data(), rows.data(), 0, lp.n, scratch);
-        });
-        double taped = measureCycles(3, [&] {
-            enc.encodeBlocksTape(in.data(), rows.data(), 0, lp.n, tape);
-        });
+        double streaming = measureCycles(3, [&] { blocks(nullptr); });
+        double taped = measureCycles(3, [&] { blocks(&tape); });
         auto taped_with = [&](LpnKernel k) {
             LpnEncoder::setKernel(k);
-            double c = measureCycles(5, [&] {
-                enc.encodeBlocksTape(in.data(), rows.data(), 0, lp.n,
-                                     tape);
-            });
+            double c = measureCycles(5, [&] { blocks(&tape); });
             LpnEncoder::setKernel(LpnKernel::Auto);
             return c;
         };
@@ -316,16 +309,13 @@ main()
         Rng bit_rng(9);
         BitVec bits_in = bit_rng.nextBits(lp.k);
         BitVec bits_rows = bit_rng.nextBits(lp.n);
-        double bits_streaming = measureCycles(3, [&] {
-            enc.encodeBits(bits_in, bits_rows);
-        });
-        double bits_taped = measureCycles(3, [&] {
-            enc.encodeBitsTape(bits_in, bits_rows, tape);
-        });
+        auto bits = [&](const LpnIndexTape *t) {
+            enc.encode(t, 0, lp.n, nullptr, nullptr, &bits_in, &bits_rows);
+        };
+        double bits_streaming = measureCycles(3, [&] { bits(nullptr); });
+        double bits_taped = measureCycles(3, [&] { bits(&tape); });
         LpnEncoder::setKernel(LpnKernel::Scalar);
-        double bits_scalar = measureCycles(3, [&] {
-            enc.encodeBitsTape(bits_in, bits_rows, tape);
-        });
+        double bits_scalar = measureCycles(3, [&] { bits(&tape); });
         LpnEncoder::setKernel(LpnKernel::Auto);
         printRow({"bit-LPN fused streaming", bits_streaming,
                   bits_streaming / double(lp.n), "row"});

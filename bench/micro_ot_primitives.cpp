@@ -113,9 +113,9 @@ BM_LpnEncode(benchmark::State &state)
     Rng rng(6);
     std::vector<Block> in = rng.nextBlocks(p.k);
     std::vector<Block> out = rng.nextBlocks(p.n);
-    ot::LpnEncodeScratch scratch;
     for (auto _ : state) {
-        enc.encodeBlocks(in.data(), out.data(), 0, p.n, scratch);
+        enc.encode(nullptr, 0, p.n, in.data(), out.data(), nullptr,
+                   nullptr);
         benchmark::DoNotOptimize(out.data());
     }
     state.SetItemsProcessed(state.iterations() * p.n);
@@ -136,11 +136,10 @@ BM_LpnEncodeTape(benchmark::State &state)
     std::vector<Block> in = rng.nextBlocks(p.k);
     std::vector<Block> out = rng.nextBlocks(p.n);
     common::ThreadPool pool(1);
-    ot::LpnEncodeScratch scratch;
     ot::LpnIndexTape tape;
-    enc.buildTape(tape, p.n, pool, &scratch);
+    enc.buildTape(tape, p.n, pool);
     for (auto _ : state) {
-        enc.encodeBlocksTape(in.data(), out.data(), 0, p.n, tape);
+        enc.encode(&tape, 0, p.n, in.data(), out.data(), nullptr, nullptr);
         benchmark::DoNotOptimize(out.data());
     }
     state.SetItemsProcessed(state.iterations() * p.n);

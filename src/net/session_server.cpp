@@ -59,6 +59,7 @@ SessionServer::listenUnix(const std::string &path)
     IRONMAN_CHECK(listenFd.load() < 0, "server already listening");
     IRONMAN_CHECK(handler != nullptr, "no session handler set");
     const int fd = net::unixListen(path);
+    unixPath = path;
     listenFd.store(fd);
     startAccepting();
 }
@@ -221,6 +222,11 @@ SessionServer::retireListener()
     if (fd >= 0) {
         ::shutdown(fd, SHUT_RDWR);
         ::close(fd);
+        // The socket file outlives its fd; the listener's owner
+        // removes it.
+        if (!unixPath.empty())
+            ::unlink(unixPath.c_str());
+        unixPath.clear();
     }
     {
         // Wake the accept loop's slot wait and the reaper's period

@@ -238,6 +238,7 @@ class SessionServer
     uint64_t idleTimeoutMs = 0;
 
     std::atomic<int> listenFd{-1}; ///< stop() retires it from another thread
+    std::string unixPath; ///< listenUnix()'s path, unlinked on retire
     std::thread acceptThread;
     std::thread reaperThread;
     std::atomic<bool> stopping{false};

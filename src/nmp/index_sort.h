@@ -98,7 +98,7 @@ SortedLpnLayout buildSortedLayout(const ot::LpnEncoder &enc, uint64_t row0,
  * Functional re-encode through the layout: inout[j] ^= XOR of the d
  * vector entries of row rowBegin+j. @p in is the *original* (not
  * permuted) length-k input; the layout's permutation is applied
- * internally. Must agree bit-for-bit with LpnEncoder::encodeBlocks.
+ * internally. Must agree bit-for-bit with LpnEncoder::encode.
  */
 void encodeWithLayout(const SortedLpnLayout &layout, const Block *in,
                       Block *inout);

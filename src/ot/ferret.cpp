@@ -40,32 +40,6 @@ phaseSpan(bool sampled, const char *name, uint64_t dur_us,
                         0, arg);
 }
 
-LpnParams
-lpnParamsOf(const FerretParams &p)
-{
-    LpnParams lp;
-    lp.n = p.n;
-    lp.k = p.k;
-    lp.d = p.lpnWeight;
-    lp.seed = p.lpnSeed;
-    return lp;
-}
-
-/**
- * Encode rows [row0, row0+count) through the tape when one is built,
- * else through the fused streaming encoder (2^23+ sets, above the
- * tape memory cap). Output is identical either way.
- */
-void
-encodeRange(const LpnEncoder &enc, OtWorkspace &ws, const Block *in,
-            Block *inout, size_t row0, size_t count, int scratch_idx)
-{
-    if (ws.tape)
-        enc.encodeBlocksTape(in, inout, row0, count, *ws.tape);
-    else
-        enc.encodeBlocks(in, inout, row0, count, ws.lpn[scratch_idx]);
-}
-
 /**
  * Copy rows [lo, hi) of the SPCOT output from the leaf slot of @p ws
  * (bucket b of the rows is the first b.width leaves of tree b, at the
@@ -96,11 +70,8 @@ encodeBitsPrefix(const LpnEncoder &enc, OtWorkspace &ws, size_t rows)
 {
     ws.pool.parallelFor((rows + 63) / 64, [&](int, size_t wlo, size_t whi) {
         const size_t row0 = wlo * 64;
-        const size_t count = std::min(whi * 64, rows) - row0;
-        if (ws.tape)
-            enc.encodeBitsTape(ws.e, ws.x, row0, count, *ws.tape);
-        else
-            enc.encodeBits(ws.e, ws.x, row0, count);
+        enc.encode(ws.tape.get(), row0, std::min(whi * 64, rows) - row0,
+                   nullptr, nullptr, &ws.e, &ws.x);
     });
 }
 
@@ -108,39 +79,17 @@ encodeBitsPrefix(const LpnEncoder &enc, OtWorkspace &ws, size_t rows)
  * The receiver's LPN over rows [lo, hi): block encode y ^= s * A in
  * place at @p y (which holds row lo), and bit encode ws.x ^= ws.e * A
  * on the rows at or above @p split (a multiple of 64;
- * encodeBitsPrefix did the rows below). The streaming path generates
- * each 64-row block's indices once for both encodes.
+ * encodeBitsPrefix did the rows below). Without a tape, each 64-row
+ * block's indices are generated once for both encodes.
  */
 void
 encodeRecvRange(const LpnEncoder &enc, OtWorkspace &ws, const Block *s,
-                Block *y, size_t lo, size_t hi, size_t split, int worker)
+                Block *y, size_t lo, size_t hi, size_t split)
 {
     const size_t mid = std::clamp(split, lo, hi);
-    if (ws.tape) {
-        enc.encodeBlocksTape(s, y, lo, hi - lo, *ws.tape);
-        if (mid < hi)
-            enc.encodeBitsTape(ws.e, ws.x, mid, hi - mid, *ws.tape);
-        return;
-    }
-    if (lo < mid)
-        enc.encodeBlocks(s, y, lo, mid - lo, ws.lpn[worker]);
-    if (mid < hi)
-        enc.encodeBlocksAndBits(s, y + (mid - lo), ws.e, ws.x, mid,
-                                hi - mid);
-}
-
-/**
- * Take the set's shared index tape unless the set is above the memory
- * cap (2^23+, which stays on the streaming path). Idempotent; shared
- * by both endpoints so the cap policy lives in one place.
- */
-void
-ensureTapeFor(const FerretParams &p, const LpnEncoder &enc,
-              OtWorkspace &ws)
-{
-    if (!ws.tape && LpnIndexTape::bytesFor(p.n, p.lpnWeight) <=
-                        OtWorkspace::kLpnTapeBytesCap)
-        ws.tape = sharedLpnTape(enc, ws.pool, ws.lpn.data());
+    enc.encode(ws.tape.get(), lo, mid - lo, s, y, nullptr, nullptr);
+    enc.encode(ws.tape.get(), mid, hi - mid, s, y + (mid - lo), &ws.e,
+               &ws.x);
 }
 
 } // namespace
@@ -185,15 +134,8 @@ void
 FerretCotSender::prewarm()
 {
     ws.prepare(p, threads);
-    ensureTape();
     baseQ.reserve(p.reservedCots());
     baseNext.reserve(p.reservedCots());
-}
-
-void
-FerretCotSender::ensureTape()
-{
-    ensureTapeFor(p, encoder, ws);
 }
 
 void
@@ -204,7 +146,6 @@ FerretCotSender::extendInto(Rng &rng, Block *out)
     IRONMAN_CHECK(ch && baseQ.size() >= p.reservedCots(),
                   "engine not bound to a session (resetSession)");
     ws.prepare(p, threads);
-    ensureTape();
     const SpcotConfig cfg = spcotConfigOf(p);
     const size_t spcot_cots = p.t * p.cotsPerTree();
     const size_t reserved = p.k + spcot_cots;
@@ -228,9 +169,10 @@ FerretCotSender::extendInto(Rng &rng, Block *out)
     const Block *lpn_r = baseQ.data();
     baseNext.resize(reserved);
     Block *z = baseNext.data();
-    ws.pool.parallelFor(reserved, [&](int worker, size_t lo, size_t hi) {
+    ws.pool.parallelFor(reserved, [&](int, size_t lo, size_t hi) {
         scatterRows(p, ws, z + lo, lo, hi);
-        encodeRange(encoder, ws, lpn_r, z + lo, lo, hi - lo, worker);
+        encoder.encode(ws.tape.get(), lo, hi - lo, lpn_r, z + lo, nullptr,
+                       nullptr);
     });
     ws.pool.parallelFor(p.n - reserved, [&](int, size_t lo, size_t hi) {
         scatterRows(p, ws, out + lo, reserved + lo, reserved + hi);
@@ -256,10 +198,9 @@ FerretCotSender::extendInto(Rng &rng, Block *out)
 
     // The output tail, encoded in place in the caller's buffer.
     phase.reset();
-    ws.pool.parallelFor(p.n - reserved, [&](int worker, size_t lo,
-                                            size_t hi) {
-        encodeRange(encoder, ws, lpn_r, out + lo, reserved + lo, hi - lo,
-                    worker);
+    ws.pool.parallelFor(p.n - reserved, [&](int, size_t lo, size_t hi) {
+        encoder.encode(ws.tape.get(), reserved + lo, hi - lo, lpn_r,
+                       out + lo, nullptr, nullptr);
     });
     const uint64_t lpn_us = uint64_t(phase.seconds() * 1e6);
     stats_.add("lpn_us", lpn_us);
@@ -315,15 +256,8 @@ void
 FerretCotReceiver::prewarm()
 {
     ws.prepare(p, threads);
-    ensureTape();
     baseT.reserve(p.reservedCots());
     baseTNext.reserve(p.reservedCots());
-}
-
-void
-FerretCotReceiver::ensureTape()
-{
-    ensureTapeFor(p, encoder, ws);
 }
 
 void
@@ -334,7 +268,6 @@ FerretCotReceiver::extendInto(Rng &rng, BitVec &choice_out, Block *t_out)
     IRONMAN_CHECK(ch && baseT.size() >= p.reservedCots(),
                   "engine not bound to a session (resetSession)");
     ws.prepare(p, threads);
-    ensureTape();
     const SpcotConfig cfg = spcotConfigOf(p);
     const size_t bucket = p.bucketSize();
     const size_t spcot_cots = p.t * p.cotsPerTree();
@@ -404,16 +337,16 @@ FerretCotReceiver::extendInto(Rng &rng, BitVec &choice_out, Block *t_out)
     phase.reset();
     const Block *lpn_s = baseT.data();
     baseTNext.resize(reserved);
-    auto encode_part = [&](int worker, size_t lo, size_t hi, Block *y) {
+    auto encode_part = [&](size_t lo, size_t hi, Block *y) {
         scatterRows(p, ws, y, lo, hi);
-        encodeRecvRange(encoder, ws, lpn_s, y, lo, hi, split, worker);
+        encodeRecvRange(encoder, ws, lpn_s, y, lo, hi, split);
     };
-    auto encode_rows = [&](int worker, size_t lo, size_t hi) {
+    auto encode_rows = [&](int, size_t lo, size_t hi) {
         const size_t mid = std::clamp(reserved, lo, hi);
         if (lo < mid)
-            encode_part(worker, lo, mid, baseTNext.data() + lo);
+            encode_part(lo, mid, baseTNext.data() + lo);
         if (mid < hi)
-            encode_part(worker, mid, hi, t_out + (mid - reserved));
+            encode_part(mid, hi, t_out + (mid - reserved));
     };
     ws.pool.parallelForAsync(p.n, encode_rows);
     spcotRecvRecvTranscript(*ch, cfg, p.t, ws.spcot, *next_slot);

@@ -129,8 +129,6 @@ class FerretCotSender
     const StatSet &stats() const { return stats_; }
 
   private:
-    void ensureTape();
-
     net::Channel *ch = nullptr; ///< bound per session; never null in extendInto
     FerretParams p;
     Block delta_;
@@ -174,8 +172,6 @@ class FerretCotReceiver
     const StatSet &stats() const { return stats_; }
 
   private:
-    void ensureTape();
-
     net::Channel *ch = nullptr; ///< bound per session; never null in extendInto
     FerretParams p;
     BitVec baseChoice;

@@ -24,6 +24,7 @@
 #define IRONMAN_OT_FERRET_PARAMS_H
 
 #include <bit>
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -31,6 +32,22 @@
 #include "crypto/seed_expander.h"
 
 namespace ironman::ot {
+
+/**
+ * The FerretParams fields that fix an engine's sizes and output (not
+ * its name or Table 4's reporting fields): engines of one shape are
+ * interchangeable.
+ */
+struct FerretShape
+{
+    size_t n, k, t;
+    unsigned arity;
+    crypto::PrgKind prg;
+    unsigned lpnWeight;
+    uint64_t lpnSeed;
+
+    auto operator<=>(const FerretShape &) const = default;
+};
 
 /** One OTE protocol configuration. */
 struct FerretParams
@@ -46,6 +63,12 @@ struct FerretParams
     crypto::PrgKind prg = crypto::PrgKind::ChaCha8;
     unsigned lpnWeight = 10; ///< non-zeros per row of A
     uint64_t lpnSeed = 0x120394785612aa01ULL;
+
+    FerretShape
+    shape() const
+    {
+        return {n, k, t, arity, prg, lpnWeight, lpnSeed};
+    }
 
     /** Regular-noise bucket width: ceil(n / t). */
     size_t bucketSize() const { return (n + t - 1) / t; }

@@ -6,7 +6,6 @@
 #include <cstring>
 #include <map>
 #include <mutex>
-#include <tuple>
 
 #include "common/logging.h"
 
@@ -25,8 +24,6 @@ matrixKey(uint64_t seed)
 {
     return Block(seed ^ 0xa5a5a5a5deadbeefULL, ~seed);
 }
-
-constexpr size_t kRowsPerChunk = 256;
 
 constexpr size_t kLane = LpnIndexTape::kLane;
 
@@ -65,15 +62,6 @@ checked(const LpnParams &p)
     IRONMAN_CHECK(p.d <= LpnEncoder::kMaxWeight,
                   "3 AES calls supply at most 12 indices");
     return p;
-}
-
-void
-checkBitRange(const LpnParams &p, const BitVec &in, const BitVec &inout,
-              size_t row0, size_t count)
-{
-    IRONMAN_CHECK(in.size() == p.k && inout.size() == p.n);
-    IRONMAN_CHECK(row0 % kBlockRows == 0 && row0 + count <= p.n,
-                  "bit encode ranges start on a 64-row word");
 }
 
 // ---------------------------------------------------------------------------
@@ -138,7 +126,7 @@ gatherXorSse2(const Block *in, Block *inout, const uint32_t *tape,
 #endif // IRONMAN_HAVE_SSE2
 
 // ---------------------------------------------------------------------------
-// Bit gather-XOR kernels (the tape path of encodeBits)
+// Bit gather-XOR kernels
 // ---------------------------------------------------------------------------
 
 /** Scalar reference: one row at a time over the packed words. */
@@ -316,138 +304,106 @@ LpnEncoder::laneBlock(uint64_t row0, uint32_t *mini) const
     }
 }
 
+template <typename Fn>
 void
-LpnEncoder::encodeBlocks(const Block *in, Block *inout, uint64_t row0,
-                         size_t count, LpnEncodeScratch &) const
+LpnEncoder::walk(const LpnIndexTape *tape, uint64_t row0, size_t count,
+                 Fn &&fn) const
 {
+    if (tape) {
+        fn(tape->idx.data(), uint64_t(0), row0, row0 + count);
+        return;
+    }
     // Whole 64-row mini-tapes, of which an unaligned head or tail
     // uses only part: the block base is lane-aligned, so the kernels
-    // see the same layout as on the engine's tape.
-    const GatherFn gather = activeGatherKernel();
+    // see the same layout as on a built tape.
     alignas(32) uint32_t mini[kBlockRows * kMaxWeight];
     const uint64_t end = row0 + count;
     for (uint64_t b = row0 - row0 % kBlockRows; b < end; b += kBlockRows) {
         laneBlock(b, mini);
-        const uint64_t lo = std::max(b, row0);
-        const uint64_t hi = std::min(b + kBlockRows, end);
-        gather(in, inout + (lo - row0), mini, lo - b, hi - lo, p.d);
+        fn(mini, b, std::max(b, row0), std::min(b + kBlockRows, end));
     }
 }
 
 void
+LpnEncoder::encode(const LpnIndexTape *tape, uint64_t row0, size_t count,
+                   const Block *in, Block *inout, const BitVec *bits_in,
+                   BitVec *bits_inout) const
+{
+    if (count == 0)
+        return;
+    IRONMAN_CHECK(!tape || (tape->ready() && tape->builtFor == p &&
+                            row0 + count <= tape->rows),
+                  "tape built for different LPN params or too short");
+    const GatherFn gather = inout ? activeGatherKernel() : nullptr;
+    const BitGatherFn bit_gather = bits_inout ? activeBitKernel() : nullptr;
+    const uint64_t *in_words = nullptr;
+    uint64_t *out_words = nullptr;
+    if (bits_inout) {
+        IRONMAN_CHECK(bits_in->size() == p.k && bits_inout->size() == p.n);
+        IRONMAN_CHECK(row0 % kBlockRows == 0 && row0 + count <= p.n,
+                      "bit encode ranges start on a 64-row word");
+        in_words = bits_in->rawWords().data();
+        out_words = bits_inout->rawWords().data();
+    }
+    walk(tape, row0, count,
+         [&](const uint32_t *t, uint64_t base, uint64_t lo, uint64_t hi) {
+             if (gather)
+                 gather(in, inout + (lo - row0), t, lo - base, hi - lo, p.d);
+             // lo is 64-row aligned here, so the group offset is exact.
+             if (bit_gather)
+                 bit_gather(in_words, out_words + lo / kBlockRows,
+                            t + (lo - base) * p.d, hi - lo, p.d);
+         });
+}
+
+void
 LpnEncoder::buildTape(LpnIndexTape &tape, size_t rows,
-                      common::ThreadPool &pool,
-                      LpnEncodeScratch *scratch) const
+                      common::ThreadPool &pool, LpnEncodeScratch *) const
 {
     const size_t groups = (rows + kLane - 1) / kLane;
-    tape.idx.assign(groups * p.d * kLane, 0);
+    tape.idx.resize(groups * p.d * kLane);
     tape.rows = rows;
     tape.builtFor = p;
     uint32_t *out = tape.idx.data();
 
-    // Unpack + `% k` reduce each row exactly once, transposing into
-    // the lane layout as we go. Chunked so the row-major staging stays
-    // in the per-worker scratch.
-    constexpr size_t kChunkGroups = kRowsPerChunk / kLane;
-    pool.parallelFor(groups, [&](int worker, size_t glo, size_t ghi) {
-        LpnEncodeScratch &sc = scratch[worker];
-        for (size_t g0 = glo; g0 < ghi; g0 += kChunkGroups) {
-            const size_t gcnt = std::min(kChunkGroups, ghi - g0);
-            const size_t row0 = g0 * kLane;
-            const size_t cnt =
-                std::min(gcnt * kLane, rows - std::min(rows, row0));
-            if (cnt == 0)
+    // Rows [b, b+64) of the tape are laneBlock(b)'s mini-tape, so each
+    // worker writes its own blocks in place. A partial last block goes
+    // through the stack and copies only the groups the tape holds.
+    const size_t full = rows / kBlockRows;
+    pool.parallelFor((rows + kBlockRows - 1) / kBlockRows,
+                     [&](int, size_t lo, size_t hi) {
+        for (size_t blk = lo; blk < hi; ++blk) {
+            uint32_t *dst = out + blk * kBlockRows * p.d;
+            if (blk < full) {
+                laneBlock(blk * kBlockRows, dst);
                 continue;
-            if (sc.idx.size() < kRowsPerChunk * p.d)
-                sc.idx.resize(kRowsPerChunk * p.d);
-            rowIndicesBatch(row0, cnt, sc.idx.data());
-            for (size_t r = 0; r < cnt; ++r) {
-                const size_t gr = row0 + r;
-                uint32_t *dst = out + (gr / kLane) * p.d * kLane +
-                                (gr % kLane);
-                for (unsigned i = 0; i < p.d; ++i)
-                    dst[i * kLane] = sc.idx[r * p.d + i];
             }
+            alignas(32) uint32_t mini[kBlockRows * kMaxWeight];
+            laneBlock(blk * kBlockRows, mini);
+            std::copy_n(mini, (groups - blk * (kBlockRows / kLane)) *
+                                  p.d * kLane,
+                        dst);
         }
     });
 }
 
 std::shared_ptr<const LpnIndexTape>
-sharedLpnTape(const LpnEncoder &enc, common::ThreadPool &pool,
-              LpnEncodeScratch *scratch)
+sharedLpnTape(const LpnEncoder &enc, common::ThreadPool &pool)
 {
-    using Key = std::tuple<size_t, size_t, unsigned, uint64_t>;
-    static std::mutex m;
-    static std::map<Key, std::weak_ptr<const LpnIndexTape>> live;
-
     const LpnParams &p = enc.params();
+    if (LpnIndexTape::bytesFor(p.n, p.d) > kLpnTapeBytesCap)
+        return nullptr;
+    static std::mutex m;
+    static std::map<LpnParams, std::weak_ptr<const LpnIndexTape>> live;
+
     std::lock_guard<std::mutex> lock(m);
-    std::weak_ptr<const LpnIndexTape> &slot = live[{p.n, p.k, p.d, p.seed}];
+    std::weak_ptr<const LpnIndexTape> &slot = live[p];
     if (auto tape = slot.lock())
         return tape;
     auto tape = std::make_shared<LpnIndexTape>();
-    enc.buildTape(*tape, p.n, pool, scratch);
+    enc.buildTape(*tape, p.n, pool);
     slot = tape;
     return tape;
-}
-
-void
-LpnEncoder::encodeBlocksTape(const Block *in, Block *inout, uint64_t row0,
-                             size_t count, const LpnIndexTape &tape) const
-{
-    IRONMAN_CHECK(tape.ready() && tape.builtFor == p,
-                  "tape built for different LPN params");
-    IRONMAN_CHECK(row0 + count <= tape.rows, "tape too short");
-    activeGatherKernel()(in, inout, tape.idx.data(), row0, count, p.d);
-}
-
-void
-LpnEncoder::encodeBits(const BitVec &in, BitVec &inout, size_t row0,
-                       size_t count) const
-{
-    checkBitRange(p, in, inout, row0, count);
-    const BitGatherFn gather = activeBitKernel();
-    alignas(32) uint32_t mini[kBlockRows * kMaxWeight];
-    const uint64_t *in_words = in.rawWords().data();
-    uint64_t *out_words = inout.rawWords().data();
-    for (size_t b = row0; b < row0 + count; b += kBlockRows) {
-        laneBlock(b, mini);
-        gather(in_words, out_words + b / kBlockRows, mini,
-               std::min(kBlockRows, row0 + count - b), p.d);
-    }
-}
-
-void
-LpnEncoder::encodeBlocksAndBits(const Block *in, Block *inout,
-                                const BitVec &bits_in, BitVec &bits_inout,
-                                size_t row0, size_t count) const
-{
-    checkBitRange(p, bits_in, bits_inout, row0, count);
-    const GatherFn gather = activeGatherKernel();
-    const BitGatherFn bit_gather = activeBitKernel();
-    alignas(32) uint32_t mini[kBlockRows * kMaxWeight];
-    const uint64_t *in_words = bits_in.rawWords().data();
-    uint64_t *out_words = bits_inout.rawWords().data();
-    for (size_t b = row0; b < row0 + count; b += kBlockRows) {
-        laneBlock(b, mini);
-        const size_t rows = std::min(kBlockRows, row0 + count - b);
-        gather(in, inout + (b - row0), mini, 0, rows, p.d);
-        bit_gather(in_words, out_words + b / kBlockRows, mini, rows, p.d);
-    }
-}
-
-void
-LpnEncoder::encodeBitsTape(const BitVec &in, BitVec &inout, size_t row0,
-                           size_t count, const LpnIndexTape &tape) const
-{
-    checkBitRange(p, in, inout, row0, count);
-    IRONMAN_CHECK(tape.ready() && tape.builtFor == p &&
-                      tape.rows >= row0 + count,
-                  "tape too short for bit encode");
-    activeBitKernel()(in.rawWords().data(),
-                      inout.rawWords().data() + row0 / kBlockRows,
-                      tape.idx.data() + (row0 / kLane) * p.d * kLane,
-                      count, p.d);
 }
 
 } // namespace ironman::ot

@@ -19,22 +19,22 @@
  *
  * One kernel family does the gather-XOR: lane-transposed index tapes
  * feed SIMD block and bit kernels (SSE2 baseline, AVX2
- * runtime-dispatched like the AES engines). The tapes come from one of
- * two places:
+ * runtime-dispatched like the AES engines). Every encode goes through
+ * one walk (LpnEncoder::encode) that hands those kernels a
+ * lane-transposed tape from one of two sources:
  *
  *  - LpnIndexTape, built once per parameter set per process
  *    (sharedLpnTape): the matrix is fixed by the public seed, so every
  *    extension of every engine of that set replays the same read-only
- *    tape. This is what the FERRET steady state uses while the tape
- *    fits OtWorkspace::kLpnTapeBytesCap;
- *  - the fused streaming kernel (encodeBlocks / encodeBits), which
- *    regenerates the indices of 64 rows at a time in registers and on
- *    the stack — one AES batch, an exact multiply-shift `% k` — and
- *    hands that 64-row mini-tape to the same kernels. The 2^23+ sets,
- *    whose tapes are above the cap, run this path.
- *    encodeBlocksAndBits feeds one mini-tape to both the block and the
- *    bit kernel, so the FERRET receiver, which encodes both vectors
- *    over the same rows, generates each row's indices once.
+ *    tape. The tape is the generator's 64-row mini-tapes laid end to
+ *    end, and the walk runs the kernels once over the whole range.
+ *    Sets whose tape would exceed kLpnTapeBytesCap get none;
+ *  - no tape: the walk regenerates the indices of 64 rows at a time
+ *    on the stack — one AES batch, an exact multiply-shift `% k` —
+ *    and runs the kernels on each 64-row mini-tape. The 2^23+ sets
+ *    run this way. A block + bit encode feeds each mini-tape to both
+ *    kernels, so the FERRET receiver generates each row's indices
+ *    once.
  *
  * The encoder itself is immutable and shareable across threads; the
  * tape is read-only after build and shared by every engine of its set.
@@ -43,6 +43,7 @@
 #ifndef IRONMAN_OT_LPN_H
 #define IRONMAN_OT_LPN_H
 
+#include <compare>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -62,29 +63,24 @@ struct LpnParams
     unsigned d = 10;     ///< non-zeros per row
     uint64_t seed = 0;   ///< public seed fixing A
 
-    bool
-    operator==(const LpnParams &o) const
-    {
-        return n == o.n && k == o.k && d == o.d && seed == o.seed;
-    }
+    auto operator<=>(const LpnParams &) const = default;
 };
 
-/**
- * Per-thread scratch of buildTape(): row-major index staging.
- * Grow-only; one instance per thread. The streaming encoders keep
- * their indices on the stack and do not touch it.
- */
+/** Empty: nothing reads it. bench/ledger's calls still name it. */
 struct LpnEncodeScratch
 {
-    std::vector<uint32_t> idx; ///< per-chunk indices
 };
+
+/** Index tapes above this size are not built (the 2^23+ sets). */
+constexpr size_t kLpnTapeBytesCap = size_t(256) << 20;
 
 /**
  * Precomputed, lane-transposed index tape covering rows [0, rows).
  *
  * Rows are stored in groups of kLane: the i-th index of row r lives at
- * idx[((r / kLane) * d + i) * kLane + (r % kLane)], so a SIMD kernel
- * processing one group reads each tap's kLane indices as one
+ * idx[((r / kLane) * d + i) * kLane + (r % kLane)]. So rows [b, b+64)
+ * (b % 64 == 0) are one 64-row mini-tape at idx + b*d, and a SIMD
+ * kernel processing one group reads each tap's kLane indices as one
  * contiguous 32-byte line and keeps kLane independent XOR
  * accumulators in flight. The matrix is fixed by the public seed, so
  * one tape per parameter set serves a whole process (sharedLpnTape);
@@ -169,88 +165,57 @@ class LpnEncoder
     /**
      * Generate indices for rows [row0, row0+count) into @p out
      * (count*d entries, row-major). Allocation-free; the same
-     * generator as the fused kernels.
+     * generator as encode() and buildTape().
      */
     void rowIndicesBatch(uint64_t row0, size_t count,
                          uint32_t *out) const;
 
     /**
-     * Block-vector encode: inout[j] ^= XOR_{i<d} in[idx(j,i)] for the
-     * @p count rows starting at @p row0. `inout` points at the rows
-     * being produced (pre-filled with the SPCOT contribution).
-     * Streaming path: the fused kernel regenerates each 64-row block's
-     * indices into a stack mini-tape and runs the tape kernels on it,
-     * so any row0 and count work. Allocation-free; @p scratch is not
-     * touched (the parameter keeps existing call sites building).
+     * Gather-XOR rows [row0, row0+count): the block half
+     * inout[j] ^= XOR_{i<d} in[idx(j,i)] (@p inout points at row
+     * row0) and the bit half, the same with bits of @p bits_in into
+     * bit j of @p bits_inout. Either half may be null; the bit half
+     * needs row0 % 64 == 0, so concurrent calls on 64-row aligned
+     * parts own whole output words. The indices come from @p tape
+     * when given (it must cover the rows), else they are regenerated
+     * 64 rows at a time on the stack and fed to both halves. Output is
+     * identical either way. Stateless and allocation-free.
      */
-    void encodeBlocks(const Block *in, Block *inout, uint64_t row0,
-                      size_t count, LpnEncodeScratch &scratch) const;
+    void encode(const LpnIndexTape *tape, uint64_t row0, size_t count,
+                const Block *in, Block *inout, const BitVec *bits_in,
+                BitVec *bits_inout) const;
 
     /**
      * Build the lane-transposed index tape for rows [0, rows),
-     * fanning index generation out over @p pool (one scratch per
-     * worker). Deterministic regardless of the worker count. Always
-     * rebuilds; engines get their tape from sharedLpnTape().
+     * fanning 64-row blocks out over @p pool. Deterministic regardless
+     * of the worker count. Always rebuilds; engines get their tape
+     * from sharedLpnTape(). The scratch argument is ignored.
      */
     void buildTape(LpnIndexTape &tape, size_t rows,
                    common::ThreadPool &pool,
-                   LpnEncodeScratch *scratch) const;
+                   LpnEncodeScratch * = nullptr) const;
 
-    /**
-     * Tape path of encodeBlocks(): gather-XOR rows [row0, row0+count)
-     * using the precomputed indices. Stateless and allocation-free —
-     * safe to call concurrently from any partition of the row range.
-     * Dispatches to the widest SIMD kernel the CPU supports.
-     */
-    void encodeBlocksTape(const Block *in, Block *inout, uint64_t row0,
-                          size_t count, const LpnIndexTape &tape) const;
-
-    /**
-     * Bit-vector encode of rows [row0, row0+count):
-     * inout[j] ^= XOR_{i<d} in[idx(j,i)]. @p row0 must be a multiple
-     * of 64, so a caller that splits the rows on those boundaries
-     * gives each part whole output words, and the parts can run
-     * concurrently. Streaming path: the fused kernel of encodeBlocks()
-     * feeding the bit kernels. Allocation-free.
-     */
-    void encodeBits(const BitVec &in, BitVec &inout, size_t row0,
-                    size_t count) const;
-
-    /**
-     * encodeBlocks() and encodeBits() of the same rows
-     * [row0, row0+count) in one streaming pass: each 64-row block's
-     * indices are generated once and fed to both kernels. Same rules
-     * as encodeBits() (row0 % 64 == 0, so concurrent calls on 64-row
-     * aligned parts own whole words of @p bits_inout); @p inout points
-     * at row row0. Allocation-free.
-     */
-    void encodeBlocksAndBits(const Block *in, Block *inout,
-                             const BitVec &bits_in, BitVec &bits_inout,
-                             size_t row0, size_t count) const;
-
-    /** encodeBits() over all rows [0, p.n). */
+    /// @name Forwards to encode(), kept for bench/ledger's kernel timings
+    /// @{
     void
-    encodeBits(const BitVec &in, BitVec &inout) const
+    encodeBlocks(const Block *in, Block *inout, uint64_t row0,
+                 size_t count, LpnEncodeScratch &) const
     {
-        encodeBits(in, inout, 0, p.n);
+        encode(nullptr, row0, count, in, inout, nullptr, nullptr);
     }
-
-    /**
-     * Tape path of the ranged encodeBits() (same row0 % 64 == 0
-     * rule): word-at-a-time over the lane-transposed tape — one result
-     * byte per 8-row lane group, with an AVX2 vpgatherdd/vpsrlvd
-     * kernel behind the same runtime dispatch as the block path.
-     */
-    void encodeBitsTape(const BitVec &in, BitVec &inout, size_t row0,
-                        size_t count, const LpnIndexTape &tape) const;
-
-    /** encodeBitsTape() over all rows [0, p.n). */
+    void
+    encodeBlocksTape(const Block *in, Block *inout, uint64_t row0,
+                     size_t count, const LpnIndexTape &tape) const
+    {
+        encode(&tape, row0, count, in, inout, nullptr, nullptr);
+    }
     void
     encodeBitsTape(const BitVec &in, BitVec &inout,
                    const LpnIndexTape &tape) const
     {
-        encodeBitsTape(in, inout, 0, p.n, tape);
+        encode(&tape, 0, p.n, nullptr, nullptr, &in, &inout);
     }
+    /// @}
 
     /**
      * Pin the gather-XOR kernels (block and bit, tape and streaming
@@ -275,6 +240,17 @@ class LpnEncoder
      */
     void laneBlock(uint64_t row0, uint32_t *mini) const;
 
+    /**
+     * The one walk over rows [row0, row0+count): calls
+     * fn(t, base, lo, hi) with a lane-transposed tape @p t whose first
+     * row is @p base and which covers rows [lo, hi). With @p tape that
+     * is one call over the whole range (base 0); without, one call per
+     * 64-row block on a stack mini-tape (base the block's first row).
+     */
+    template <typename Fn>
+    void walk(const LpnIndexTape *tape, uint64_t row0, size_t count,
+              Fn &&fn) const;
+
     LpnParams p;
     crypto::Aes128 aes; ///< keyed by the public seed
     detail::FastMod mod;
@@ -283,8 +259,9 @@ class LpnEncoder
 /**
  * The process's one index tape for @p enc's params, covering all
  * n rows: the live tape when some holder still keeps one, else a tape
- * built now on @p pool (one scratch per worker, as buildTape()).
- * Thread-safe.
+ * built now on @p pool. Null, without taking the registry lock, when
+ * the tape would exceed kLpnTapeBytesCap: those sets regenerate their
+ * indices. Thread-safe.
  *
  * The registry keeps weak references only, so a tape lives exactly as
  * long as some caller holds it: a process that drops every engine of a
@@ -297,8 +274,7 @@ class LpnEncoder
  * because a build happens once per set while its holders live.
  */
 std::shared_ptr<const LpnIndexTape>
-sharedLpnTape(const LpnEncoder &enc, common::ThreadPool &pool,
-              LpnEncodeScratch *scratch);
+sharedLpnTape(const LpnEncoder &enc, common::ThreadPool &pool);
 
 namespace detail {
 

@@ -4,19 +4,6 @@
 
 namespace ironman::ot {
 
-namespace {
-
-/** The fields extension sizing depends on. */
-bool
-sameShape(const FerretParams &a, const FerretParams &b)
-{
-    return a.n == b.n && a.k == b.k && a.t == b.t &&
-           a.arity == b.arity && a.prg == b.prg &&
-           a.lpnWeight == b.lpnWeight && a.lpnSeed == b.lpnSeed;
-}
-
-} // namespace
-
 SpcotConfig
 spcotConfigOf(const FerretParams &p)
 {
@@ -27,11 +14,17 @@ spcotConfigOf(const FerretParams &p)
     return cfg;
 }
 
+LpnParams
+lpnParamsOf(const FerretParams &p)
+{
+    return {p.n, p.k, p.lpnWeight, p.lpnSeed};
+}
+
 void
 OtWorkspace::prepare(const FerretParams &p, int threads)
 {
     threads = std::max(threads, 1);
-    if (ready && sameShape(preparedFor, p) && preparedThreads == threads)
+    if (ready && preparedFor == p.shape() && preparedThreads == threads)
         return;
 
     pool.resize(threads);
@@ -42,11 +35,11 @@ OtWorkspace::prepare(const FerretParams &p, int threads)
     // The SPCOT workspace sizes itself per role on the first
     // spcotSend*/spcotRecv* call (still warm-up, and it avoids
     // allocating the other role's buffer set).
-    lpn.resize(threads);
     alphas.resize(p.t);
+    tape = sharedLpnTape(LpnEncoder(lpnParamsOf(p)), pool);
 
     ready = true;
-    preparedFor = p;
+    preparedFor = p.shape();
     preparedThreads = threads;
 }
 

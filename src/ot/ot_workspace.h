@@ -25,15 +25,13 @@
  * the sender empties it (every row scattered) before its next
  * transcript expands into it (DESIGN.md invariant 11).
  *
- * The workspace additionally holds the engine's reference to its set's
- * LPN index tape. The matrix is fixed by the public seed, so one
- * read-only tape per parameter set serves every engine of a process
- * (sharedLpnTape): index generation happens once per set while some
- * engine of it lives, not once per engine or extension. Tapes above
- * kLpnTapeBytesCap are not built, to bound memory on the 2^23+
- * parameter sets: those engines run the fused streaming encoder,
- * which regenerates 64-row mini-tapes on the stack and feeds the same
- * gather kernels, with identical output.
+ * prepare() also takes the engine's reference to its set's LPN index
+ * tape (sharedLpnTape): one read-only tape per parameter set serves
+ * every engine of a process, so index generation happens once per set
+ * while some engine of it lives. Above lpn.h's kLpnTapeBytesCap (the
+ * 2^23+ sets) the reference is null, and LpnEncoder::encode
+ * regenerates the indices with identical output; the engine passes
+ * the reference on either way.
  */
 
 #ifndef IRONMAN_OT_OT_WORKSPACE_H
@@ -58,16 +56,17 @@ namespace ironman::ot {
  */
 SpcotConfig spcotConfigOf(const FerretParams &p);
 
+/** The LPN code of @p p: n x k, weight lpnWeight, seed lpnSeed. */
+LpnParams lpnParamsOf(const FerretParams &p);
+
 /** All per-engine mutable state of one OTE endpoint. */
 struct OtWorkspace
 {
-    /** Index tapes above this size fall back to streaming encode. */
-    static constexpr size_t kLpnTapeBytesCap = size_t(256) << 20;
-
     /**
-     * (Re)size everything for @p p and @p threads. Idempotent: a
-     * second call with identical arguments does nothing, so the first
-     * extend() is the only warm-up.
+     * (Re)size everything for @p p and @p threads and take the set's
+     * shared tape (built on the pool when no holder keeps one).
+     * Idempotent: a second call with identical arguments does
+     * nothing, so the first extend() is the only warm-up.
      */
     void prepare(const FerretParams &p, int threads);
 
@@ -76,7 +75,6 @@ struct OtWorkspace
     std::vector<Block> leaf;
 
     SpcotWorkspace spcot;
-    std::vector<LpnEncodeScratch> lpn; ///< tape build, one per thread
     /// The set's shared tape; null above the cap.
     std::shared_ptr<const LpnIndexTape> tape;
 
@@ -87,7 +85,7 @@ struct OtWorkspace
 
   private:
     bool ready = false;
-    FerretParams preparedFor;
+    FerretShape preparedFor{};
     int preparedThreads = 0;
 };
 

@@ -69,8 +69,8 @@ class CotServer
 
         /**
          * Parameter shapes this daemon will build engines for; empty
-         * means any structurally valid shape. Membership compares the
-         * EngineKey fields (what determines engine size and output).
+         * means any structurally valid shape. Membership compares
+         * ot::FerretShape (what determines engine size and output).
          */
         std::vector<ot::FerretParams> paramsAllowlist;
 

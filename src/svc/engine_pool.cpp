@@ -29,29 +29,14 @@ poolMetrics()
 
 } // namespace
 
-EngineKey
-EngineKey::of(const ot::FerretParams &p)
-{
-    EngineKey k;
-    k.n = p.n;
-    k.k = p.k;
-    k.t = p.t;
-    k.lpnSeed = p.lpnSeed;
-    k.arity = p.arity;
-    k.lpnWeight = p.lpnWeight;
-    k.prg = uint8_t(p.prg);
-    return k;
-}
-
 bool
 paramsAllowed(const ot::FerretParams &p,
               const std::vector<ot::FerretParams> &allowlist)
 {
     if (allowlist.empty())
         return true;
-    const EngineKey key = EngineKey::of(p);
     for (const ot::FerretParams &allowed : allowlist)
-        if (key == EngineKey::of(allowed))
+        if (p.shape() == allowed.shape())
             return true;
     return false;
 }
@@ -129,7 +114,7 @@ EnginePool::makeReceiver(const ot::FerretParams &p)
 EnginePool::SenderLease
 EnginePool::checkoutSender(const ot::FerretParams &p)
 {
-    const EngineKey key = EngineKey::of(p);
+    const ot::FerretShape key = p.shape();
     PoolMetrics &pm = poolMetrics();
     pm.checkouts.inc();
     SenderLease lease;
@@ -157,7 +142,7 @@ EnginePool::checkoutSender(const ot::FerretParams &p)
 EnginePool::ReceiverLease
 EnginePool::checkoutReceiver(const ot::FerretParams &p)
 {
-    const EngineKey key = EngineKey::of(p);
+    const ot::FerretShape key = p.shape();
     PoolMetrics &pm = poolMetrics();
     pm.checkouts.inc();
     ReceiverLease lease;
@@ -182,7 +167,7 @@ EnginePool::checkoutReceiver(const ot::FerretParams &p)
 void
 EnginePool::prewarm(const ot::FerretParams &p, int count)
 {
-    const EngineKey key = EngineKey::of(p);
+    const ot::FerretShape key = p.shape();
     for (int i = 0; i < count; ++i) {
         auto s = makeSender(p);
         auto r = makeReceiver(p);
@@ -195,7 +180,7 @@ EnginePool::prewarm(const ot::FerretParams &p, int count)
 }
 
 void
-EnginePool::returnSender(const EngineKey &key,
+EnginePool::returnSender(const ot::FerretShape &key,
                          std::unique_ptr<ot::FerretCotSender> e)
 {
     std::lock_guard<std::mutex> lock(m);
@@ -203,7 +188,7 @@ EnginePool::returnSender(const EngineKey &key,
 }
 
 void
-EnginePool::returnReceiver(const EngineKey &key,
+EnginePool::returnReceiver(const ot::FerretShape &key,
                            std::unique_ptr<ot::FerretCotReceiver> e)
 {
     std::lock_guard<std::mutex> lock(m);

@@ -31,7 +31,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <tuple>
 #include <vector>
 
 #include "ot/ferret.h"
@@ -39,32 +38,8 @@
 
 namespace ironman::svc {
 
-/** The FerretParams fields that determine engine shape and output. */
-struct EngineKey
-{
-    uint64_t n, k, t, lpnSeed;
-    uint32_t arity, lpnWeight;
-    uint8_t prg;
-
-    static EngineKey of(const ot::FerretParams &p);
-
-    bool
-    operator<(const EngineKey &o) const
-    {
-        return std::tie(n, k, t, lpnSeed, arity, lpnWeight, prg) <
-               std::tie(o.n, o.k, o.t, o.lpnSeed, o.arity, o.lpnWeight,
-                        o.prg);
-    }
-
-    bool
-    operator==(const EngineKey &o) const
-    {
-        return !(*this < o) && !(o < *this);
-    }
-};
-
 /**
- * Admission-policy membership: is @p p's shape (EngineKey fields) on
+ * Admission-policy membership: is @p p's shape (FerretShape) on
  * @p allowlist? An EMPTY allowlist allows everything — the opt-in
  * convention both CotServer and InferServer use.
  */
@@ -105,7 +80,7 @@ class EnginePool
         friend class EnginePool;
         std::unique_ptr<ot::FerretCotSender> engine;
         EnginePool *pool = nullptr;
-        EngineKey key{};
+        ot::FerretShape key{};
     };
 
     /** RAII checkout of one receiver engine. */
@@ -127,7 +102,7 @@ class EnginePool
         friend class EnginePool;
         std::unique_ptr<ot::FerretCotReceiver> engine;
         EnginePool *pool = nullptr;
-        EngineKey key{};
+        ot::FerretShape key{};
     };
 
     /**
@@ -155,9 +130,9 @@ class EnginePool
     const Config &config() const { return cfg_; }
 
   private:
-    void returnSender(const EngineKey &key,
+    void returnSender(const ot::FerretShape &key,
                       std::unique_ptr<ot::FerretCotSender> e);
-    void returnReceiver(const EngineKey &key,
+    void returnReceiver(const ot::FerretShape &key,
                         std::unique_ptr<ot::FerretCotReceiver> e);
     std::unique_ptr<ot::FerretCotSender>
     makeSender(const ot::FerretParams &p);
@@ -166,9 +141,10 @@ class EnginePool
 
     Config cfg_;
     mutable std::mutex m;
-    std::map<EngineKey, std::vector<std::unique_ptr<ot::FerretCotSender>>>
+    std::map<ot::FerretShape,
+             std::vector<std::unique_ptr<ot::FerretCotSender>>>
         idleSend;
-    std::map<EngineKey,
+    std::map<ot::FerretShape,
              std::vector<std::unique_ptr<ot::FerretCotReceiver>>>
         idleRecv;
     uint64_t madeSenders = 0;

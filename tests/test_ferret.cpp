@@ -215,14 +215,9 @@ TEST(FerretTest, ConcurrentPrewarmSharesOneTape)
 
     // The registry keeps weak references only, so the two engines and
     // this acquisition are the tape's only owners.
-    LpnParams lp;
-    lp.n = p.n;
-    lp.k = p.k;
-    lp.d = p.lpnWeight;
-    lp.seed = p.lpnSeed;
     common::ThreadPool pool(1);
-    LpnEncodeScratch scratch;
-    EXPECT_EQ(sharedLpnTape(LpnEncoder(lp), pool, &scratch).use_count(), 3);
+    EXPECT_EQ(sharedLpnTape(LpnEncoder(lpnParamsOf(p)), pool).use_count(),
+              3);
 
     const FerretPair pair{.params = p, .seed = 9100, .threads = 2};
     EXPECT_TRUE(correlated(pair.run(pair.deal(), &sender, &receiver)));
@@ -244,7 +239,7 @@ TEST(FerretParamsTest, Table4SelfConsistency)
         EXPECT_GT(p.usableOts(), 0u) << p.name;
         // Index tapes up to 2^22; 2^23 and up stream their LPN.
         EXPECT_EQ(LpnIndexTape::bytesFor(p.n, p.lpnWeight) >
-                      OtWorkspace::kLpnTapeBytesCap,
+                      kLpnTapeBytesCap,
                   i >= 3)
             << p.name;
         // Usable output is within 1% of the nominal 2^(20+i) target.

@@ -55,8 +55,8 @@ TEST_P(SortParamTest, EncodeIsBitIdentical)
     std::vector<Block> base = rng.nextBlocks(3000);
 
     std::vector<Block> reference = base;
-    ot::LpnEncodeScratch scratch;
-    enc.encodeBlocks(in.data(), reference.data(), 0, 3000, scratch);
+    enc.encode(nullptr, 0, 3000, in.data(), reference.data(), nullptr,
+               nullptr);
 
     std::vector<Block> sorted = base;
     encodeWithLayout(layout, in.data(), sorted.data());
@@ -87,8 +87,8 @@ TEST(IndexSortTest, LaneTapeReplayIsBitIdentical)
     std::vector<Block> base = rng.nextBlocks(n);
 
     std::vector<Block> reference = base;
-    ot::LpnEncodeScratch scratch;
-    enc.encodeBlocks(in.data(), reference.data(), 0, n, scratch);
+    enc.encode(nullptr, 0, n, in.data(), reference.data(), nullptr,
+               nullptr);
 
     std::vector<Block> replayed = base;
     encodeWithLayout(layout, in.data(), replayed.data());
@@ -106,9 +106,8 @@ TEST(IndexSortTest, LaneTapeReplayMatchesSoftwareTapeWalk)
         buildSortedLayout(enc, 0, n, softwareTapeOrder());
 
     common::ThreadPool pool(1);
-    ot::LpnEncodeScratch scratch;
     ot::LpnIndexTape tape;
-    enc.buildTape(tape, n, pool, &scratch);
+    enc.buildTape(tape, n, pool);
 
     constexpr size_t lane = ot::LpnIndexTape::kLane;
     const unsigned d = enc.params().d;

@@ -1,10 +1,11 @@
 /**
  * @file
  * LPN encoder tests: recorded matrix digests, determinism, every
- * encode path (streaming and tape, block, bit and one-pass block + bit,
- * under every kernel, whole, ranged and split over pool threads)
- * against a dense GF(2) reference in one grid (LpnGridTest), one
- * shared index tape per parameter set (sharedLpnTape), and
+ * encode (block, bit and block + bit, on regenerated indices and on the
+ * tape, and bench/ledger's forwards, under every kernel, whole, ranged
+ * and split over pool threads) against a dense GF(2) reference in one
+ * grid (LpnGridTest), one shared index tape per parameter set below
+ * the cap (sharedLpnTape), and
  * preservation of the COT correlation through the encoding
  * (invariant 4 of DESIGN.md).
  */
@@ -21,6 +22,7 @@
 #include "ot/base_cot.h"
 #include "ot/ferret_params.h"
 #include "ot/lpn.h"
+#include "ot/ot_workspace.h"
 
 namespace ironman::ot {
 namespace {
@@ -76,18 +78,6 @@ denseEncodeBits(const LpnEncoder &enc, const BitVec &in, BitVec rows)
     return rows;
 }
 
-LpnParams
-paperLpnParams(int log_ots)
-{
-    const FerretParams f = paperParamSet(log_ots);
-    LpnParams p;
-    p.n = f.n;
-    p.k = f.k;
-    p.d = f.lpnWeight;
-    p.seed = f.lpnSeed;
-    return p;
-}
-
 // ---------------------------------------------------------------------------
 // Matrix known answers
 // ---------------------------------------------------------------------------
@@ -130,7 +120,7 @@ TEST(LpnKatTest, RowIndicesMatchRecordedDigests)
         {24, 64, true, 0xfbed215a00785e1bULL},
     };
     for (const Window &w : windows) {
-        const LpnEncoder enc(paperLpnParams(w.logOts));
+        const LpnEncoder enc(lpnParamsOf(paperParamSet(w.logOts)));
         const uint64_t row0 =
             w.fromEnd ? enc.params().n - w.row0 : w.row0;
         const uint64_t got = rowIndexDigest(enc, row0, 64);
@@ -241,37 +231,28 @@ constexpr LpnKernel kAllKernels[] = {LpnKernel::Auto, LpnKernel::Scalar,
                                      LpnKernel::Sse2};
 
 /**
- * The encode entry points. The last three write bits, so their row0
- * must sit on a 64-row word.
+ * One way into the encoder: the halves it writes and whether it reads
+ * the tape. A forward goes through bench/ledger's entry point instead
+ * of encode(); the bit forward encodes all rows.
  */
-enum class Entry
+struct Entry
 {
-    Blocks,
-    BlocksTape,
-    Bits,
-    BitsTape,
-    BlocksAndBits,
+    const char *name;
+    bool blocks, bits, tape;
+    bool forward = false;
 };
 
-constexpr Entry kAllEntries[] = {Entry::Blocks, Entry::BlocksTape,
-                                 Entry::Bits, Entry::BitsTape,
-                                 Entry::BlocksAndBits};
-
-constexpr const char *kEntryNames[] = {"encodeBlocks", "encodeBlocksTape",
-                                       "encodeBits", "encodeBitsTape",
-                                       "encodeBlocksAndBits"};
-
-bool
-writesBits(Entry e)
-{
-    return e >= Entry::Bits;
-}
-
-bool
-writesBlocks(Entry e)
-{
-    return e != Entry::Bits && e != Entry::BitsTape;
-}
+constexpr Entry kAllEntries[] = {
+    {"blocks", true, false, false},
+    {"blocks_tape", true, false, true},
+    {"bits", false, true, false},
+    {"bits_tape", false, true, true},
+    {"both", true, true, false},
+    {"both_tape", true, true, true},
+    {"encodeBlocks", true, false, false, true},
+    {"encodeBlocksTape", true, false, true, true},
+    {"encodeBitsTape", false, true, true, true},
+};
 
 /** One code shape and the seed of its inputs and base rows. */
 struct LpnCell
@@ -323,7 +304,7 @@ class LpnGridTest : public testing::TestWithParam<LpnCell>
         dense = denseEncode(enc, in, base);
         denseBits = denseEncodeBits(enc, bitsIn, bitsBase);
         common::ThreadPool pool(1);
-        LpnEncodeScratch scratch;
+        LpnEncodeScratch scratch; // the ledger's buildTape call
         enc.buildTape(tape, p.n, pool, &scratch);
     }
 
@@ -331,28 +312,30 @@ class LpnGridTest : public testing::TestWithParam<LpnCell>
 
     /** Run @p e on rows [row0, row0 + count); @p rows is row row0. */
     void
-    encode(Entry e, size_t row0, size_t count, Block *rows,
+    encode(const Entry &e, size_t row0, size_t count, Block *rows,
            BitVec &bits) const
     {
         LpnEncodeScratch scratch;
-        switch (e) {
-          case Entry::Blocks:
-            enc.encodeBlocks(in.data(), rows, row0, count, scratch);
-            break;
-          case Entry::BlocksTape:
+        if (!e.forward)
+            enc.encode(e.tape ? &tape : nullptr, row0, count,
+                       e.blocks ? in.data() : nullptr,
+                       e.blocks ? rows : nullptr, e.bits ? &bitsIn : nullptr,
+                       e.bits ? &bits : nullptr);
+        else if (e.bits)
+            enc.encodeBitsTape(bitsIn, bits, tape);
+        else if (e.tape)
             enc.encodeBlocksTape(in.data(), rows, row0, count, tape);
-            break;
-          case Entry::Bits:
-            enc.encodeBits(bitsIn, bits, row0, count);
-            break;
-          case Entry::BitsTape:
-            enc.encodeBitsTape(bitsIn, bits, row0, count, tape);
-            break;
-          case Entry::BlocksAndBits:
-            enc.encodeBlocksAndBits(in.data(), rows, bitsIn, bits, row0,
-                                    count);
-            break;
-        }
+        else
+            enc.encodeBlocks(in.data(), rows, row0, count, scratch);
+    }
+
+    /** Bit encodes start on a 64-row word; the bit forward takes all. */
+    bool
+    takes(const Entry &e, size_t row0, size_t count) const
+    {
+        if (e.forward && e.bits)
+            return row0 == 0 && count == p.n;
+        return !e.bits || row0 % 64 == 0;
     }
 
     /**
@@ -361,13 +344,13 @@ class LpnGridTest : public testing::TestWithParam<LpnCell>
      * the bits it writes, while every other bit keeps its base.
      */
     testing::AssertionResult
-    matchesDense(Entry e, size_t row0, size_t count, const Block *rows,
-                 const BitVec &bits) const
+    matchesDense(const Entry &e, size_t row0, size_t count,
+                 const Block *rows, const BitVec &bits) const
     {
-        for (size_t j = row0; writesBlocks(e) && j < row0 + count; ++j)
+        for (size_t j = row0; e.blocks && j < row0 + count; ++j)
             if (rows[j - row0] != dense[j])
                 return testing::AssertionFailure() << "block row " << j;
-        for (size_t j = 0; writesBits(e) && j < p.n; ++j) {
+        for (size_t j = 0; e.bits && j < p.n; ++j) {
             const bool inside = j >= row0 && j < row0 + count;
             if (bits.get(j) != (inside ? denseBits : bitsBase).get(j))
                 return testing::AssertionFailure() << "bit row " << j;
@@ -386,9 +369,9 @@ TEST_P(LpnGridTest, EveryEncodePathMatchesDenseReference)
 {
     // Ranges under every kernel: whole, unaligned heads and short
     // counts, unaligned tails, and the last (ragged when n % 64 != 0)
-    // word. The fused streaming encoders generate whole 64-row
-    // mini-tapes and use part of them; the bit entry points take the
-    // word-aligned ranges.
+    // word. Regenerated indices come in whole 64-row mini-tapes of
+    // which a range uses part; the bit entries take the word-aligned
+    // ranges.
     const size_t n = p.n;
     const size_t last = (n - 1) / 64 * 64;
     struct Range
@@ -402,9 +385,9 @@ TEST_P(LpnGridTest, EveryEncodePathMatchesDenseReference)
         {192, 65},   {last, n - last}, {last - 64, n - last + 64}};
     for (LpnKernel kernel : kAllKernels) {
         LpnEncoder::setKernel(kernel);
-        for (Entry e : kAllEntries)
+        for (const Entry &e : kAllEntries)
             for (const Range &r : ranges) {
-                if (writesBits(e) && r.row0 % 64 != 0)
+                if (!takes(e, r.row0, r.count))
                     continue;
                 std::vector<Block> rows(base.begin() + r.row0,
                                         base.begin() + r.row0 + r.count);
@@ -412,23 +395,24 @@ TEST_P(LpnGridTest, EveryEncodePathMatchesDenseReference)
                 encode(e, r.row0, r.count, rows.data(), bits);
                 EXPECT_TRUE(matchesDense(e, r.row0, r.count, rows.data(),
                                          bits))
-                    << "kernel " << int(kernel) << ", "
-                    << kEntryNames[int(e)] << ", rows " << r.row0 << "+"
-                    << r.count;
+                    << "kernel " << int(kernel) << ", " << e.name
+                    << ", rows " << r.row0 << "+" << r.count;
             }
     }
     LpnEncoder::setKernel(LpnKernel::Auto);
 
     // All n rows in contiguous parts cut at any row, one call each.
     const size_t cuts[] = {0, 1, n / 3, n / 3 + 7, n};
-    for (Entry e : {Entry::Blocks, Entry::BlocksTape}) {
+    for (const Entry &e : kAllEntries) {
+        if (e.bits)
+            continue;
         std::vector<Block> rows = base;
         BitVec bits = bitsBase;
         for (size_t c = 0; c + 1 < std::size(cuts); ++c)
             encode(e, cuts[c], cuts[c + 1] - cuts[c], rows.data() + cuts[c],
                    bits);
         EXPECT_TRUE(matchesDense(e, 0, n, rows.data(), bits))
-            << kEntryNames[int(e)] << " in contiguous parts";
+            << e.name << " in contiguous parts";
     }
 
     // Invariant 9 for the receiver's bit LPN: 64-row words split over
@@ -437,19 +421,22 @@ TEST_P(LpnGridTest, EveryEncodePathMatchesDenseReference)
     common::ThreadPool pool;
     for (int threads = 1; threads <= 4; ++threads) {
         pool.resize(threads);
-        for (Entry e : {Entry::Bits, Entry::BitsTape}) {
+        for (const Entry &e : kAllEntries) {
+            if (!e.bits || e.forward)
+                continue;
+            std::vector<Block> rows = base;
             BitVec bits = bitsBase;
             pool.parallelFor((n + 63) / 64, [&](int, size_t wlo, size_t whi) {
                 const size_t row0 = wlo * 64;
-                encode(e, row0, std::min(whi * 64, n) - row0, nullptr, bits);
+                encode(e, row0, std::min(whi * 64, n) - row0,
+                       rows.data() + row0, bits);
             });
-            EXPECT_TRUE(matchesDense(e, 0, n, nullptr, bits))
-                << kEntryNames[int(e)] << " over " << threads << " threads";
+            EXPECT_TRUE(matchesDense(e, 0, n, rows.data(), bits))
+                << e.name << " over " << threads << " threads";
         }
     }
-    std::vector<LpnEncodeScratch> scratch(pool.threads());
     LpnIndexTape four;
-    enc.buildTape(four, n, pool, scratch.data());
+    enc.buildTape(four, n, pool);
     EXPECT_EQ(four.idx, tape.idx);
 }
 
@@ -464,8 +451,7 @@ std::shared_ptr<const LpnIndexTape>
 acquireTape(const LpnParams &p, int threads = 2)
 {
     common::ThreadPool pool(threads);
-    std::vector<LpnEncodeScratch> scratch(pool.threads());
-    return sharedLpnTape(LpnEncoder(p), pool, scratch.data());
+    return sharedLpnTape(LpnEncoder(p), pool);
 }
 
 TEST(LpnSharedTapeTest, OneTapePerParameterSet)
@@ -532,14 +518,22 @@ TEST(LpnSharedTapeTest, ConcurrentFirstCallersShareOneBuild)
         EXPECT_EQ(got[size_t(i)], got[0]) << "caller " << i;
 }
 
+/** Above the cap there is no tape: the 2^23 set regenerates. */
+TEST(LpnSharedTapeTest, AboveCapGetsNoTape)
+{
+    const LpnParams p = lpnParamsOf(paperParamSet(23));
+    ASSERT_GT(LpnIndexTape::bytesFor(p.n, p.d), kLpnTapeBytesCap);
+    common::ThreadPool pool(1);
+    EXPECT_EQ(sharedLpnTape(LpnEncoder(p), pool), nullptr);
+}
+
 TEST(LpnSharedTapeTest, SharedTapeEqualsPrivateBuild)
 {
     const LpnParams p = smallParams();
     const LpnEncoder enc(p);
     common::ThreadPool pool(1);
-    LpnEncodeScratch scratch;
     LpnIndexTape own;
-    enc.buildTape(own, p.n, pool, &scratch);
+    enc.buildTape(own, p.n, pool);
 
     const auto shared = acquireTape(p, 4);
     EXPECT_EQ(shared->rows, own.rows);
@@ -586,15 +580,13 @@ TEST(LpnTest, EncodingPreservesCotCorrelation)
         w[j] = v[j] ^ scalarMul(u.get(j), delta);
 
     // Sender: z = r*A ^ w.
-    LpnEncodeScratch scratch;
     std::vector<Block> z = w;
-    enc.encodeBlocks(in_s.q.data(), z.data(), 0, p.n, scratch);
+    enc.encode(nullptr, 0, p.n, in_s.q.data(), z.data(), nullptr, nullptr);
 
     // Receiver: x = e*A ^ u, y = s*A ^ v.
     BitVec x = u;
-    enc.encodeBits(in_r.choice, x);
     std::vector<Block> y = v;
-    enc.encodeBlocks(in_r.t.data(), y.data(), 0, p.n, scratch);
+    enc.encode(nullptr, 0, p.n, in_r.t.data(), y.data(), &in_r.choice, &x);
 
     for (size_t j = 0; j < p.n; ++j)
         EXPECT_EQ(z[j] ^ scalarMul(x.get(j), delta), y[j]) << "row " << j;

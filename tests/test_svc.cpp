@@ -467,6 +467,7 @@ TEST(CotServiceTest, UnixDomainSessionWorks)
 
     EXPECT_EQ(c, ref.choice);
     EXPECT_EQ(t, ref.t);
+    EXPECT_NE(::access(path.c_str(), F_OK), 0) << "socket file left behind";
 }
 
 // ---------------------------------------------------------------------------

@@ -204,13 +204,12 @@ TEST(WorkspaceEngineTest, ExtendIsAllocationFreeAfterWarmup)
         }
 }
 
-TEST(WorkspaceEngineTest, StreamingLpnEncodesAreAllocationFree)
+TEST(WorkspaceEngineTest, LpnEncodesAreAllocationFree)
 {
-    // The engines above run the tape; the 2^23+ sets stream instead.
-    // The fused streaming encoders keep their indices on the stack, so
-    // a block encode on a warm scratch, the receiver's ranged bit
-    // encode fanned out as the engine does, and its one-pass block +
-    // bit encode allocate nothing.
+    // The engines above run the tape; the 2^23+ sets regenerate their
+    // indices on the stack instead. On either source a block encode,
+    // the receiver's ranged bit encode fanned out as the engine does,
+    // and its block + bit encode allocate nothing.
     LpnParams p;
     p.n = 4096 + 40;
     p.k = 512;
@@ -221,23 +220,30 @@ TEST(WorkspaceEngineTest, StreamingLpnEncodesAreAllocationFree)
     std::vector<Block> rows = rng.nextBlocks(p.n);
     const BitVec bits_in = rng.nextBits(p.k);
     BitVec bits = rng.nextBits(p.n);
-    LpnEncodeScratch scratch;
     common::ThreadPool pool(3);
-    auto encode = [&] {
-        enc.encodeBlocks(in.data(), rows.data(), 0, p.n, scratch);
-        pool.parallelFor((p.n + 63) / 64, [&](int, size_t wlo, size_t whi) {
-            const size_t row0 = wlo * 64;
-            enc.encodeBits(bits_in, bits, row0,
-                           std::min(whi * 64, p.n) - row0);
-        });
-        enc.encodeBlocksAndBits(in.data(), rows.data() + 64, bits_in, bits,
-                                64, p.n - 64);
-    };
-    encode(); // warm-up
-    const uint64_t before = g_allocCount.load();
-    encode();
-    EXPECT_EQ(g_allocCount.load() - before, 0u)
-        << "warm streaming LPN encodes performed heap allocations";
+    LpnIndexTape built;
+    enc.buildTape(built, p.n, pool);
+    for (const LpnIndexTape *tape : {(const LpnIndexTape *)nullptr,
+                                     (const LpnIndexTape *)&built}) {
+        auto encode = [&] {
+            enc.encode(tape, 0, p.n, in.data(), rows.data(), nullptr,
+                       nullptr);
+            pool.parallelFor((p.n + 63) / 64,
+                             [&](int, size_t wlo, size_t whi) {
+                const size_t row0 = wlo * 64;
+                enc.encode(tape, row0, std::min(whi * 64, p.n) - row0,
+                           nullptr, nullptr, &bits_in, &bits);
+            });
+            enc.encode(tape, 64, p.n - 64, in.data(), rows.data() + 64,
+                       &bits_in, &bits);
+        };
+        encode(); // warm-up
+        const uint64_t before = g_allocCount.load();
+        encode();
+        EXPECT_EQ(g_allocCount.load() - before, 0u)
+            << "warm LPN encodes performed heap allocations, tape "
+            << (tape != nullptr);
+    }
 }
 
 // ---------------------------------------------------------------------------
